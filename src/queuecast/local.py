@@ -7,6 +7,17 @@ kernel radius at a grid point is the distance to the ceil(alpha * n)-th
 closest training imbalance. The fitted curve value is the local sigmoid
 evaluated at the grid point itself.
 
+The fits run on sufficient statistics (Loader 1999, Local Regression and
+Likelihood). Imbalance is a ratio of small queue sizes, so many training
+points share a value; each distinct value enters once, with its count and
+its mean label, which leaves the local likelihood, score and Hessian exactly
+as they are over the raw points. The radius is read off the cumulative
+counts of the distinct values sorted by distance, which gives the same float
+as selecting the k-th of all n distances. Each grid point's Newton starts
+from the previous converged local line. A window holding a single distinct
+value has no slope to fit and, like a window whose labels all agree, takes
+its mean label as a clamped, degenerate value.
+
 The bandwidth fraction alpha is chosen by k-fold cross validation on the
 training set, minimizing the mean squared residual of held-out predictions
 (grid fit plus linear interpolation, exactly the shipped predictor).
@@ -34,6 +45,7 @@ class LocalLogisticFit:
     alpha: float  # nearest-neighbour bandwidth fraction
     train_ref: str = ""
     degenerate: np.ndarray = None  # bool mask of clamped grid points
+    nonconverged: np.ndarray = None  # bool mask of grid points whose Newton fit did not converge
 
 
 @dataclass
@@ -65,7 +77,8 @@ def fit_local_logistic(
     ``all_weights_one`` is a test mode that disables the kernel entirely;
     the resulting curve must coincide with the global logistic fit.
     Neighbourhoods whose weighted labels are all identical (or whose local
-    fit separates) get a clamped fitted value and a degeneracy flag.
+    fit separates) get a clamped fitted value and a degeneracy flag; grid
+    points whose local fit did not converge are flagged in ``nonconverged``.
     """
     I = np.asarray(imbalance, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -78,43 +91,55 @@ def fit_local_logistic(
     k = _neighbour_count(alpha, n)
     if k < 10:
         raise TooFewPoints(k, 10)
-    order = np.argsort(I, kind="stable")
-    I_s = I[order]
-    y_s = y[order]
+    # sufficient statistics: distinct values (sorted), their counts and label sums
+    values, inverse, counts = np.unique(I, return_inverse=True, return_counts=True)
+    ones = np.bincount(inverse, weights=y, minlength=len(values))
+    ybar = ones / counts
     fitted = np.empty(len(grid))
     degenerate = np.zeros(len(grid), dtype=bool)
+    nonconverged = np.zeros(len(grid), dtype=bool)
+    # Newton starts from the last converged local line (intercept at I = 0,
+    # slope), re-centred on each grid point
+    line = (0.0, 0.0)
     for j, g in enumerate(grid):
         if all_weights_one:
-            zz, yy, w = I_s - g, y_s, np.ones(n)
+            lo, hi = 0, len(values)
         else:
-            d = np.abs(I_s - g)
-            h = float(np.partition(d, k - 1)[k - 1])
+            d = np.abs(values - g)
+            # d is two sorted runs, which the stable sort merges in linear time
+            by_distance = np.argsort(d, kind="stable")
+            # the k-th smallest of the n distances, ties counted with multiplicity
+            h = float(d[by_distance[np.searchsorted(np.cumsum(counts[by_distance]), k)]])
             if h == 0.0:
-                positive = d[d > 0.0]
-                if positive.size == 0:
-                    # every training imbalance equals this grid point
-                    fitted[j] = min(max(float(y_s.mean()), FITTED_FLOOR), 1.0 - FITTED_FLOOR)
-                    degenerate[j] = True
-                    continue
-                h = float(positive.min())
-            lo = int(np.searchsorted(I_s, g - h, side="right"))
-            hi = int(np.searchsorted(I_s, g + h, side="left"))
-            zz = I_s[lo:hi] - g
-            yy = y_s[lo:hi]
-            u = np.abs(zz) / h
-            w = (1.0 - u**3) ** 3
-        if yy.size == 0 or yy.min() == yy.max():
-            label = float(yy[0]) if yy.size else 0.5
+                # at least k training imbalances equal g: the window is that value alone
+                lo = int(np.searchsorted(values, g))
+                hi = lo + 1
+            else:
+                lo = int(np.searchsorted(values, g - h, side="right"))
+                hi = int(np.searchsorted(values, g + h, side="left"))
+        window_n = float(counts[lo:hi].sum())
+        window_ones = float(ones[lo:hi].sum())
+        if hi - lo < 2 or window_ones in (0.0, window_n):
+            # no slope to fit: one distinct value, or every label agrees
+            label = window_ones / window_n if window_n else 0.5
             fitted[j] = min(max(label, FITTED_FLOOR), 1.0 - FITTED_FLOOR)
             degenerate[j] = True
             continue
-        b0, _b1, _ll, _it, _conv, separated, _cov = weighted_logistic_mle(zz, yy, w)
+        w = counts[lo:hi]
+        if not all_weights_one:
+            w = w * (1.0 - (d[lo:hi] / h) ** 3) ** 3
+        b0, b1, _ll, _it, converged, separated, _cov = weighted_logistic_mle(
+            values[lo:hi] - g, ybar[lo:hi], w, start=(line[0] + line[1] * g, line[1])
+        )
         value = float(sigmoid(b0))
+        nonconverged[j] = not converged
         if separated:
             value = min(max(value, FITTED_FLOOR), 1.0 - FITTED_FLOOR)
             degenerate[j] = True
+        elif converged:
+            line = (b0 - b1 * g, b1)
         fitted[j] = value
-    return LocalLogisticFit(grid, fitted, alpha, train_ref, degenerate)
+    return LocalLogisticFit(grid, fitted, alpha, train_ref, degenerate, nonconverged)
 
 
 def predict_local(fit: LocalLogisticFit, imbalance):

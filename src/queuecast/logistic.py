@@ -2,11 +2,17 @@
 
 Maximum likelihood via Newton iterations (iteratively reweighted least
 squares) with step halving whenever a full step would lower the
-log-likelihood. Convergence requires both a log-likelihood change below
-1e-10 and a score norm below 1e-8; standard errors come from the inverse
-observed Fisher information at the optimum. Near-perfect classification is
-flagged as separation (|slope| > 30 or overflowing standard errors) rather
-than treated as fatal.
+log-likelihood. The fit has converged once the Newton decrement g'H^-1 g / 2,
+the gain the next full step predicts, is at most DECREMENT_TOL times the total
+weight. Scaled by the weight, the rule stays above the float noise of the
+score and log-likelihood sums at any sample size, which a fixed score
+tolerance does not. From there the full step lands on the optimum to float
+precision, so it is taken without the halving check. A step that no longer
+changes the linear predictor ends the fit, unconverged unless the decrement
+test passed. Standard errors come
+from the inverse observed Fisher information at the optimum. Near-perfect
+classification is flagged as separation (|slope| > 30 or overflowing
+standard errors) rather than treated as fatal.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ import numpy as np
 
 from .errors import AllOneLabel, NotConverged, NotNested, TooFewPoints
 
-LOGLIK_TOL = 1e-10
-SCORE_TOL = 1e-8
+DECREMENT_TOL = 1e-12  # per unit of total weight
 MAX_ITER = 100
 SEPARATION_SLOPE = 30.0
 
@@ -54,37 +59,41 @@ class TestResult:
 def sigmoid(eta):
     """Numerically safe logistic function, scalar or ndarray."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(eta))
+    out = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
 def _bernoulli_loglik(eta, y, w):
-    # sum w * (y*eta - log(1 + e^eta)), stable via logaddexp
-    return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
+    # sum w * (y*eta - log(1 + e^eta)); log(1 + e^eta) is split as
+    # max(eta, 0) + log1p(e^-|eta|), exactly as np.logaddexp(0, eta) splits
+    # it, but in vectorised ufuncs that run several times faster
+    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    return float(np.sum(w * (y * eta - softplus)))
 
 
-def weighted_logistic_mle(z, y, w, max_iter: int = MAX_ITER):
+def weighted_logistic_mle(z, y, w, max_iter: int = MAX_ITER, start=(0.0, 0.0)):
     """Weighted intercept-and-slope logistic MLE on regressor z.
 
-    Returns (b0, b1, loglik, iterations, converged, separated, cov) where
-    cov is the 2x2 inverse Fisher information or None when unavailable.
+    y may hold fractions: one row standing for tied observations carries
+    their mean label and, folded into w, their count, which leaves the
+    likelihood, score and Hessian unchanged. Newton starts from
+    ``start = (b0, b1)``. Returns (b0, b1, loglik, iterations, converged,
+    separated, cov) where cov is the 2x2 inverse Fisher information or None
+    when unavailable.
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    b0 = 0.0
-    b1 = 0.0
-    eta = np.zeros_like(z)
+    b0, b1 = (float(b) for b in start)
+    eta = b0 + b1 * z
     ll = _bernoulli_loglik(eta, y, w)
-    last_delta = math.inf
+    decrement_tol = DECREMENT_TOL * float(w.sum())
     converged = False
+    stalled = False
     iterations = 0
     h00 = h01 = h11 = det = 0.0
-    for _ in range(max_iter):
+    while iterations < max_iter and not (converged or stalled):
         p = sigmoid(eta)
         r = w * (y - p)
         g0 = float(r.sum())
@@ -94,36 +103,27 @@ def weighted_logistic_mle(z, y, w, max_iter: int = MAX_ITER):
         h01 = float(ww @ z)
         h11 = float(ww @ (z * z))
         det = h00 * h11 - h01 * h01
-        if last_delta < LOGLIK_TOL and math.hypot(g0, g1) < SCORE_TOL:
-            converged = True
-            break
         if not math.isfinite(det) or det <= 0.0:
             break
         d0 = (h11 * g0 - h01 * g1) / det
         d1 = (h00 * g1 - h01 * g0) / det
+        converged = 0.5 * (g0 * d0 + g1 * d1) <= decrement_tol
         step = 1.0
-        new_ll = ll
-        nb0, nb1 = b0, b1
         while True:
             cb0 = b0 + step * d0
             cb1 = b1 + step * d1
             ceta = cb0 + cb1 * z
+            stalled = np.array_equal(ceta, eta)
+            if stalled:
+                break
             cll = _bernoulli_loglik(ceta, y, w)
-            if cll >= ll - 1e-13:
-                nb0, nb1, eta, new_ll = cb0, cb1, ceta, cll
+            # the converged step is taken whole: its gain is too small for
+            # the comparison of two rounded sums to judge
+            if converged or cll >= ll:
+                b0, b1, eta, ll = cb0, cb1, ceta, cll
+                iterations += 1
                 break
             step *= 0.5
-            if step < 1e-10:
-                # no improving step exists: already at the numerical optimum
-                ceta = b0 + b1 * z
-                nb0, nb1, eta, new_ll = b0, b1, ceta, ll
-                break
-        iterations += 1
-        last_delta = abs(new_ll - ll)
-        b0, b1, ll = nb0, nb1, new_ll
-        if step < 1e-10:
-            converged = math.hypot(g0, g1) < SCORE_TOL
-            break
     separated = abs(b1) > SEPARATION_SLOPE
     cov = None
     if det > 0.0 and math.isfinite(det):

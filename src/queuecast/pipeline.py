@@ -455,6 +455,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
                 "grid_points": cfg.grid_points,
                 "train_ref": lfit.train_ref,
                 "degenerate_grid_points": int(lfit.degenerate.sum()),
+                "nonconverged_grid_points": int(lfit.nonconverged.sum()),
             },
         )
 

@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import DataError
 from .evaluate import EvalReport, RocCurve, SCHEMA_VERSION
 from .local import LocalLogisticFit
 from .logistic import CRIT_95, CRIT_99, LogisticFit, TestResult
@@ -109,14 +110,19 @@ def write_local_curve_csv(path, fit: LocalLogisticFit) -> None:
 def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "") -> LocalLogisticFit:
     grid = []
     fitted = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != ("grid", "fitted"):
-            raise ValueError(f"unexpected local curve header {header}")
-        for row in reader:
-            grid.append(float(row[0]))
-            fitted.append(float(row[1]))
+    try:
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["grid", "fitted"]:
+                raise DataError(f"{path}: unexpected local curve header {header}")
+            for row in reader:
+                grid.append(float(row[0]))
+                fitted.append(float(row[1]))
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    except (ValueError, IndexError, csv.Error) as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return LocalLogisticFit(np.array(grid), np.array(fitted), alpha, train_ref)
 
 

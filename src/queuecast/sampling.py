@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .book import BestQuoteState
-from .errors import EmptyInterior, OneSidedBook, TooFewPoints
+from .errors import DataError, EmptyInterior, OneSidedBook, TooFewPoints
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,20 +295,25 @@ def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
 
 def read_samples_csv(path) -> list[SamplePoint]:
     out: list[SamplePoint] = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SAMPLE_COLUMNS:
-            raise ValueError(f"unexpected samples.csv header {header}")
-        for row in reader:
-            out.append(
-                SamplePoint(
-                    instrument=row[0],
-                    day=int(row[1]),
-                    t_sample_ns=int(row[2]),
-                    t_change_ns=int(row[3]),
-                    imbalance=float(row[4]),
-                    label=int(row[5]),
+    try:
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != list(SAMPLE_COLUMNS):
+                raise DataError(f"{path}: unexpected samples.csv header {header}")
+            for row in reader:
+                out.append(
+                    SamplePoint(
+                        instrument=row[0],
+                        day=int(row[1]),
+                        t_sample_ns=int(row[2]),
+                        t_change_ns=int(row[3]),
+                        imbalance=float(row[4]),
+                        label=int(row[5]),
+                    )
                 )
-            )
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    except (ValueError, IndexError, csv.Error) as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return out

@@ -28,6 +28,7 @@ class TestFitLocal:
         y = np.tile([1, 0], 60)
         fit = fit_local_logistic(I, y, alpha=0.4, grid=default_grid(41))
         assert np.all(fit.fitted == 0.5)
+        assert not fit.degenerate.any()
 
     def test_all_ones_weights_equals_global(self):
         rng = np.random.default_rng(5)
@@ -51,6 +52,34 @@ class TestFitLocal:
             I - g, y, w, b0_range=(-2.0, 2.0), b1_range=(0.0, 6.0)
         )
         assert abs(fit.fitted[0] - sigmoid(b0)) < 1e-3
+
+    def test_heavily_tied_imbalance_matches_weighted_grid_search(self):
+        # I on a quarter-step lattice: 9 distinct values over 400 points, as
+        # on a book whose queues are a few lots deep
+        rng = np.random.default_rng(12)
+        I = rng.integers(-4, 5, 400) / 4.0
+        y = (rng.random(400) < sigmoid(0.2 + 1.5 * I)).astype(int)
+        alpha = 0.5
+        grid = np.array([-0.6, -0.1, 0.3, 0.55])
+        fit = fit_local_logistic(I, y, alpha=alpha, grid=grid)
+        assert not fit.degenerate.any() and not fit.nonconverged.any()
+        k = int(np.ceil(alpha * len(I)))
+        for g, value in zip(grid, fit.fitted):
+            d = np.abs(I - g)
+            h = np.partition(d, k - 1)[k - 1]
+            w = np.where(d < h, (1 - (d / h) ** 3) ** 3, 0.0)
+            b0, _ = weighted_grid_search_logistic(
+                I - g, y, w, b0_range=(-2.0, 2.0), b1_range=(-2.0, 6.0)
+            )
+            assert abs(value - sigmoid(b0)) < 1e-3
+
+    def test_window_of_one_value_gets_its_mean_label(self):
+        # the 40 nearest neighbours of 0.5 all sit at 0.5: no slope to fit
+        I = np.concatenate([np.full(50, 0.5), np.linspace(-1.0, 0.0, 30)])
+        y = np.concatenate([np.tile([1, 1, 0, 1, 0], 10), np.tile([0, 1], 15)])
+        fit = fit_local_logistic(I, y, alpha=0.5, grid=np.array([0.5]))
+        assert fit.degenerate[0]
+        assert fit.fitted[0] == pytest.approx(0.6)
 
     def test_degenerate_neighbourhood_clamped(self):
         I = np.concatenate([np.full(30, -0.8), np.full(30, 0.8)])

@@ -96,6 +96,16 @@ class TestFitLogistic:
         assert fit.se0 == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-4)
         assert fit.se1 == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-4)
 
+    @pytest.mark.parametrize("seed, n", [(11, 5000), (28, 5000), (8, 20000)])
+    def test_converges_at_float_floor_of_score(self, seed, n):
+        # at these optima the score norm cannot fall below its float floor
+        # (about 1e-8 and up), so a fixed absolute score tolerance never
+        # passes and step halving crept on to MAX_ITER
+        I, y = sigmoid_data(np.random.default_rng(seed), n, 0.1, 2.0)
+        fit = fit_logistic(I, y)
+        assert fit.converged
+        assert fit.iterations < 20
+
     def test_separation_flagged(self):
         I = np.linspace(-1, 1, 40)
         I = I[I != 0]

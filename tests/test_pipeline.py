@@ -7,9 +7,9 @@ import pytest
 
 from queuecast import pipeline as pl
 from queuecast.cli import main as cli_main
-from queuecast.errors import ConfigError
+from queuecast.errors import ConfigError, DataError
 from queuecast.logistic import TestResult as SigTest
-from queuecast.reports import emit_report_text, stars
+from queuecast.reports import emit_report_text, read_local_curve_csv, stars
 from queuecast.evaluate import EvalReport
 
 
@@ -221,6 +221,30 @@ class TestCli:
             f"source = lobster\nmessage_files = {msg}\nout_dir = {tmp_path/'ing_out'}\n"
         )
         assert cli_main(["ingest", "--config", str(cfgfile)]) == 3
+
+    @pytest.mark.parametrize(
+        "samples",
+        [None, "a,b\n1,2\n", "instrument,day,t_sample_ns,t_change_ns,I,y\nSIM,0,1,2,x,1\n"],
+        ids=["missing", "bad-header", "bad-row"],
+    )
+    def test_fit_on_bad_samples_exit_3(self, tmp_path, capsys, samples):
+        out = tmp_path / "fit_out"
+        out.mkdir()
+        if samples is not None:
+            (out / "samples.csv").write_text(samples)
+        cfgfile = tmp_path / "fit.cfg"
+        cfgfile.write_text(f"out_dir = {out}\n")
+        assert cli_main(["fit", "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "samples.csv" in err
+
+    def test_bad_local_curve_is_data_error(self, tmp_path):
+        path = tmp_path / "local_curve.csv"
+        with pytest.raises(DataError, match="local_curve.csv"):
+            read_local_curve_csv(path)
+        path.write_text("grid,p\n0,0.5\n")
+        with pytest.raises(DataError, match="local_curve.csv"):
+            read_local_curve_csv(path)
 
     def test_simulate_then_sample_from_files(self, tmp_path):
         simdir = tmp_path / "simdata"
