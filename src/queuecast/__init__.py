@@ -12,7 +12,6 @@ from .book import (  # noqa: F401
     BookEvent,
     Order,
     OrderBook,
-    QuoteSnapshot,
     queue_imbalance,
 )
 from .evaluate import (  # noqa: F401
@@ -32,7 +31,6 @@ from .lobster import (  # noqa: F401
     messages_to_events,
     parse_messages,
     replay,
-    session_filter,
     summary_stats,
     verify_against_l1,
 )

@@ -12,7 +12,6 @@ simulator) into explicit executions plus a residual submission.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -76,30 +75,6 @@ class BookEvent(NamedTuple):
         return cls(t_ns, seq, EXECUTE, None, order_id, delta)
 
 
-class QuoteSnapshot(NamedTuple):
-    """Best quotes at an instant; only exists when both sides are occupied."""
-
-    t_ns: int
-    bid: int
-    ask: int
-    nb: int
-    na: int
-
-    @property
-    def spread(self) -> int:
-        """Bid-ask spread in ticks; at least 1 by the no-cross invariant."""
-        return self.ask - self.bid
-
-    @property
-    def mid2(self) -> int:
-        """Twice the mid price, in ticks (exact half-tick integer)."""
-        return self.bid + self.ask
-
-    @property
-    def mid(self) -> float:
-        return (self.bid + self.ask) / 2.0
-
-
 class BestQuoteState(NamedTuple):
     """Best-quote tuple allowing empty sides (bid/ask None, size 0)."""
 
@@ -130,21 +105,16 @@ def queue_imbalance(nb: int, na: int) -> float:
     return (nb - na) / total
 
 
-def snapshot_imbalance(snap: QuoteSnapshot) -> float:
-    return queue_imbalance(snap.nb, snap.na)
-
-
 class OrderBook:
     """Event-sourced two-sided book exposing best quotes and queue sizes.
 
-    Single-writer per instrument-day; snapshots handed out are immutable
-    values. ``tick_size`` (currency per tick) and ``lot_size`` (shares) are
-    metadata used by ingest and reporting, not by the matching logic.
+    Single-writer per instrument-day; ``state()`` hands out immutable
+    values. ``tick_size`` (currency per tick) is metadata used by ingest,
+    not by the matching logic.
     """
 
-    def __init__(self, tick_size: float = 0.01, lot_size: int = 1):
+    def __init__(self, tick_size: float = 0.01):
         self.tick_size = tick_size
-        self.lot_size = lot_size
         # side -> {price: {order_id: Order}}; dict preserves FIFO insertion
         # order within a level, which is exactly price-time priority after
         # entry_seq-ordered submission.
@@ -166,9 +136,6 @@ class OrderBook:
 
     def best(self, side: int) -> Optional[int]:
         return self._best[side]
-
-    def order_count(self) -> int:
-        return len(self._orders)
 
     def get_order(self, order_id: int) -> Order:
         try:
@@ -195,19 +162,6 @@ class OrderBook:
         na = self._totals[SELL][ba] if ba is not None else 0
         return BestQuoteState(self.last_t_ns if t_ns is None else t_ns, bb, ba, nb, na)
 
-    def quote(self, t_ns: Optional[int] = None) -> QuoteSnapshot:
-        """Best quotes; raises EmptySide unless both sides are occupied."""
-        bb, ba = self._best[BUY], self._best[SELL]
-        if bb is None or ba is None:
-            raise EmptySide("quote requires both sides occupied")
-        return QuoteSnapshot(
-            self.last_t_ns if t_ns is None else t_ns,
-            bb,
-            ba,
-            self._totals[BUY][bb],
-            self._totals[SELL][ba],
-        )
-
     def _quote_key(self):
         bb, ba = self._best[BUY], self._best[SELL]
         nb = self._totals[BUY][bb] if bb is not None else 0
@@ -216,12 +170,11 @@ class OrderBook:
 
     # -- mutation -----------------------------------------------------------
 
-    def apply(self, ev: BookEvent) -> tuple[Optional[QuoteSnapshot], bool]:
-        """Apply one event; returns (snapshot-or-None, best_quotes_changed).
+    def apply(self, ev: BookEvent) -> bool:
+        """Apply one event; returns whether the best quotes changed.
 
-        The snapshot is None while either side is empty. ``changed`` is True
-        iff any of (bid, ask, nb, na) changed, including transitions into or
-        out of a one-sided state.
+        True iff any of (bid, ask, nb, na) changed, including transitions
+        into or out of a one-sided state.
         """
         before = self._quote_key()
         kind = ev.kind
@@ -236,13 +189,7 @@ class OrderBook:
         else:
             raise ValueError(f"unknown event kind {kind!r}")
         self.last_t_ns = ev.t_ns
-        after = self._quote_key()
-        changed = after != before
-        bb, ba, nb, na = after
-        snap = None
-        if bb is not None and ba is not None:
-            snap = QuoteSnapshot(ev.t_ns, bb, ba, nb, na)
-        return snap, changed
+        return self._quote_key() != before
 
     def _submit(self, order: Order) -> None:
         if order is None:
@@ -308,27 +255,3 @@ class OrderBook:
                     self._best[side] = max(keys) if side == BUY else min(keys)
                 else:
                     self._best[side] = None
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Canonical structural dump: levels sorted by price, FIFO order kept."""
-
-        def side_dump(side: int) -> list:
-            out = []
-            for price in sorted(self._levels[side]):
-                queue = [[o.id, o.size, o.entry_seq] for o in self._levels[side][price].values()]
-                out.append([price, queue])
-            return out
-
-        return {
-            "tick_size": self.tick_size,
-            "lot_size": self.lot_size,
-            "bids": side_dump(BUY),
-            "asks": side_dump(SELL),
-            "last_t_ns": self.last_t_ns,
-        }
-
-    def serialize(self) -> bytes:
-        """Deterministic byte encoding of the full book state."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode()

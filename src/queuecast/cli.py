@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import book as bk
 from . import lobster as lb
 from . import pipeline as pl
 from . import reports as rp
-from . import seeds
 from . import simulate as sim
 from .errors import ConfigError, DataError, NumericalError, QueuecastError
 
@@ -83,11 +81,7 @@ def cmd_simulate(cfg: pl.RunConfig) -> None:
     pl.write_resolved_config(cfg, out)
     manifest = {"preset": cfg.preset, "seed": cfg.seed, "days": []}
     for day in range(cfg.days):
-        zi = sim.regime_preset(
-            cfg.preset, seed=seeds.seed_for(cfg.seed, seeds.SIMULATE, day), horizon=cfg.horizon
-        )
-        zi = replace(zi, tick_size=cfg.tick_size, start_time_s=cfg.window.open_s)
-        res = sim.simulate(zi)
+        res = sim.simulate(pl.preset_day_config(cfg, day))
         msg_name = f"day{day:03d}_message.csv"
         l1_name = f"day{day:03d}_orderbook.csv"
         lb.write_messages(out / msg_name, res.messages)
@@ -141,20 +135,7 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
                 ],
                 "mismatch_count": len(report.mismatches),
             }
-    summary = lb.summary_stats(day_stats, tick_size=cfg.tick_size)
-    rp.write_json(
-        out / "summary.json",
-        {
-            "days": summary.days,
-            "executed_volume": summary.executed_volume,
-            "best_quote_limit_volume": summary.best_quote_limit_volume,
-            "trade_price_min": summary.trade_price_min,
-            "trade_price_max": summary.trade_price_max,
-            "mean_nb": summary.mean_nb,
-            "mean_na": summary.mean_na,
-            "mean_spread": summary.mean_spread,
-        },
-    )
+    pl.write_summary(out / "summary.json", day_stats, cfg.tick_size)
     if verification:
         rp.write_json(out / "verification.json", verification)
 

@@ -47,6 +47,7 @@ AUCTION = 6
 HALT = 7
 
 _VALID_CODES = frozenset((1, 2, 3, 4, 5, 6, 7))
+_ZERO_SIZE_NAMES = {SUBMISSION: "submission", PARTIAL_CANCEL: "partial cancel", EXECUTION: "execution"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,9 +226,11 @@ def apply_message(
     events: list[bk.BookEvent] = []
     trades: list[tuple[int, int, int]] = []
     changed = False
+    if msg.size < 1 and code != FULL_DELETE:
+        raise MalformedRow(line_no, f"{_ZERO_SIZE_NAMES[code]} with size 0")
     if code == SUBMISSION:
-        if msg.size < 1:
-            raise MalformedRow(line_no, "submission with size 0")
+        if ob.has_order(msg.order_id):
+            raise MalformedRow(line_no, f"submission reuses live order id {msg.order_id}")
         price = _price_to_ticks(msg.price, tick_i4, line_no)
         remaining = msg.size
         opp = ob.best(-side)
@@ -241,16 +244,14 @@ def apply_message(
                 fill = min(remaining, head.size)
                 ev = bk.BookEvent.execute(msg.t_ns, seq + len(events), head.id, fill)
                 trades.append((head.side, head.price, fill))
-                _, ch = ob.apply(ev)
-                changed |= ch
+                changed |= ob.apply(ev)
                 events.append(ev)
                 remaining -= fill
         submit_info = None
         if remaining > 0:
             order = bk.Order(msg.order_id, side, price, remaining, seq + len(events))
             ev = bk.BookEvent.submit(msg.t_ns, seq + len(events), order)
-            _, ch = ob.apply(ev)
-            changed |= ch
+            changed |= ob.apply(ev)
             events.append(ev)
             submit_info = (side, price, remaining, ob.best(side) == price)
         return MessageOutcome(events, changed, trades, submit_info)
@@ -264,35 +265,21 @@ def apply_message(
         ev = bk.BookEvent.execute(msg.t_ns, seq, msg.order_id, msg.size)
     else:
         raise UnknownTypeCode(line_no, code)
-    _, changed = ob.apply(ev)
-    return MessageOutcome([ev], changed, trades)
+    return MessageOutcome([ev], ob.apply(ev), trades)
 
 
 def _price_to_ticks(price_i4: int, tick_i4: int, line_no: int) -> int:
     ticks, rem = divmod(price_i4, tick_i4)
     if rem:
         raise MalformedRow(line_no, f"price {price_i4} not on the {tick_i4} tick lattice")
+    if ticks < 1:
+        raise MalformedRow(line_no, f"price {price_i4} below one tick")
     return ticks
 
 
-def messages_to_events(
-    msgs: Iterable[LobsterMessage],
-    tick_size: float = 0.01,
-    counters: Optional[ReplayCounters] = None,
-) -> list[bk.BookEvent]:
+def messages_to_events(msgs: Iterable[LobsterMessage], tick_size: float = 0.01) -> list[bk.BookEvent]:
     """Convert a message stream into the normalized book-event stream."""
-    ob = bk.OrderBook(tick_size=tick_size)
-    tick_i4 = round(tick_size * 10000)
-    counters = counters if counters is not None else ReplayCounters()
-    out: list[bk.BookEvent] = []
-    seq = 0
-    for line_no, msg in enumerate(msgs, start=1):
-        counters.messages += 1
-        outcome = apply_message(ob, msg, seq, tick_i4, counters, line_no)
-        out.extend(outcome.events)
-        seq += max(1, len(outcome.events))
-    counters.events += len(out)
-    return out
+    return replay(msgs, tick_size=tick_size, keep_events=True).events
 
 
 # --- replay -------------------------------------------------------------------
@@ -336,6 +323,9 @@ def replay(
     accumulators for the summary-statistics table. Events outside the window
     still evolve the book (warm start); the window only scopes the stats and
     marks the first in-session event time for sampling.
+
+    Messages are pulled one at a time, so a generator that reads ``ob`` sees
+    the book after its previous message was applied.
     """
     if ob is None:
         ob = bk.OrderBook(tick_size=tick_size)
@@ -347,24 +337,12 @@ def replay(
     open_ns = window.open_ns if window is not None else None
     close_ns = window.close_ns if window is not None else None
     seq = 0
-    prev_t: Optional[int] = None
-    prev_nb = prev_na = prev_spread = 0
-    prev_two_sided = False
     for line_no, msg in enumerate(msgs, start=1):
         counters.messages += 1
         t = msg.t_ns
         in_session = window is None or (open_ns <= t < close_ns)
         if in_session and res.first_session_event_ns is None:
             res.first_session_event_ns = t
-        if window is not None and prev_two_sided and prev_t is not None:
-            lo = max(prev_t, open_ns)
-            hi = min(t, close_ns)
-            if hi > lo:
-                dt = hi - lo
-                stats.nb_time_integral += prev_nb * dt
-                stats.na_time_integral += prev_na * dt
-                stats.spread_time_integral += prev_spread * dt
-                stats.two_sided_ns += dt
         outcome = apply_message(ob, msg, seq, tick_i4, counters, line_no)
         counters.events += len(outcome.events)
         if keep_events:
@@ -393,25 +371,35 @@ def replay(
             ask_p = st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE
             bid_p = st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE
             res.l1_rows.append((ask_p, st.na, bid_p, st.nb))
-        prev_t = t
-        prev_two_sided = st.two_sided
-        if prev_two_sided:
-            prev_nb, prev_na, prev_spread = st.nb, st.na, st.ask - st.bid
-    if window is not None and prev_two_sided and prev_t is not None:
-        lo = max(prev_t, open_ns)
-        if close_ns > lo:
-            dt = close_ns - lo
-            stats.nb_time_integral += prev_nb * dt
-            stats.na_time_integral += prev_na * dt
-            stats.spread_time_integral += prev_spread * dt
-            stats.two_sided_ns += dt
+    if window is not None:
+        (stats.nb_time_integral, stats.na_time_integral, stats.spread_time_integral,
+         stats.two_sided_ns) = integrate_timeline(timeline, open_ns, close_ns)
     return res
 
 
-def session_filter(items: Sequence, window: SessionWindow) -> list:
-    """Keep items (messages or events) with open <= t_ns < close."""
-    lo, hi = window.open_ns, window.close_ns
-    return [x for x in items if lo <= x.t_ns < hi]
+def integrate_timeline(
+    timeline: Sequence[bk.BestQuoteState], open_ns: int, close_ns: int
+) -> tuple[int, int, int, int]:
+    """Time integrals of (nb, na, spread) over two-sided instants in [open, close).
+
+    The timeline is piecewise constant between change records; the last
+    record extends to the window close. Returns integer (nb, na, spread)
+    integrals in value x ns plus the covered two-sided duration in ns, so
+    the result is exact.
+    """
+    nb_int = na_int = sp_int = covered = 0
+    ends = [st.t_ns for st in timeline[1:]]
+    ends.append(close_ns)
+    for st, t_end in zip(timeline, ends):
+        t0 = max(st.t_ns, open_ns)
+        dt = min(t_end, close_ns) - t0
+        if dt <= 0 or st.bid is None or st.ask is None:
+            continue
+        nb_int += st.nb * dt
+        na_int += st.na * dt
+        sp_int += (st.ask - st.bid) * dt
+        covered += dt
+    return nb_int, na_int, sp_int, covered
 
 
 # --- verification and summaries ------------------------------------------------

@@ -16,7 +16,7 @@ import hashlib
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -272,12 +272,16 @@ class DayOutcome:
     verification_mismatches: Optional[int] = None
 
 
-def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
+def preset_day_config(cfg: RunConfig, day: int) -> sim.ZiConfig:
+    """The simulator configuration of preset day ``day`` of a run."""
     zi = sim.regime_preset(
         cfg.preset, seed=seeds.seed_for(cfg.seed, seeds.SIMULATE, day), horizon=cfg.horizon
     )
-    zi = replace(zi, tick_size=cfg.tick_size, start_time_s=cfg.window.open_s)
-    res = sim.simulate(zi)
+    return replace(zi, tick_size=cfg.tick_size, start_time_s=cfg.window.open_s)
+
+
+def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
+    res = sim.simulate(preset_day_config(cfg, day))
     close_ns = min(res.end_ns, cfg.window.close_ns)
     day_samples = sp.build_day_samples(
         res.timeline,
@@ -381,33 +385,32 @@ def stage_sample(cfg: RunConfig, out: Path) -> None:
         }
     rp.write_json(out / "sampling_flags.json", flags)
     try:
-        summary = lb.summary_stats([oc.stats for oc in outcomes], tick_size=cfg.tick_size)
-        rp.write_json(
-            out / "summary.json",
-            {
-                "schema_version": ev.SCHEMA_VERSION,
-                "days": summary.days,
-                "executed_volume": summary.executed_volume,
-                "best_quote_limit_volume": summary.best_quote_limit_volume,
-                "trade_price_min": summary.trade_price_min,
-                "trade_price_max": summary.trade_price_max,
-                "mean_nb": summary.mean_nb,
-                "mean_na": summary.mean_na,
-                "mean_spread": summary.mean_spread,
-            },
-        )
+        write_summary(out / "summary.json", [oc.stats for oc in outcomes], cfg.tick_size)
     except DataError:
         rp.write_json(out / "summary.json", {"schema_version": ev.SCHEMA_VERSION, "days": 0})
 
 
+def write_summary(path: Path, day_stats: list[lb.DayStats], tick_size: float) -> None:
+    """The summary-statistics record over all days; NoData if none is two-sided."""
+    summary = lb.summary_stats(day_stats, tick_size=tick_size)
+    rp.write_json(path, {"schema_version": ev.SCHEMA_VERSION, **asdict(summary)})
+
+
 def _read_split(out: Path, points):
-    rows = (out / "split.csv").read_text(encoding="ascii").splitlines()
-    if rows[0] != "index,subset":
-        raise DataError(f"unexpected split.csv header {rows[0]!r}")
+    path = out / "split.csv"
+    try:
+        rows = path.read_text(encoding="ascii").splitlines()
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    if not rows or rows[0] != "index,subset":
+        raise DataError(f"{path}: unexpected header {rows[:1]}")
     train, test = [], []
-    for row in rows[1:]:
+    for line_no, row in enumerate(rows[1:], start=2):
         idx, _, subset = row.partition(",")
-        (train if subset == "train" else test).append(points[int(idx)])
+        try:
+            (train if subset == "train" else test).append(points[int(idx)])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}, line {line_no}: {exc}") from None
     return train, test
 
 
@@ -525,22 +528,7 @@ def stage_report(cfg: RunConfig, out: Path) -> None:
     reports = []
     fits = {}
     for model in sorted(cfg.models, key=order.get):
-        path = eval_dir / f"report_{model}.json"
-        d = rp.read_json(path)
-        rep = ev.EvalReport(
-            model_id=d["model_id"],
-            n_train=d["n_train"],
-            n_test=d["n_test"],
-            auc_in=d["auc_in"],
-            auc_out=d["auc_out"],
-            msr_in=d["msr_in"],
-            msr_out=d["msr_out"],
-            wald_x0=_test_from_dict(d["wald_x0"]),
-            wald_x1=_test_from_dict(d["wald_x1"]),
-            lr_full=_test_from_dict(d["lr_full"]),
-            extra=d.get("extra", {}),
-        )
-        reports.append(rep)
+        reports.append(rp.report_from_dict(rp.read_json(eval_dir / f"report_{model}.json")))
         if model == "logistic":
             fits["logistic"] = rp.fit_from_dict(rp.read_json(out / "fits" / "logistic.json"))
     (out / "report.txt").write_text(rp.emit_report_text(reports, fits), encoding="ascii")
@@ -550,18 +538,6 @@ def stage_report(cfg: RunConfig, out: Path) -> None:
         "models": {r.model_id: rp.report_to_dict(r) for r in reports},
     }
     rp.write_json(out / "report.json", combined)
-
-
-def _test_from_dict(d):
-    if d is None:
-        return None
-    return lg.TestResult(
-        statistic=d["statistic"],
-        df=d["df"],
-        p_value=d["p_value"],
-        significant_95=d["significant_95"],
-        significant_99=d["significant_99"],
-    )
 
 
 def provenance_block(cfg: RunConfig) -> dict:

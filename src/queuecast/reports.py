@@ -27,8 +27,13 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def fit_to_dict(fit: LogisticFit) -> dict:
@@ -74,6 +79,18 @@ def test_to_dict(res: Optional[TestResult]) -> Optional[dict]:
     }
 
 
+def test_from_dict(d: Optional[dict]) -> Optional[TestResult]:
+    if d is None:
+        return None
+    return TestResult(
+        statistic=d["statistic"],
+        df=d["df"],
+        p_value=d["p_value"],
+        significant_95=d["significant_95"],
+        significant_99=d["significant_99"],
+    )
+
+
 def report_to_dict(rep: EvalReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -89,6 +106,22 @@ def report_to_dict(rep: EvalReport) -> dict:
         "lr_full": test_to_dict(rep.lr_full),
         "extra": rep.extra,
     }
+
+
+def report_from_dict(d: dict) -> EvalReport:
+    return EvalReport(
+        model_id=d["model_id"],
+        n_train=d["n_train"],
+        n_test=d["n_test"],
+        auc_in=d["auc_in"],
+        auc_out=d["auc_out"],
+        msr_in=d["msr_in"],
+        msr_out=d["msr_out"],
+        wald_x0=test_from_dict(d["wald_x0"]),
+        wald_x1=test_from_dict(d["wald_x1"]),
+        lr_full=test_from_dict(d["lr_full"]),
+        extra=d.get("extra", {}),
+    )
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:

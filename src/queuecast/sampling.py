@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .book import BestQuoteState
+from .book import BestQuoteState, queue_imbalance
 from .errors import DataError, EmptyInterior, OneSidedBook, TooFewPoints
 
 
@@ -130,7 +130,7 @@ def mid_change_times(
 def _imbalance_from(st: BestQuoteState) -> tuple[float, int, int]:
     if not st.two_sided or st.nb + st.na == 0:
         raise OneSidedBook("book one-sided at sampling instant")
-    return (st.nb - st.na) / (st.nb + st.na), st.nb, st.na
+    return queue_imbalance(st.nb, st.na), st.nb, st.na
 
 
 def sample_uniform_time(

@@ -8,11 +8,12 @@ opposite best minus one tick; market orders at rate ``market_rate`` per
 side, executing against the opposite best in priority order; each resting
 order cancels at rate ``cancel_rate``.
 
-The stream is emitted in LOBSTER message form (the initial book is a
-preamble of submissions), applied to an internal book through the exact
-same code path ingest uses, and accompanied by the resulting ground-truth
-quote records. Feeding the serialized stream back through parse + replay
-must reproduce those records bit for bit.
+The stream is generated lazily in LOBSTER message form (the initial book is
+a preamble of submissions) and fed to ``lobster.replay``, the loop ingest
+uses, so the ground-truth quote records and trade statistics are replay's
+own. The generator reads the book replay mutates, so each draw sees the
+book after the previous message. Feeding the serialized stream back through
+parse + replay must reproduce those records bit for bit.
 
 Randomness comes from a single PCG64 generator consumed as a sequential
 uniform stream, so identical seeds give byte-identical output on any
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -99,83 +100,38 @@ class _UniformStream:
         return float(self._buf[i])
 
 
-def integrate_timeline(
-    timeline: list[bk.BestQuoteState],
-    open_ns: int,
-    close_ns: int,
-) -> tuple[int, int, int, int]:
-    """Time integrals of (nb, na, spread) over two-sided instants in a window.
-
-    The timeline is piecewise constant between change records; the last
-    record extends to the window close. Returns integer (nb, na, spread)
-    integrals in value x ns plus the covered two-sided duration in ns.
-    """
-    nb_int = na_int = sp_int = covered = 0
-    for k, st in enumerate(timeline):
-        t0 = max(st.t_ns, open_ns)
-        t1 = min(timeline[k + 1].t_ns if k + 1 < len(timeline) else close_ns, close_ns)
-        if t1 <= t0 or not st.two_sided:
-            continue
-        dt = t1 - t0
-        nb_int += st.nb * dt
-        na_int += st.na * dt
-        sp_int += (st.ask - st.bid) * dt
-        covered += dt
-    return nb_int, na_int, sp_int, covered
-
-
 def simulate(cfg: ZiConfig) -> SimResult:
     """Run the zero-intelligence flow for one simulated session."""
     cfg.validate()
+    ob = bk.OrderBook(tick_size=cfg.tick_size)
+    start_ns = cfg.start_time_s * NS
+    res = SimResult(config=cfg, first_event_ns=start_ns, end_ns=start_ns + round(cfg.horizon * NS))
+    rep = lb.replay(_order_flow(cfg, ob, res), tick_size=cfg.tick_size, record_l1=True, ob=ob)
+    res.timeline, res.l1_rows, res.stats = rep.timeline, rep.l1_rows, rep.stats
+    # after a side depletion the last state is one-sided, so integrating
+    # to the horizon adds nothing past the final message
+    (res.stats.nb_time_integral, res.stats.na_time_integral, res.stats.spread_time_integral,
+     res.stats.two_sided_ns) = lb.integrate_timeline(res.timeline, start_ns, res.end_ns)
+    return res
+
+
+def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[lb.LobsterMessage]:
+    """Yield the session's messages, recording them and the process counts
+    in ``res``; ``ob`` is the book replay applies each message to."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     draws = _UniformStream(rng)
     tick_i4 = round(cfg.tick_size * 10000)
-    ob = bk.OrderBook(tick_size=cfg.tick_size)
-    res = SimResult(config=cfg)
-    counters = lb.ReplayCounters()
     counts = {"buy_limit": 0, "sell_limit": 0, "buy_market": 0, "sell_market": 0, "cancel": 0}
     res.process_counts = counts
-
+    messages = res.messages
     registry: list[int] = []  # resting order ids, swap-removed on exit
     pos: dict[int, int] = {}
     next_id = 1
-    seq = 0
-    start_ns = cfg.start_time_s * NS
-    end_ns = start_ns + round(cfg.horizon * NS)
-    res.first_event_ns = start_ns
-    res.end_ns = end_ns
-    stats = res.stats
-    timeline = res.timeline
+    start_ns, end_ns = res.first_event_ns, res.end_ns
 
-    def emit(msg: lb.LobsterMessage) -> None:
-        nonlocal seq
-        outcome = lb.apply_message(ob, msg, seq, tick_i4, counters, len(res.messages) + 1)
-        res.messages.append(msg)
-        seq += max(1, len(outcome.events))
-        for _side, price_ticks, size in outcome.trades:
-            price_i4 = price_ticks * tick_i4
-            stats.executed_volume_i4 += size * price_i4
-            if stats.trade_price_min_i4 is None or price_i4 < stats.trade_price_min_i4:
-                stats.trade_price_min_i4 = price_i4
-            if stats.trade_price_max_i4 is None or price_i4 > stats.trade_price_max_i4:
-                stats.trade_price_max_i4 = price_i4
-        if outcome.submit is not None and outcome.submit[3]:
-            _side, price_ticks, size, _ = outcome.submit
-            stats.best_quote_limit_volume_i4 += size * price_ticks * tick_i4
-        st = ob.state(msg.t_ns)
-        if outcome.changed:
-            if not (timeline and timeline[-1][1:] == st[1:]):
-                timeline.append(st)
-        elif not timeline:
-            timeline.append(st)
-        res.l1_rows.append(
-            (
-                st.ask * tick_i4 if st.ask is not None else lb.EMPTY_ASK_PRICE,
-                st.na,
-                st.bid * tick_i4 if st.bid is not None else lb.EMPTY_BID_PRICE,
-                st.nb,
-            )
-        )
+    def record(msg: lb.LobsterMessage) -> lb.LobsterMessage:
+        messages.append(msg)
+        return msg
 
     def add_resting(order_id: int) -> None:
         pos[order_id] = len(registry)
@@ -193,7 +149,9 @@ def simulate(cfg: ZiConfig) -> SimResult:
         for price in (cfg.initial_price - lvl, cfg.initial_price + cfg.initial_spread + lvl):
             side = 1 if price <= cfg.initial_price else -1
             for _ in range(cfg.initial_depth):
-                emit(lb.LobsterMessage(start_ns, lb.SUBMISSION, next_id, cfg.order_size, price * tick_i4, side))
+                yield record(
+                    lb.LobsterMessage(start_ns, lb.SUBMISSION, next_id, cfg.order_size, price * tick_i4, side)
+                )
                 add_resting(next_id)
                 next_id += 1
 
@@ -225,7 +183,9 @@ def simulate(cfg: ZiConfig) -> SimResult:
             if price < 1:
                 price = 1
             counts["buy_limit" if side == bk.BUY else "sell_limit"] += 1
-            emit(lb.LobsterMessage(t_ns, lb.SUBMISSION, next_id, cfg.order_size, price * tick_i4, side))
+            yield record(
+                lb.LobsterMessage(t_ns, lb.SUBMISSION, next_id, cfg.order_size, price * tick_i4, side)
+            )
             add_resting(next_id)
             next_id += 1
         elif v < base_rate:
@@ -238,7 +198,7 @@ def simulate(cfg: ZiConfig) -> SimResult:
                     break
                 head = ob.first_at_best(-side)
                 fill = min(remaining, head.size)
-                emit(
+                yield record(
                     lb.LobsterMessage(
                         t_ns, lb.EXECUTION, head.id, fill, head.price * tick_i4, head.side
                     )
@@ -255,7 +215,7 @@ def simulate(cfg: ZiConfig) -> SimResult:
             oid = registry[idx]
             order = ob.get_order(oid)
             counts["cancel"] += 1
-            emit(
+            yield record(
                 lb.LobsterMessage(
                     t_ns, lb.FULL_DELETE, oid, order.size, order.price * tick_i4, order.side
                 )
@@ -264,13 +224,6 @@ def simulate(cfg: ZiConfig) -> SimResult:
         if ob.best_bid is None or ob.best_ask is None:
             res.side_depleted = True
             break
-
-    nb_int, na_int, sp_int, covered = integrate_timeline(timeline, start_ns, min(t_ns, end_ns) if res.side_depleted else end_ns)
-    stats.nb_time_integral = nb_int
-    stats.na_time_integral = na_int
-    stats.spread_time_integral = sp_int
-    stats.two_sided_ns = covered
-    return res
 
 
 # --- regime presets -------------------------------------------------------------

@@ -37,21 +37,25 @@ def make_book(bids=(), asks=()):
 
 class TestQuote:
     def test_hand_traced_quote(self):
-        ob, _ = make_book(bids=[(100, 5), (100, 10)], asks=[(101, 7)])
-        q = ob.quote()
-        assert (q.bid, q.ask, q.nb, q.na) == (100, 101, 15, 7)
-        assert q.spread == 1
-        assert q.mid == 100.5
+        ob, oid = make_book(bids=[(100, 5), (100, 10)], asks=[(101, 7)])
+        q = ob.state()
+        assert q == (oid, 100, 101, 15, 7)
+        assert q.two_sided
         assert q.mid2 == 201
+        assert ob.state(99).t_ns == 99
 
     def test_minimum_spread_adjacent_ticks(self):
         ob, _ = make_book(bids=[(100, 1)], asks=[(101, 1)])
-        assert ob.quote().spread == 1
+        q = ob.state()
+        assert q.ask - q.bid == 1
 
     def test_empty_side_raises(self):
         ob, _ = make_book(bids=[(100, 5)])
+        q = ob.state()
+        assert (q.bid, q.ask, q.nb, q.na) == (100, None, 5, 0)
+        assert not q.two_sided and q.mid2 is None
         with pytest.raises(EmptySide):
-            ob.quote()
+            ob.first_at_best(SELL)
 
 
 class TestApplyEvent:
@@ -61,19 +65,16 @@ class TestApplyEvent:
         ob, oid = make_book(bids=[(100, 50)], asks=[(101, 10)])
         # widen so there is room inside the spread
         ob2, oid = make_book(bids=[(100, 50)], asks=[(102, 10)])
-        snap, changed = ob2.apply(
-            BookEvent.submit(10, oid + 1, Order(99, BUY, 101, 10, oid + 1))
-        )
-        assert changed
-        assert snap.bid == 101 and snap.nb == 10
+        changed = ob2.apply(BookEvent.submit(10, oid + 1, Order(99, BUY, 101, 10, oid + 1)))
+        assert changed is True
+        snap = ob2.state()
+        assert snap.bid == 101 and snap.nb == 10 and snap.t_ns == 10
 
     def test_submit_with_empty_opposite_side(self):
         # no ask resting: any buy price is non-crossing and lifts the bid
         ob, oid = make_book(bids=[(100, 50)])
-        snap, changed = ob.apply(
-            BookEvent.submit(10, oid + 1, Order(99, BUY, 101, 10, oid + 1))
-        )
-        assert changed and snap is None  # still one-sided, no quote
+        changed = ob.apply(BookEvent.submit(10, oid + 1, Order(99, BUY, 101, 10, oid + 1)))
+        assert changed and not ob.state().two_sided  # still one-sided, no quote
         assert ob.best_bid == 101
         assert ob.level_size(BUY, 101) == 10
 
@@ -86,14 +87,16 @@ class TestApplyEvent:
 
     def test_execute_depletes_level(self):
         ob, oid = make_book(bids=[(100, 30), (99, 70)], asks=[(101, 5)])
-        snap, changed = ob.apply(BookEvent.execute(10, oid + 1, 1, 30))
+        changed = ob.apply(BookEvent.execute(10, oid + 1, 1, 30))
         assert changed
+        snap = ob.state()
         assert snap.bid == 99 and snap.nb == 70
 
     def test_reduce_keeps_quotes(self):
         ob, oid = make_book(bids=[(100, 20)], asks=[(101, 5)])
-        snap, changed = ob.apply(BookEvent.reduce(10, oid + 1, 1, 5))
+        changed = ob.apply(BookEvent.reduce(10, oid + 1, 1, 5))
         assert changed  # nb changed even though prices did not
+        snap = ob.state()
         assert (snap.bid, snap.ask, snap.nb) == (100, 101, 15)
 
     def test_unknown_id(self):
@@ -118,10 +121,9 @@ class TestApplyEvent:
 
     def test_unchanged_deep_submit(self):
         ob, oid = make_book(bids=[(100, 20)], asks=[(101, 5)])
-        snap, changed = ob.apply(
-            BookEvent.submit(10, oid + 1, Order(50, BUY, 95, 5, oid + 1))
-        )
-        assert not changed
+        changed = ob.apply(BookEvent.submit(10, oid + 1, Order(50, BUY, 95, 5, oid + 1)))
+        assert changed is False
+        snap = ob.state()
         assert (snap.bid, snap.nb) == (100, 20)
 
 
@@ -219,10 +221,7 @@ class TestAgainstNaiveRebuild:
 
     def test_determinism_byte_for_byte(self):
         def run(seed):
-            ob = None
-            for ob, _n, _e in random_event_stream(seed, 300):
-                pass
-            return ob.serialize()
+            return [ob.state() for ob, _n, _e in random_event_stream(seed, 300)]
 
         assert run(3) == run(3)
         assert run(3) != run(4)

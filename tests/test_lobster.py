@@ -82,10 +82,9 @@ class TestMessageTranslation:
                 "101.0,5,0,7,10100,1",
             ]
         )
-        counters = lb.ReplayCounters()
-        events = lb.messages_to_events(msgs, counters=counters)
-        assert len(events) == 2  # only the two submissions
-        assert counters.hidden_volume == 7
+        res = lb.replay(msgs, keep_events=True)
+        assert len(res.events) == 2  # only the two submissions
+        assert res.counters.hidden_volume == 7
 
     def test_auction_and_halt_logged_not_applied(self):
         msgs = msg_rows(
@@ -95,10 +94,9 @@ class TestMessageTranslation:
                 "101.0,7,0,0,0,-1",
             ]
         )
-        counters = lb.ReplayCounters()
-        events = lb.messages_to_events(msgs, counters=counters)
-        assert len(events) == 1
-        assert counters.ignored_messages == 2
+        res = lb.replay(msgs, keep_events=True)
+        assert len(res.events) == 1
+        assert res.counters.ignored_messages == 2
 
     def test_partial_cancel_maps_to_reduce(self):
         msgs = msg_rows(
@@ -118,14 +116,14 @@ class TestMessageTranslation:
                 "101.0,1,9,10,10000,1",
             ]
         )
-        counters = lb.ReplayCounters()
-        events = lb.messages_to_events(msgs, counters=counters)
-        tail = events[3:]
+        res = lb.replay(msgs, keep_events=True)
+        tail = res.events[3:]
         assert [(e.kind, e.order_id, e.delta) for e in tail] == [
             (bk.EXECUTE, 2, 7),
             (bk.EXECUTE, 3, 3),
         ]
-        assert counters.crossing_submits == 1
+        assert res.counters.crossing_submits == 1
+        assert lb.messages_to_events(msgs) == res.events
 
     def test_crossing_buy_with_residual_submit(self):
         msgs = msg_rows(
@@ -158,23 +156,49 @@ class TestMessageTranslation:
         events = lb.messages_to_events(msgs)
         assert sum(e.delta for e in events if e.kind == bk.EXECUTE) == executed
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("100.5,2,1,0,10000,1", "partial cancel with size 0"),
+            ("100.5,4,1,0,10000,1", "execution with size 0"),
+            ("100.5,1,1,5,9900,1", "reuses live order id 1"),
+            ("100.5,1,3,5,0,1", "price 0 below one tick"),
+        ],
+        ids=["cancel-0", "execution-0", "duplicate-id", "price-0"],
+    )
+    def test_invalid_message_is_positioned_malformed_row(self, row, reason):
+        msgs = msg_rows(["100.0,1,1,25,10000,1", "100.0,1,2,25,10100,-1", row])
+        with pytest.raises(MalformedRow, match=reason) as ei:
+            lb.replay(msgs)
+        assert ei.value.line_no == 3
+
+    def test_resubmitting_a_removed_id_is_allowed(self):
+        msgs = msg_rows(["100.0,1,1,25,10000,1", "100.5,3,1,25,10000,1", "101.0,1,1,5,9900,1"])
+        assert lb.replay(msgs).timeline[-1] == (101 * lb.NS, 99, None, 5, 0)
+
 
 class TestSessionFilter:
     def test_boundaries(self):
-        w = lb.SessionWindow()
+        # the window is half-open: a trade at the close is outside it
         msgs = msg_rows(
             [
                 "35999.99,1,1,10,10000,1",
-                "36000.0,1,2,10,10100,-1",
-                "55799.999999999,3,2,10,10100,-1",
-                "55800.0,3,1,10,10000,1",
+                "35999.99,1,2,10,10100,-1",
+                "35999.999999999,4,2,1,10100,-1",
+                "36000.0,4,2,2,10100,-1",
+                "55799.999999999,4,2,3,10100,-1",
+                "55800.0,4,2,4,10100,-1",
             ]
         )
-        kept = lb.session_filter(msgs, w)
-        assert [m.order_id for m in kept] == [2, 2]
+        res = lb.replay(msgs, window=lb.SessionWindow())
+        assert res.first_session_event_ns == 36000 * lb.NS
+        assert res.stats.executed_volume_i4 == (2 + 3) * 10100
+        assert res.stats.two_sided_ns == (55800 - 36000) * lb.NS
 
     def test_empty_day(self):
-        assert lb.session_filter([], lb.SessionWindow()) == []
+        res = lb.replay([], window=lb.SessionWindow())
+        assert res.timeline == [] and res.first_session_event_ns is None
+        assert res.stats == lb.DayStats()
 
     def test_window_never_changes_book_evolution(self):
         msgs = msg_rows(

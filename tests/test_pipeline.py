@@ -5,12 +5,20 @@ from pathlib import Path
 
 import pytest
 
+from queuecast import lobster as lb
 from queuecast import pipeline as pl
 from queuecast.cli import main as cli_main
 from queuecast.errors import ConfigError, DataError
+from queuecast.evaluate import EvalReport, null_model_report
 from queuecast.logistic import TestResult as SigTest
-from queuecast.reports import emit_report_text, read_local_curve_csv, stars
-from queuecast.evaluate import EvalReport
+from queuecast.reports import (
+    emit_report_text,
+    read_local_curve_csv,
+    report_from_dict,
+    report_to_dict,
+    stars,
+)
+from queuecast.simulate import regime_preset, simulate
 
 
 def tree_digest(root: Path) -> dict:
@@ -238,6 +246,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "samples.csv" in err
 
+    @pytest.mark.parametrize(
+        "extra_row",
+        [
+            "36000.000000000,2,1,0,200000,1",
+            "36000.000000000,4,1,0,200000,1",
+            "36000.000000000,1,1,1,200000,1",
+        ],
+        ids=["zero-size-cancel", "zero-size-execution", "duplicate-order-id"],
+    )
+    def test_ingest_invalid_message_exit_3(self, tmp_path, capsys, extra_row):
+        day = simulate(regime_preset("large-tick", seed=7, horizon=1.0))
+        rows = [lb.format_message(m) for m in day.messages[:10]]
+        assert rows[0] == "36000.000000000,1,1,1,200000,1"
+        msg = tmp_path / "day.csv"
+        msg.write_text("\n".join(rows + [extra_row]) + "\n")
+        cfgfile = tmp_path / "ing.cfg"
+        cfgfile.write_text(
+            f"source = lobster\nmessage_files = {msg}\nout_dir = {tmp_path / 'ing_out'}\n"
+        )
+        assert cli_main(["ingest", "--config", str(cfgfile)]) == 3
+        assert capsys.readouterr().err.startswith("data error: line 11: ")
+
+    @pytest.mark.parametrize(
+        "stage, missing",
+        [("evaluate", "split.csv"), ("report", "report_logistic.json")],
+    )
+    def test_stage_without_its_input_exit_3(self, tmp_path, capsys, stage, missing):
+        out = tmp_path / "stage_out"
+        out.mkdir()
+        (out / "samples.csv").write_text(
+            "instrument,day,t_sample_ns,t_change_ns,I,y\n"
+            + "".join(f"SIM,0,{i},{i + 1},0.5,{i % 2}\n" for i in range(10))
+        )
+        cfgfile = tmp_path / "stage.cfg"
+        cfgfile.write_text(f"out_dir = {out}\n")
+        assert cli_main([stage, "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and missing in err
+
     def test_bad_local_curve_is_data_error(self, tmp_path):
         path = tmp_path / "local_curve.csv"
         with pytest.raises(DataError, match="local_curve.csv"):
@@ -292,6 +339,27 @@ class TestCli:
         assert all(v["mismatch_count"] == 0 for v in verif.values())
         summary = json.loads((tmp_path / "ing_out" / "summary.json").read_text())
         assert summary["days"] == 2 and summary["executed_volume"] > 0
+        assert summary["schema_version"] == 1
+        sample_summary = json.loads((tmp_path / "samp_out" / "summary.json").read_text())
+        assert summary == sample_summary
+
+
+class TestReportRoundTrip:
+    def test_logistic_report(self):
+        tr = SigTest(12.5, 1, 4e-4, True, True)
+        rep = EvalReport(
+            "logistic", 80, 20, 0.71, 0.69, 0.21, 0.22,
+            wald_x0=SigTest(0.3, 1, 0.58, False, False), wald_x1=tr, lr_full=tr,
+        )
+        d = json.loads(json.dumps(report_to_dict(rep)))
+        assert report_from_dict(d) == rep
+
+    def test_null_report(self):
+        rep = null_model_report([0, 1, 1, 0, 1], [1, 0, 0])
+        rep.extra = {"note": "constant 1/2"}
+        d = json.loads(json.dumps(report_to_dict(rep)))
+        assert report_from_dict(d) == rep
+        assert rep.wald_x1 is None and rep.lr_full is None
 
 
 class TestEmitReport:

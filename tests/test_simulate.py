@@ -5,7 +5,9 @@ import pytest
 
 from queuecast import lobster as lb
 from queuecast.errors import DegenerateConfig, UnknownPreset
-from queuecast.simulate import ZiConfig, integrate_timeline, regime_preset, simulate
+from queuecast.book import BestQuoteState
+from queuecast.lobster import integrate_timeline
+from queuecast.simulate import ZiConfig, regime_preset, simulate
 
 
 def small_cfg(**over):
@@ -123,6 +125,10 @@ class TestFlowProperties:
         rep = lb.replay(msgs, record_l1=True)
         assert rep.l1_rows == res.l1_rows
         assert rep.timeline == res.timeline
+        # with the horizon as the session window, replay's statistics are
+        # the simulator's own
+        window = lb.SessionWindow(res.config.start_time_s, res.config.start_time_s + 120)
+        assert lb.replay(msgs, window=window).stats == res.stats
 
 
 class TestPresets:
@@ -159,8 +165,6 @@ class TestPresets:
 
 class TestIntegrateTimeline:
     def test_piecewise_constant_integral(self):
-        from queuecast.book import BestQuoteState
-
         tl = [
             BestQuoteState(0, 10, 12, 5, 3),
             BestQuoteState(100, 10, 11, 5, 7),
@@ -173,8 +177,6 @@ class TestIntegrateTimeline:
         assert sp == 2 * 100 + 1 * 200
 
     def test_window_clipping(self):
-        from queuecast.book import BestQuoteState
-
         tl = [BestQuoteState(0, 10, 12, 5, 3)]
         nb, na, sp, cov = integrate_timeline(tl, 50, 80)
         assert cov == 30 and nb == 150
