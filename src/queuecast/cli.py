@@ -51,10 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="key=value run configuration")
         p.add_argument("--seed", type=int, metavar="U64", help="master seed override")
         p.add_argument("--out", metavar="DIR", help="output directory override")
-        p.add_argument("--mode", choices=["uniform", "event"], help="sampling mode override")
-        p.add_argument(
-            "--preset", choices=["large-tick", "small-tick"], help="simulator preset override"
-        )
+        p.add_argument("--mode", help="sampling mode override: uniform or event")
+        p.add_argument("--preset", help="simulator preset override: large-tick or small-tick")
         p.add_argument("--jobs", type=int, metavar="N", help="parallel instrument-days")
         if name == "simulate":
             p.add_argument("--days", type=int, metavar="N", help="number of days override")
@@ -68,16 +66,14 @@ def _config_from_args(args) -> pl.RunConfig:
         "sampling_mode": args.mode,
         "preset": args.preset,
         "jobs": args.jobs,
+        "days": getattr(args, "days", None),
     }
-    if getattr(args, "days", None) is not None:
-        overrides["days"] = args.days
     return pl.load_config(args.config, overrides)
 
 
 def cmd_simulate(cfg: pl.RunConfig) -> None:
     """Write per-day message and level-1 orderbook CSVs plus a manifest."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = pl.fresh_out_dir(cfg)
     pl.write_resolved_config(cfg, out)
     manifest = {"preset": cfg.preset, "seed": cfg.seed, "days": []}
     for day in range(cfg.days):
@@ -103,18 +99,12 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
     orderbook references, and write the summary-statistics record."""
     if cfg.source != "lobster":
         raise ConfigError("ingest requires source = lobster with message_files")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = pl.fresh_out_dir(cfg)
     pl.write_resolved_config(cfg, out)
     day_stats = []
     verification = {}
-    for day, msg_path in enumerate(cfg.message_files):
-        msgs = list(lb.parse_messages(msg_path))
-        want_l1 = bool(cfg.orderbook_files)
-        res = lb.replay(
-            msgs, tick_size=cfg.tick_size, window=cfg.window,
-            record_l1=want_l1, keep_events=True,
-        )
+    for day in range(cfg.days):
+        res, report = pl.read_lobster_day(cfg, day, keep_events=True)
         day_stats.append(res.stats)
         with open(out / f"day{day:03d}_events.csv", "w", encoding="ascii", newline="\n") as fh:
             fh.write("seq,t_ns,kind,order_id,price_ticks,size_delta\n")
@@ -124,9 +114,7 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
                 else:
                     oid, delta, price = ev_.order_id, ev_.delta, ""
                 fh.write(f"{ev_.seq},{ev_.t_ns},{ev_.kind},{oid},{price},{delta}\n")
-        if want_l1:
-            ref = lb.parse_l1_file(cfg.orderbook_files[day])
-            report = lb.verify_against_l1(res.l1_rows, ref)
+        if report is not None:
             verification[f"day{day:03d}"] = {
                 "checked": report.checked,
                 "mismatches": [

@@ -106,10 +106,12 @@ def format_message(msg: LobsterMessage) -> str:
 
 
 def _open_lines(source) -> Iterable[str]:
+    # A non-ASCII byte decodes to a lone surrogate, which no field parser
+    # accepts, so it is reported as a MalformedRow on its own line.
     if isinstance(source, str):
-        return open(source, "r", encoding="ascii")
+        return open(source, "r", encoding="ascii", errors="surrogateescape")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("ascii"))
+        return io.StringIO(source.decode("ascii", errors="surrogateescape"))
     return source
 
 

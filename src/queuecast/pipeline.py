@@ -1,6 +1,6 @@
 """Pipeline orchestration: configuration, staged execution, artifacts.
 
-A run is configured by a flat key=value text file (see DEFAULTS for the
+A run is configured by a flat key=value text file (see RunConfig for the
 schema) plus a handful of CLI overrides. Stages communicate only through
 the documented CSV/JSON interchange files inside the output directory, so
 any stage can be rerun standalone and reproduces the full pipeline's
@@ -13,10 +13,11 @@ directories.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -36,81 +37,106 @@ ENV_DATA_DIR = "QUEUECAST_DATA_DIR"
 ENV_OUT_DIR = "QUEUECAST_OUT_DIR"
 
 CONFIG_VERSION = 1
+MODELS = ("logistic", "local", "null")  # in report order
 
-DEFAULTS = {
-    "config_version": "1",
-    "source": "preset",  # preset | lobster
-    "preset": "large-tick",
-    "days": "252",
-    "horizon": "",  # optional seconds override for preset runs
-    "message_files": "",  # comma-separated, lobster mode
-    "orderbook_files": "",  # optional comma-separated level-1 references
-    "tick_size": "0.01",
-    "instrument": "SIM",
-    "session_open": "36000",
-    "session_close": "55800",
-    "sampling_mode": "uniform",  # uniform | event
-    "subsample": "100",
-    "train_frac": "0.8",
-    "models": "logistic,local,null",
-    "alphas": "0.5,0.65,0.8",
-    "grid_points": "401",
-    "cv_folds": "5",
-    "seed": "7",
-    "jobs": "1",
-    "out_dir": "out",
-    "data_dir": "",
-}
+
+def _parser(cast, rule, ok=lambda value: True):
+    """A field parser: ``cast`` the text and require ``ok``, else ValueError(rule)."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        raise ValueError(rule)
+
+    return parse
+
+
+def _key(default: str, parse):
+    return field(metadata={"default": default, "parse": parse})
+
+
+def _names(text: str) -> list[str]:
+    return [name for name in text.split(",") if name]
+
+
+def _choice(*allowed: str):
+    return _parser(str, "expected " + " or ".join(allowed), lambda v: v in allowed)
+
+
+def _at_least(low: int):
+    return _parser(int, f"expected an integer >= {low}", lambda v: v >= low)
+
+
+_finite_positive = _parser(float, "expected a finite positive number",
+                           lambda v: math.isfinite(v) and v > 0)
 
 
 @dataclass
 class RunConfig:
-    source: str
-    preset: str
-    days: int
-    horizon: Optional[float]
-    message_files: list[str]
-    orderbook_files: list[str]
-    tick_size: float
-    instrument: str
-    window: lb.SessionWindow
-    sampling_mode: str
-    subsample: int
-    train_frac: float
-    models: list[str]
-    alphas: list[float]
-    grid_points: int
-    cv_folds: int
-    seed: int
-    jobs: int
-    out_dir: str
-    data_dir: str
+    """A validated run: the one declaration of every config key.
+
+    Each field's metadata holds its default text and the parser that turns
+    text into the value (ValueError for an out-of-range value). Rules that
+    involve more than one key live in ``_validate``.
+    """
+
+    config_version: str = _key(str(CONFIG_VERSION), _choice(str(CONFIG_VERSION)))
+    source: str = _key("preset", _choice("preset", "lobster"))
+    preset: str = _key("large-tick", str)  # checked in preset mode only
+    days: int = _key("252", _at_least(1))
+    # optional seconds override for preset days
+    horizon: Optional[float] = _key("", lambda t: _finite_positive(t) if t else None)
+    message_files: list[str] = _key("", _names)
+    orderbook_files: list[str] = _key("", _names)  # optional level-1 references
+    tick_size: float = _key("0.01", _parser(
+        _finite_positive, "expected a finite number of at least one price unit (0.0001)",
+        lambda v: round(v * 10000) >= 1,
+    ))
+    instrument: str = _key("SIM", str)
+    session_open: int = _key("36000", _parser(int, "expected integer seconds"))
+    session_close: int = _key("55800", _parser(int, "expected integer seconds"))
+    sampling_mode: str = _key(sp.UNIFORM, _choice(sp.UNIFORM, sp.EVENT))
+    subsample: int = _key("100", _at_least(1))
+    train_frac: float = _key(
+        "0.8", _parser(float, "expected a number in (0, 1)", lambda v: 0.0 < v < 1.0)
+    )
+    models: list[str] = _key(
+        ",".join(MODELS),
+        _parser(_names, "expected a non-empty list of " + ", ".join(MODELS),
+                lambda v: v and all(m in MODELS for m in v)),
+    )
+    alphas: list[float] = _key(
+        "0.5,0.65,0.8", _parser(lambda t: [float(a) for a in _names(t)], "expected numbers")
+    )
+    grid_points: int = _key("401", _at_least(2))
+    cv_folds: int = _key("5", _at_least(2))
+    seed: int = _key("7", _parser(int, "expected a 64-bit unsigned integer",
+                                  lambda v: 0 <= v < 2**64))
+    jobs: int = _key("1", _at_least(1))
+    out_dir: str = _key("out", str)
+    data_dir: str = _key("", str)  # optional prefix for message/orderbook files
+
+    @property
+    def window(self) -> lb.SessionWindow:
+        return lb.SessionWindow(self.session_open, self.session_close)
 
     def resolved_items(self) -> list[tuple[str, str]]:
-        return [
-            ("config_version", str(CONFIG_VERSION)),
-            ("source", self.source),
-            ("preset", self.preset),
-            ("days", str(self.days)),
-            ("horizon", "" if self.horizon is None else repr(self.horizon)),
-            ("message_files", ",".join(self.message_files)),
-            ("orderbook_files", ",".join(self.orderbook_files)),
-            ("tick_size", repr(self.tick_size)),
-            ("instrument", self.instrument),
-            ("session_open", str(self.window.open_s)),
-            ("session_close", str(self.window.close_s)),
-            ("sampling_mode", self.sampling_mode),
-            ("subsample", str(self.subsample)),
-            ("train_frac", repr(self.train_frac)),
-            ("models", ",".join(self.models)),
-            ("alphas", ",".join(repr(a) for a in self.alphas)),
-            ("grid_points", str(self.grid_points)),
-            ("cv_folds", str(self.cv_folds)),
-            ("seed", str(self.seed)),
-            ("jobs", str(self.jobs)),
-            ("out_dir", self.out_dir),
-            ("data_dir", self.data_dir),
-        ]
+        return [(f.name, _text(getattr(self, f.name))) for f in fields(self)]
+
+
+def _text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+DEFAULTS = {f.name: f.metadata["default"] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -135,7 +161,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     if path is not None:
         try:
             text = Path(path).read_text(encoding="ascii")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         values = parse_config_text(text)
     for key, val in (overrides or {}).items():
@@ -148,112 +174,35 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     return _validate(values)
 
 
-def _parse_num(values, key, cast, err):
-    try:
-        return cast(values[key])
-    except ValueError:
-        raise ConfigError(f"{key}: {err} (got {values[key]!r})") from None
-
-
 def _validate(values: dict) -> RunConfig:
-    if values["config_version"] != str(CONFIG_VERSION):
-        raise ConfigError(f"unsupported config_version {values['config_version']!r}")
-    source = values["source"]
-    if source not in ("preset", "lobster"):
-        raise ConfigError(f"source must be preset or lobster, got {source!r}")
-    mode = values["sampling_mode"]
-    if mode not in (sp.UNIFORM, sp.EVENT):
-        raise ConfigError(f"sampling_mode must be uniform or event, got {mode!r}")
-    days = _parse_num(values, "days", int, "expected integer")
-    if days < 1:
-        raise ConfigError("days must be >= 1")
-    horizon = None
-    if values["horizon"]:
-        horizon = _parse_num(values, "horizon", float, "expected number")
-        if horizon <= 0:
-            raise ConfigError("horizon must be positive")
-    subsample = _parse_num(values, "subsample", int, "expected integer")
-    if subsample < 1:
-        raise ConfigError("subsample must be >= 1")
-    train_frac = _parse_num(values, "train_frac", float, "expected number")
-    if not 0.0 < train_frac < 1.0:
-        raise ConfigError(f"train_frac must lie in (0, 1), got {train_frac}")
-    tick_size = _parse_num(values, "tick_size", float, "expected number")
-    if tick_size <= 0:
-        raise ConfigError("tick_size must be positive")
-    open_s = _parse_num(values, "session_open", int, "expected integer seconds")
-    close_s = _parse_num(values, "session_close", int, "expected integer seconds")
-    if open_s >= close_s:
+    v = {}
+    for f in fields(RunConfig):
+        try:
+            v[f.name] = f.metadata["parse"](values[f.name])
+        except ValueError as exc:
+            raise ConfigError(f"{f.name}: {exc} (got {values[f.name]!r})") from None
+    if v["session_open"] >= v["session_close"]:
         raise ConfigError("session_open must precede session_close")
-    models = [m for m in values["models"].split(",") if m]
-    for m in models:
-        if m not in ("logistic", "local", "null"):
-            raise ConfigError(f"unknown model {m!r}")
-    if not models:
-        raise ConfigError("models must not be empty")
-    try:
-        alphas = [float(a) for a in values["alphas"].split(",") if a]
-    except ValueError:
-        raise ConfigError(f"alphas: expected numbers, got {values['alphas']!r}") from None
-    if "local" in models:
-        if not alphas:
-            raise ConfigError("local model requires at least one alpha candidate")
-        for a in alphas:
-            if not 0.0 < a <= 1.0:
-                raise ConfigError(f"alpha candidates must lie in (0, 1], got {a}")
-    grid_points = _parse_num(values, "grid_points", int, "expected integer")
-    if grid_points < 2:
-        raise ConfigError("grid_points must be >= 2")
-    cv_folds = _parse_num(values, "cv_folds", int, "expected integer")
-    if cv_folds < 2:
-        raise ConfigError("cv_folds must be >= 2")
-    seed = _parse_num(values, "seed", int, "expected integer")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in 64 bits")
-    jobs = _parse_num(values, "jobs", int, "expected integer")
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    data_dir = values["data_dir"]
-    message_files = []
-    orderbook_files = []
-    if source == "lobster":
-        message_files = [f for f in values["message_files"].split(",") if f]
-        if not message_files:
-            raise ConfigError("lobster source requires message_files")
-        orderbook_files = [f for f in values["orderbook_files"].split(",") if f]
-        if orderbook_files and len(orderbook_files) != len(message_files):
-            raise ConfigError("orderbook_files must pair one-to-one with message_files")
-        message_files = [os.path.join(data_dir, f) if data_dir else f for f in message_files]
-        orderbook_files = [os.path.join(data_dir, f) if data_dir else f for f in orderbook_files]
-        for f in message_files + orderbook_files:
+    alphas = v["alphas"]
+    if "local" in v["models"] and not (alphas and all(0.0 < a <= 1.0 for a in alphas)):
+        raise ConfigError(f"local model requires alpha candidates in (0, 1], got {alphas}")
+    if v["source"] == "preset":
+        sim.regime_preset(v["preset"])  # UnknownPreset is a ConfigError
+        v["message_files"] = v["orderbook_files"] = []
+        return RunConfig(**v)
+    files = v["message_files"]
+    if not files:
+        raise ConfigError("lobster source requires message_files")
+    if v["orderbook_files"] and len(v["orderbook_files"]) != len(files):
+        raise ConfigError("orderbook_files must pair one-to-one with message_files")
+    # record the joined paths, so that the resolved config loads the same files again
+    for key in ("message_files", "orderbook_files"):
+        v[key] = [os.path.join(v["data_dir"], f) for f in v[key]]
+        for f in v[key]:
             if not os.path.exists(f):
                 raise ConfigError(f"referenced file does not exist: {f}")
-        days = len(message_files)
-    else:
-        if values["preset"] not in ("large-tick", "small-tick"):
-            raise ConfigError(f"unknown preset {values['preset']!r}")
-    return RunConfig(
-        source=source,
-        preset=values["preset"],
-        days=days,
-        horizon=horizon,
-        message_files=message_files,
-        orderbook_files=orderbook_files,
-        tick_size=tick_size,
-        instrument=values["instrument"],
-        window=lb.SessionWindow(open_s, close_s),
-        sampling_mode=mode,
-        subsample=subsample,
-        train_frac=train_frac,
-        models=models,
-        alphas=alphas,
-        grid_points=grid_points,
-        cv_folds=cv_folds,
-        seed=seed,
-        jobs=jobs,
-        out_dir=values["out_dir"],
-        data_dir=data_dir,
-    )
+    v["days"], v["data_dir"] = len(files), ""
+    return RunConfig(**v)
 
 
 def write_resolved_config(cfg: RunConfig, out: Path) -> None:
@@ -300,18 +249,31 @@ def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
     return DayOutcome(day, sub, res.stats, flags)
 
 
-def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:
-    msg_path = cfg.message_files[day]
-    try:
-        msgs = list(lb.parse_messages(msg_path))
-    except OSError as exc:
-        raise DataError(f"cannot read {msg_path}: {exc}") from None
+def read_lobster_day(
+    cfg: RunConfig, day: int, keep_events: bool = False
+) -> tuple[lb.ReplayResult, Optional[lb.VerificationReport]]:
+    """Parse and replay LOBSTER day ``day``, and verify it if it has a level-1 file.
+
+    A file that cannot be read is a DataError naming it.
+    """
     want_l1 = bool(cfg.orderbook_files)
-    res = lb.replay(msgs, tick_size=cfg.tick_size, window=cfg.window, record_l1=want_l1)
-    mismatches = None
-    if want_l1:
+    try:
+        msgs = list(lb.parse_messages(cfg.message_files[day]))
+        res = lb.replay(
+            msgs, tick_size=cfg.tick_size, window=cfg.window,
+            record_l1=want_l1, keep_events=keep_events,
+        )
+        if not want_l1:
+            return res, None
         ref = lb.parse_l1_file(cfg.orderbook_files[day])
-        mismatches = len(lb.verify_against_l1(res.l1_rows, ref).mismatches)
+    except OSError as exc:
+        raise DataError(f"cannot read day {day}: {exc}") from None
+    return res, lb.verify_against_l1(res.l1_rows, ref)
+
+
+def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:
+    res, verification = read_lobster_day(cfg, day)
+    mismatches = None if verification is None else len(verification.mismatches)
     if res.first_session_event_ns is None:
         day_samples = sp.DaySampleResult()
         sub, short = [], True
@@ -524,10 +486,9 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
 def stage_report(cfg: RunConfig, out: Path) -> None:
     """Collect eval JSONs into the human table and the combined report."""
     eval_dir = out / "eval"
-    order = {"logistic": 0, "local": 1, "null": 2}
     reports = []
     fits = {}
-    for model in sorted(cfg.models, key=order.get):
+    for model in sorted(cfg.models, key=MODELS.index):
         reports.append(rp.report_from_dict(rp.read_json(eval_dir / f"report_{model}.json")))
         if model == "logistic":
             fits["logistic"] = rp.fit_from_dict(rp.read_json(out / "fits" / "logistic.json"))
@@ -562,6 +523,15 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def fresh_out_dir(cfg: RunConfig) -> Path:
+    """Create the run's output directory; one that already holds files is a ConfigError."""
+    out = Path(cfg.out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ConfigError(f"output directory {out} is not an empty directory")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def run_pipeline(cfg: RunConfig) -> Path:
     """Execute sample -> fit -> evaluate -> report into a fresh directory.
 
@@ -569,10 +539,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     everything written by this run is removed and the failing stage is named
     in the raised error.
     """
-    out = Path(cfg.out_dir)
-    if out.exists() and any(out.iterdir()):
-        raise ConfigError(f"output directory {out} is not empty")
-    out.mkdir(parents=True, exist_ok=True)
+    out = fresh_out_dir(cfg)
     stagens = [
         ("sample", stage_sample),
         ("fit", stage_fit),

@@ -32,6 +32,8 @@ SIMULATE_DIGESTS = {
 PIPELINE_DIGESTS = {
     "summary.json": "7a1f24604cfc2fbe0cff307dde276d55b1120cf7aabda30d7bf6f2d507ca916b",
     "samples.csv": "283611d242e8978902f66e43e951d4caad51f2fb845dc68178f7c997834ccd5d",
+    # embeds the provenance block: every config key except out_dir and jobs
+    "report.json": "72738279083bf094cbc1b396842c11c21abb6ff2cacf0371b56d6cf1edd35e4a",
 }
 
 

@@ -49,6 +49,21 @@ class TestParse:
             list(lb.parse_messages(rows))
         assert ei.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "parse, row",
+        [(lb.parse_messages, "36000.5,1,1,10,1000000,1"), (lb.parse_l1_file, "10100,5,10000,7")],
+        ids=["message", "l1"],
+    )
+    def test_non_ascii_byte_is_positioned_malformed_row(self, tmp_path, parse, row):
+        # far past the first 8 KB decode chunk, so the line number must come
+        # from the row, not from where decoding failed
+        path = tmp_path / "day.csv"
+        bad = row.replace("0,", "\xe9,", 1).encode("latin-1")
+        path.write_bytes(f"{row}\n".encode() * 2000 + bad)
+        with pytest.raises(MalformedRow) as ei:
+            list(parse(str(path)))
+        assert ei.value.line_no == 2001
+
     def test_time_precision_nanoseconds(self):
         (m,) = lb.parse_messages(["0.000000001,7,0,0,0,1"])
         assert m.t_ns == 1

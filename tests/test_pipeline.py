@@ -78,11 +78,22 @@ class TestConfig:
         cfg = pl.load_config(None, {})
         assert cfg.out_dir == "/env/dir"
 
-    def test_config_file_roundtrip(self, tmp_path):
-        cfg = pl.load_config(None, fast_overrides(tmp_path / "o"))
-        text = "\n".join(f"{k} = {v}" for k, v in cfg.resolved_items())
-        reparsed = pl._validate(pl.parse_config_text(text))
-        assert reparsed == cfg
+    def test_config_file_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        for name in ("m.csv", "o.csv"):
+            (tmp_path / "data" / name).write_text("36000.0,1,1,10,100000,1\n")
+        lobster = {"source": "lobster", "data_dir": "data", "message_files": "m.csv",
+                   "orderbook_files": "o.csv"}
+        for overrides in (fast_overrides("o"), fast_overrides("o", **lobster)):
+            cfg = pl.load_config(None, overrides)
+            pl.write_resolved_config(cfg, tmp_path)
+            assert pl.load_config(str(tmp_path / "resolved_config.txt")) == cfg
+
+    def test_readme_defaults_block_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Defaults shown:\n\n```ini\n", 1)[1].split("```", 1)[0]
+        assert pl.parse_config_text(block) == pl.DEFAULTS
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +232,18 @@ class TestCli:
         bad.write_text("source = lobster\nmessage_files = missing.csv\n")
         assert cli_main(["sample", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"horizon = nan", b"horizon = inf", b"tick_size = inf", b"tick_size = 1e-9",
+         b"instrument = caf\xe9"],
+        ids=["horizon-nan", "horizon-inf", "tick-inf", "tick-below-price-unit", "non-ascii"],
+    )
+    def test_config_value_exit_2(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(line + b"\ndays = 1\n")
+        assert cli_main(["sample", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_malformed_data_exit_3(self, tmp_path):
         msg = tmp_path / "day.csv"
         msg.write_text("garbage,row\n")
@@ -284,6 +307,61 @@ class TestCli:
         assert cli_main([stage, "--config", str(cfgfile)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and missing in err
+
+    @pytest.mark.parametrize("command", ["ingest", "sample"])
+    @pytest.mark.parametrize(
+        "fault", ["message-dir", "orderbook-dir", "message-non-ascii", "orderbook-non-ascii"]
+    )
+    def test_unreadable_lobster_day_exit_3(self, tmp_path, capsys, command, fault):
+        files = {
+            "m.csv": b"36000.0,1,1,10,100000,1\n36001.0,1,2,10,100100,-1\n",
+            "o.csv": b"9999999999,0,100000,10\n100100,10,100000,10\n",
+        }
+        kind, _, what = fault.partition("-")
+        name = "m.csv" if kind == "message" else "o.csv"
+        if what == "dir":
+            (tmp_path / name).mkdir()
+            del files[name]
+        else:
+            files[name] = files[name].replace(b"100100", b"10\xe900")  # on line 2
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            f"source = lobster\ndata_dir = {tmp_path}\nmessage_files = m.csv\n"
+            f"orderbook_files = o.csv\nout_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli_main([command, "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        expected = str(tmp_path / name) if what == "dir" else "line 2: "
+        assert err.startswith("data error: ") and expected in err
+
+    def test_simulate_and_ingest_refuse_nonempty_dir(self, tmp_path):
+        cfgfile = tmp_path / "sim.cfg"
+        cfgfile.write_text("horizon = 30\ndays = 1\n")
+        simdir = tmp_path / "simdata"
+        argv = ["simulate", "--config", str(cfgfile), "--out", str(simdir)]
+        assert cli_main(argv) == 0
+        before = tree_digest(simdir)
+        assert cli_main(argv) == 2
+        ing_cfg = tmp_path / "ing.cfg"
+        ing_cfg.write_text(f"source = lobster\nmessage_files = {simdir / 'day000_message.csv'}\n")
+        assert cli_main(["ingest", "--config", str(ing_cfg), "--out", str(simdir)]) == 2
+        assert tree_digest(simdir) == before
+
+    def test_resolved_config_reruns_sample(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["simulate", "--seed", "9", "--days", "1", "--out", "simdata"]) == 0
+        Path("run.cfg").write_text(
+            "source = lobster\ndata_dir = simdata\n"
+            "message_files = day000_message.csv\norderbook_files = day000_orderbook.csv\n"
+            "session_open = 36000\nsession_close = 36300\nsubsample = 40\n"
+        )
+        assert cli_main(["sample", "--config", "run.cfg", "--out", "a"]) == 0
+        assert cli_main(["sample", "--config", "a/resolved_config.txt", "--out", "b"]) == 0
+        samples = Path("a/samples.csv").read_bytes()
+        assert len(samples.splitlines()) == 41
+        assert Path("b/samples.csv").read_bytes() == samples
 
     def test_bad_local_curve_is_data_error(self, tmp_path):
         path = tmp_path / "local_curve.csv"
