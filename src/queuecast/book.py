@@ -162,96 +162,96 @@ class OrderBook:
         na = self._totals[SELL][ba] if ba is not None else 0
         return BestQuoteState(self.last_t_ns if t_ns is None else t_ns, bb, ba, nb, na)
 
-    def _quote_key(self):
-        bb, ba = self._best[BUY], self._best[SELL]
-        nb = self._totals[BUY][bb] if bb is not None else 0
-        na = self._totals[SELL][ba] if ba is not None else 0
-        return (bb, ba, nb, na)
-
     # -- mutation -----------------------------------------------------------
 
     def apply(self, ev: BookEvent) -> bool:
         """Apply one event; returns whether the best quotes changed.
 
         True iff any of (bid, ask, nb, na) changed, including transitions
-        into or out of a one-sided state.
+        into or out of a one-sided state. The quote is not read: the mutator
+        decides from the touched side alone, since an event moves the quote
+        iff it touches that side's best level.
         """
-        before = self._quote_key()
         kind = ev.kind
         if kind == SUBMIT:
-            self._submit(ev.order)
-        elif kind == REDUCE:
-            self._reduce(ev.order_id, ev.delta)
+            if ev.order is None:
+                raise ValueError("submit event carries no order")
+            o = ev.order  # the event keeps its order as submitted
+            changed = self.submit(Order(o.id, o.side, o.price, o.size, o.entry_seq))
+        elif kind == REDUCE or kind == EXECUTE:
+            # the same book mutation; trade vs cancel matters only to callers
+            changed = self.reduce(ev.order_id, ev.delta)
         elif kind == DELETE:
-            self._remove(ev.order_id)
-        elif kind == EXECUTE:
-            self._execute(ev.order_id, ev.delta)
+            changed = self.delete(ev.order_id)
         else:
             raise ValueError(f"unknown event kind {kind!r}")
         self.last_t_ns = ev.t_ns
-        return self._quote_key() != before
+        return changed
 
-    def _submit(self, order: Order) -> None:
-        if order is None:
-            raise ValueError("submit event carries no order")
-        if order.price < 1 or order.size < 1:
-            raise ValueError(f"order {order.id}: price and size must be >= 1")
-        if order.side not in (BUY, SELL):
-            raise ValueError(f"order {order.id}: bad side {order.side}")
-        if order.id in self._orders:
-            raise ValueError(f"order id {order.id} already active")
-        opposite = self._best[-order.side]
-        if opposite is not None:
-            crosses = order.price >= opposite if order.side == BUY else order.price <= opposite
-            if crosses:
-                raise CrossedSubmit(order.id, order.price, opposite)
-        resting = Order(order.id, order.side, order.price, order.size, order.entry_seq)
-        side = resting.side
-        levels = self._levels[side]
-        lvl = levels.get(resting.price)
+    def submit(self, order: Order) -> bool:
+        """Rest ``order``, which the book keeps and later shrinks in place.
+
+        Returns whether the quote changed: iff the price is the side's best
+        after the insert (a new best, or it joined the best level).
+        """
+        side, price, order_id = order.side, order.price, order.id
+        if price < 1 or order.size < 1:
+            raise ValueError(f"order {order_id}: price and size must be >= 1")
+        if side != BUY and side != SELL:
+            raise ValueError(f"order {order_id}: bad side {side}")
+        if order_id in self._orders:
+            raise ValueError(f"order id {order_id} already active")
+        best = self._best
+        opposite = best[-side]
+        if opposite is not None and (price >= opposite if side == BUY else price <= opposite):
+            raise CrossedSubmit(order_id, price, opposite)
+        lvl = self._levels[side].get(price)
         if lvl is None:
-            levels[resting.price] = {resting.id: resting}
-            self._totals[side][resting.price] = resting.size
+            self._levels[side][price] = {order_id: order}
+            self._totals[side][price] = order.size
         else:
-            lvl[resting.id] = resting
-            self._totals[side][resting.price] += resting.size
-        self._orders[resting.id] = resting
-        best = self._best[side]
-        if best is None or (resting.price > best if side == BUY else resting.price < best):
-            self._best[side] = resting.price
+            lvl[order_id] = order
+            self._totals[side][price] += order.size
+        self._orders[order_id] = order
+        own = best[side]
+        if own is None or (price > own if side == BUY else price < own):
+            best[side] = price
+            return True
+        return price == own
 
-    def _reduce(self, order_id: int, delta: int) -> None:
+    def reduce(self, order_id: int, delta: int) -> bool:
+        """Take ``delta`` shares off an order, removing it when none remain.
+
+        Returns whether the quote changed: iff the order rested at the best.
+        """
         if delta < 1:
             raise ValueError("reduce delta must be >= 1")
         order = self.get_order(order_id)
         if delta > order.size:
             raise OverReduce(order_id, delta, order.size)
         if delta == order.size:
-            self._remove(order_id)
-        else:
-            order.size -= delta
-            self._totals[order.side][order.price] -= delta
+            return self.delete(order_id)
+        order.size -= delta
+        self._totals[order.side][order.price] -= delta
+        return order.price == self._best[order.side]
 
-    def _execute(self, order_id: int, delta: int) -> None:
-        # identical book mutation to a partial/full cancel; the distinction
-        # (trade vs cancel) matters only to callers recording trades
-        self._reduce(order_id, delta)
-
-    def _remove(self, order_id: int) -> None:
-        order = self.get_order(order_id)
+    def delete(self, order_id: int) -> bool:
+        """Remove an order; returns whether the quote changed: iff it rested at the best."""
+        order = self._orders.pop(order_id, None)
+        if order is None:
+            raise UnknownOrderId(order_id)
         side, price = order.side, order.price
-        lvl = self._levels[side][price]
+        levels = self._levels[side]
+        lvl = levels[price]
         del lvl[order_id]
-        del self._orders[order_id]
-        remaining = self._totals[side][price] - order.size
+        at_best = price == self._best[side]
         if lvl:
-            self._totals[side][price] = remaining
+            self._totals[side][price] -= order.size
         else:
-            del self._levels[side][price]
+            del levels[price]
             del self._totals[side][price]
-            if self._best[side] == price:
-                keys = self._levels[side].keys()
-                if keys:
-                    self._best[side] = max(keys) if side == BUY else min(keys)
-                else:
-                    self._best[side] = None
+            if at_best and levels:
+                self._best[side] = max(levels) if side == BUY else min(levels)
+            elif at_best:
+                self._best[side] = None
+        return at_best

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import book as bk
 from . import lobster as lb
@@ -130,8 +129,7 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
 
 def _staged(stage_fn):
     def run(cfg: pl.RunConfig) -> None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = pl.make_out_dir(cfg)
         pl.write_resolved_config(cfg, out)
         stage_fn(cfg, out)
 

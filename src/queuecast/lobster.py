@@ -20,8 +20,8 @@ Times are parsed to integer nanoseconds; no float time arithmetic anywhere.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import book as bk
 from .errors import (
@@ -50,8 +50,7 @@ _VALID_CODES = frozenset((1, 2, 3, 4, 5, 6, 7))
 _ZERO_SIZE_NAMES = {SUBMISSION: "submission", PARTIAL_CANCEL: "partial cancel", EXECUTION: "execution"}
 
 
-@dataclass(frozen=True, slots=True)
-class LobsterMessage:
+class LobsterMessage(NamedTuple):
     t_ns: int
     type_code: int
     order_id: int
@@ -192,16 +191,6 @@ class ReplayCounters:
     crossing_submits: int = 0
 
 
-@dataclass
-class MessageOutcome:
-    """Events applied for one message, plus the side effects replay tracks."""
-
-    events: list[bk.BookEvent]
-    changed: bool
-    trades: list[tuple[int, int, int]]  # (side, price_ticks, size) executed
-    submit: Optional[tuple[int, int, int, bool]] = None  # side, price, size, at_best
-
-
 def apply_message(
     ob: bk.OrderBook,
     msg: LobsterMessage,
@@ -209,65 +198,78 @@ def apply_message(
     tick_i4: int,
     counters: ReplayCounters,
     line_no: int = 0,
-) -> MessageOutcome:
-    """Translate one message into book events and apply them in order.
+    events: Optional[list[bk.BookEvent]] = None,
+) -> tuple[bool, int, Sequence[tuple[int, int]], Optional[tuple[int, int]]]:
+    """Translate one message into book mutations and apply them in order.
+
+    Returns ``(changed, n_events, trades, submit)``: whether the best quote
+    changed, how many book events the message became (numbered from
+    ``seq``), the executed ``(price_ticks, size)`` pairs, and the
+    ``(price_ticks, size)`` of a submission that rests at its side's best,
+    else None. The ``BookEvent``s are built only when an ``events`` list is
+    given, and are appended to it.
 
     Crossing submissions are decomposed into executions against the opposite
     queue in priority order plus a residual submission; LOBSTER streams
     report executions explicitly, so this path only fires on synthetic or
     foreign data.
     """
-    code = msg.type_code
-    if code in (HIDDEN_EXECUTION, AUCTION, HALT):
+    t_ns, code, order_id, size, price_i4, direction = msg
+    if code == FULL_DELETE:
+        changed = ob.delete(order_id)
+        if events is not None:
+            events.append(bk.BookEvent.delete(t_ns, seq, order_id))
+        return changed, 1, (), None
+    if code == HIDDEN_EXECUTION or code == AUCTION or code == HALT:
         if code == HIDDEN_EXECUTION:
-            counters.hidden_volume += msg.size
+            counters.hidden_volume += size
         else:
             counters.ignored_messages += 1
-        return MessageOutcome([], False, [])
-    side = bk.BUY if msg.direction == 1 else bk.SELL
-    events: list[bk.BookEvent] = []
-    trades: list[tuple[int, int, int]] = []
-    changed = False
-    if msg.size < 1 and code != FULL_DELETE:
-        raise MalformedRow(line_no, f"{_ZERO_SIZE_NAMES[code]} with size 0")
-    if code == SUBMISSION:
-        if ob.has_order(msg.order_id):
-            raise MalformedRow(line_no, f"submission reuses live order id {msg.order_id}")
-        price = _price_to_ticks(msg.price, tick_i4, line_no)
-        remaining = msg.size
-        opp = ob.best(-side)
-        if opp is not None and (price >= opp if side == bk.BUY else price <= opp):
-            counters.crossing_submits += 1
-            while remaining > 0:
-                opp = ob.best(-side)
-                if opp is None or not (price >= opp if side == bk.BUY else price <= opp):
-                    break
-                head = ob.first_at_best(-side)
-                fill = min(remaining, head.size)
-                ev = bk.BookEvent.execute(msg.t_ns, seq + len(events), head.id, fill)
-                trades.append((head.side, head.price, fill))
-                changed |= ob.apply(ev)
-                events.append(ev)
-                remaining -= fill
-        submit_info = None
-        if remaining > 0:
-            order = bk.Order(msg.order_id, side, price, remaining, seq + len(events))
-            ev = bk.BookEvent.submit(msg.t_ns, seq + len(events), order)
-            changed |= ob.apply(ev)
-            events.append(ev)
-            submit_info = (side, price, remaining, ob.best(side) == price)
-        return MessageOutcome(events, changed, trades, submit_info)
-    if code == PARTIAL_CANCEL:
-        ev = bk.BookEvent.reduce(msg.t_ns, seq, msg.order_id, msg.size)
-    elif code == FULL_DELETE:
-        ev = bk.BookEvent.delete(msg.t_ns, seq, msg.order_id)
-    elif code == EXECUTION:
-        order = ob.get_order(msg.order_id)
-        trades.append((order.side, order.price, msg.size))
-        ev = bk.BookEvent.execute(msg.t_ns, seq, msg.order_id, msg.size)
-    else:
+        return False, 0, (), None
+    name = _ZERO_SIZE_NAMES.get(code)  # the codes left: 1, 2 and 4
+    if name is None:
         raise UnknownTypeCode(line_no, code)
-    return MessageOutcome([ev], ob.apply(ev), trades)
+    if size < 1:
+        raise MalformedRow(line_no, f"{name} with size 0")
+    if code == EXECUTION:
+        price = ob.get_order(order_id).price
+        changed = ob.reduce(order_id, size)
+        if events is not None:
+            events.append(bk.BookEvent.execute(t_ns, seq, order_id, size))
+        return changed, 1, ((price, size),), None
+    if code == PARTIAL_CANCEL:
+        changed = ob.reduce(order_id, size)
+        if events is not None:
+            events.append(bk.BookEvent.reduce(t_ns, seq, order_id, size))
+        return changed, 1, (), None
+    if ob.has_order(order_id):
+        raise MalformedRow(line_no, f"submission reuses live order id {order_id}")
+    price = _price_to_ticks(price_i4, tick_i4, line_no)
+    side = bk.BUY if direction == 1 else bk.SELL
+    changed, n, trades = False, 0, ()
+    opp = ob.best(-side)
+    if opp is not None and (price >= opp if side == bk.BUY else price <= opp):
+        counters.crossing_submits += 1
+        trades = []
+        while size > 0:
+            opp = ob.best(-side)
+            if opp is None or not (price >= opp if side == bk.BUY else price <= opp):
+                break
+            head = ob.first_at_best(-side)
+            fill = min(size, head.size)
+            trades.append((head.price, fill))
+            changed |= ob.reduce(head.id, fill)
+            if events is not None:
+                events.append(bk.BookEvent.execute(t_ns, seq + n, head.id, fill))
+            n += 1
+            size -= fill
+    if size == 0:
+        return changed, n, trades, None
+    order = bk.Order(order_id, side, price, size, seq + n)
+    if events is not None:  # the book shrinks its order in place; the event keeps a copy
+        events.append(bk.BookEvent.submit(t_ns, seq + n, replace(order)))
+    at_best = ob.submit(order)
+    return changed or at_best, n + 1, trades, (price, size) if at_best else None
 
 
 def _price_to_ticks(price_i4: int, tick_i4: int, line_no: int) -> int:
@@ -326,6 +328,11 @@ def replay(
     still evolve the book (warm start); the window only scopes the stats and
     marks the first in-session event time for sampling.
 
+    The quote is read (``ob.state``) only after a message that changed it,
+    and after the first message; otherwise it equals the last timeline
+    record, so a level-1 row repeats the previous row object. Book events
+    are built only with ``keep_events``.
+
     Messages are pulled one at a time, so a generator that reads ``ob`` sees
     the book after its previous message was applied.
     """
@@ -336,43 +343,43 @@ def replay(
     counters = res.counters
     stats = res.stats
     timeline = res.timeline
+    l1_rows = res.l1_rows
+    events = res.events if keep_events else None
     open_ns = window.open_ns if window is not None else None
     close_ns = window.close_ns if window is not None else None
-    seq = 0
-    for line_no, msg in enumerate(msgs, start=1):
-        counters.messages += 1
+    first_session_ns = None
+    row = None
+    seq = n_messages = n_events = 0
+    for n_messages, msg in enumerate(msgs, start=1):
         t = msg.t_ns
         in_session = window is None or (open_ns <= t < close_ns)
-        if in_session and res.first_session_event_ns is None:
-            res.first_session_event_ns = t
-        outcome = apply_message(ob, msg, seq, tick_i4, counters, line_no)
-        counters.events += len(outcome.events)
-        if keep_events:
-            res.events.extend(outcome.events)
-        seq += max(1, len(outcome.events))
+        if in_session and first_session_ns is None:
+            first_session_ns = t
+        changed, n, trades, submit = apply_message(ob, msg, seq, tick_i4, counters, n_messages, events)
+        n_events += n
+        seq += n or 1
         if in_session:
-            for _side, price_ticks, size in outcome.trades:
+            for price_ticks, size in trades:
                 price_i4 = price_ticks * tick_i4
                 stats.executed_volume_i4 += size * price_i4
                 if stats.trade_price_min_i4 is None or price_i4 < stats.trade_price_min_i4:
                     stats.trade_price_min_i4 = price_i4
                 if stats.trade_price_max_i4 is None or price_i4 > stats.trade_price_max_i4:
                     stats.trade_price_max_i4 = price_i4
-            if outcome.submit is not None and outcome.submit[3]:
-                _side, price_ticks, size, _ = outcome.submit
-                stats.best_quote_limit_volume_i4 += size * price_ticks * tick_i4
-        st = ob.state(t)
-        if outcome.changed:
-            if timeline and timeline[-1][1:] == st[1:]:
-                pass  # intra-message flicker netted out
-            else:
+            if submit is not None:
+                stats.best_quote_limit_volume_i4 += submit[1] * submit[0] * tick_i4
+        if changed or not timeline:
+            st = ob.state(t)
+            # a changed message may net out to the last record (intra-message flicker)
+            if not timeline or timeline[-1][1:] != st[1:]:
                 timeline.append(st)
-        elif not timeline:
-            timeline.append(st)
+                if record_l1:
+                    row = (st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE, st.na,
+                           st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE, st.nb)
         if record_l1:
-            ask_p = st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE
-            bid_p = st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE
-            res.l1_rows.append((ask_p, st.na, bid_p, st.nb))
+            l1_rows.append(row)
+    counters.messages, counters.events = n_messages, n_events
+    res.first_session_event_ns = first_session_ns
     if window is not None:
         (stats.nb_time_integral, stats.na_time_integral, stats.spread_time_integral,
          stats.two_sided_ns) = integrate_timeline(timeline, open_ns, close_ns)

@@ -140,7 +140,12 @@ DEFAULTS = {f.name: f.metadata["default"] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> dict:
-    values = dict(DEFAULTS)
+    return {**DEFAULTS, **_config_keys(text)}
+
+
+def _config_keys(text: str) -> dict:
+    """The keys a config text sets, as text."""
+    values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -158,17 +163,19 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Parse, apply CLI/env overrides, and validate a run configuration."""
     values = dict(DEFAULTS)
+    # QUEUECAST_DATA_DIR stands in for a data_dir the file does not set; a
+    # resolved config sets it (to empty, beside the joined paths)
+    if os.environ.get(ENV_DATA_DIR):
+        values["data_dir"] = os.environ[ENV_DATA_DIR]
     if path is not None:
         try:
             text = Path(path).read_text(encoding="ascii")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        values = parse_config_text(text)
+        values.update(_config_keys(text))
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = str(val)
-    if os.environ.get(ENV_DATA_DIR):
-        values["data_dir"] = os.environ[ENV_DATA_DIR]
     if os.environ.get(ENV_OUT_DIR):
         values["out_dir"] = os.environ[ENV_OUT_DIR]
     return _validate(values)
@@ -177,10 +184,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 def _validate(values: dict) -> RunConfig:
     v = {}
     for f in fields(RunConfig):
+        text = values[f.name]
         try:
-            v[f.name] = f.metadata["parse"](values[f.name])
+            if not text.isascii():  # artifacts, resolved_config.txt included, are ASCII
+                raise ValueError("expected ASCII text")
+            v[f.name] = f.metadata["parse"](text)
         except ValueError as exc:
-            raise ConfigError(f"{f.name}: {exc} (got {values[f.name]!r})") from None
+            raise ConfigError(f"{f.name}: {exc} (got {text!a})") from None
     if v["session_open"] >= v["session_close"]:
         raise ConfigError("session_open must precede session_close")
     alphas = v["alphas"]
@@ -528,7 +538,16 @@ def fresh_out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ConfigError(f"output directory {out} is not an empty directory")
-    out.mkdir(parents=True, exist_ok=True)
+    return make_out_dir(cfg)
+
+
+def make_out_dir(cfg: RunConfig) -> Path:
+    """Create the run's output directory, or reuse an existing one."""
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 

@@ -82,22 +82,10 @@ class SimResult:
     end_ns: int = 0
 
 
-class _UniformStream:
+def _uniforms(rng: np.random.Generator, block: int = 8192) -> Iterator[float]:
     """Sequential uniform [0,1) draws, block-buffered for speed."""
-
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
-        self._i = 0
-
-    def next(self) -> float:
-        i = self._i
-        if i >= self._block:
-            self._buf = self._rng.random(self._block)
-            i = 0
-        self._i = i + 1
-        return float(self._buf[i])
+    while True:
+        yield from rng.random(block).tolist()
 
 
 def simulate(cfg: ZiConfig) -> SimResult:
@@ -119,23 +107,18 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[lb.
     """Yield the session's messages, recording them and the process counts
     in ``res``; ``ob`` is the book replay applies each message to."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    draws = _UniformStream(rng)
+    draw = _uniforms(rng).__next__
     tick_i4 = round(cfg.tick_size * 10000)
     counts = {"buy_limit": 0, "sell_limit": 0, "buy_market": 0, "sell_market": 0, "cancel": 0}
     res.process_counts = counts
-    messages = res.messages
+    keep = res.messages.append
+    message = lb.LobsterMessage
+    best, has_order = ob.best, ob.has_order
+    size, levels, market_rate, cancel_rate = cfg.order_size, cfg.levels, cfg.market_rate, cfg.cancel_rate
     registry: list[int] = []  # resting order ids, swap-removed on exit
     pos: dict[int, int] = {}
     next_id = 1
     start_ns, end_ns = res.first_event_ns, res.end_ns
-
-    def record(msg: lb.LobsterMessage) -> lb.LobsterMessage:
-        messages.append(msg)
-        return msg
-
-    def add_resting(order_id: int) -> None:
-        pos[order_id] = len(registry)
-        registry.append(order_id)
 
     def drop_resting(order_id: int) -> None:
         i = pos.pop(order_id)
@@ -149,81 +132,83 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[lb.
         for price in (cfg.initial_price - lvl, cfg.initial_price + cfg.initial_spread + lvl):
             side = 1 if price <= cfg.initial_price else -1
             for _ in range(cfg.initial_depth):
-                yield record(
-                    lb.LobsterMessage(start_ns, lb.SUBMISSION, next_id, cfg.order_size, price * tick_i4, side)
-                )
-                add_resting(next_id)
+                msg = message(start_ns, lb.SUBMISSION, next_id, size, price * tick_i4, side)
+                keep(msg)
+                yield msg
+                pos[next_id] = len(registry)
+                registry.append(next_id)
                 next_id += 1
 
-    rate_limit_side = cfg.limit_rate * cfg.levels
-    base_rate = 2.0 * rate_limit_side + 2.0 * cfg.market_rate
+    rate_limit_side = cfg.limit_rate * levels
+    rate_limit = 2.0 * rate_limit_side
+    rate_buy_market = rate_limit + market_rate
+    base_rate = rate_limit + 2.0 * market_rate
     t_ns = start_ns
+    order_ns = 0
     while True:
         n_resting = len(registry)
-        total_rate = base_rate + cfg.cancel_rate * n_resting
+        total_rate = base_rate + cancel_rate * n_resting
         if total_rate <= 0.0:
             break
-        dt_ns = int(-math.log(1.0 - draws.next()) / total_rate * 1e9) + 1
+        dt_ns = int(-math.log(1.0 - draw()) / total_rate * 1e9) + 1
         if t_ns + dt_ns >= end_ns:
-            res.order_ns += n_resting * (end_ns - t_ns)
+            order_ns += n_resting * (end_ns - t_ns)
             break
-        res.order_ns += n_resting * dt_ns
+        order_ns += n_resting * dt_ns
         t_ns += dt_ns
-        v = draws.next() * total_rate
-        if v < 2.0 * rate_limit_side:
+        v = draw() * total_rate
+        if v < rate_limit:
             side = bk.BUY if v < rate_limit_side else bk.SELL
-            anchor = ob.best(-side)
+            anchor = best(-side)
             if anchor is None:
                 res.side_depleted = True
                 break
-            offset = int(draws.next() * cfg.levels)
-            if offset >= cfg.levels:  # guard against draws.next() returning exactly 1.0
-                offset = cfg.levels - 1
+            offset = int(draw() * levels)
+            if offset >= levels:  # guard against a draw of exactly 1.0
+                offset = levels - 1
             price = anchor - 1 - offset if side == bk.BUY else anchor + 1 + offset
             if price < 1:
                 price = 1
             counts["buy_limit" if side == bk.BUY else "sell_limit"] += 1
-            yield record(
-                lb.LobsterMessage(t_ns, lb.SUBMISSION, next_id, cfg.order_size, price * tick_i4, side)
-            )
-            add_resting(next_id)
+            msg = message(t_ns, lb.SUBMISSION, next_id, size, price * tick_i4, side)
+            keep(msg)
+            yield msg
+            pos[next_id] = len(registry)
+            registry.append(next_id)
             next_id += 1
         elif v < base_rate:
-            side = bk.BUY if v < 2.0 * rate_limit_side + cfg.market_rate else bk.SELL
+            side = bk.BUY if v < rate_buy_market else bk.SELL
             counts["buy_market" if side == bk.BUY else "sell_market"] += 1
-            remaining = cfg.order_size
+            remaining = size
             while remaining > 0:
-                if ob.best(-side) is None:
+                if best(-side) is None:
                     res.side_depleted = True
                     break
                 head = ob.first_at_best(-side)
                 fill = min(remaining, head.size)
-                yield record(
-                    lb.LobsterMessage(
-                        t_ns, lb.EXECUTION, head.id, fill, head.price * tick_i4, head.side
-                    )
-                )
-                if not ob.has_order(head.id):
+                msg = message(t_ns, lb.EXECUTION, head.id, fill, head.price * tick_i4, head.side)
+                keep(msg)
+                yield msg
+                if not has_order(head.id):
                     drop_resting(head.id)
                 remaining -= fill
             if res.side_depleted:
                 break
         else:
-            idx = int(draws.next() * n_resting)
+            idx = int(draw() * n_resting)
             if idx >= n_resting:
                 idx = n_resting - 1
             oid = registry[idx]
             order = ob.get_order(oid)
             counts["cancel"] += 1
-            yield record(
-                lb.LobsterMessage(
-                    t_ns, lb.FULL_DELETE, oid, order.size, order.price * tick_i4, order.side
-                )
-            )
+            msg = message(t_ns, lb.FULL_DELETE, oid, order.size, order.price * tick_i4, order.side)
+            keep(msg)
+            yield msg
             drop_resting(oid)
-        if ob.best_bid is None or ob.best_ask is None:
+        if best(bk.BUY) is None or best(bk.SELL) is None:
             res.side_depleted = True
             break
+    res.order_ns = order_ns
 
 
 # --- regime presets -------------------------------------------------------------

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 from queuecast.book import (
     BUY,
+    DELETE,
+    EXECUTE,
+    REDUCE,
     SELL,
+    SUBMIT,
     BookEvent,
     Order,
     OrderBook,
@@ -225,3 +229,29 @@ class TestAgainstNaiveRebuild:
 
         assert run(3) == run(3)
         assert run(3) != run(4)
+
+
+class TestChangeFlag:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flag_matches_full_rescan(self, seed):
+        # replay the stream on a fresh book; the flag must equal a change of
+        # the rescanned quote, whatever the event and wherever it lands
+        events = [ev for _ob, _naive, ev in random_event_stream(seed)]
+        ob, naive = OrderBook(), NaiveBook()
+        one_sided_transitions = at_best_reductions = 0
+        for ev in events:
+            before = naive.best_quotes()
+            if ev.kind == SUBMIT:
+                naive.submit(ev.order.id, ev.order.side, ev.order.price, ev.order.size)
+            else:
+                side, price, size = naive.active[ev.order_id]
+                if ev.kind == DELETE:
+                    naive.remove(ev.order_id)
+                else:
+                    naive.remove(ev.order_id, ev.delta if ev.delta < size else None)
+                    best = before[0] if side == BUY else before[1]
+                    at_best_reductions += ev.kind in (REDUCE, EXECUTE) and price == best
+            after = naive.best_quotes()
+            assert ob.apply(ev) == (before != after)
+            one_sided_transitions += (None in before[:2]) != (None in after[:2])
+        assert one_sided_transitions > 0 and at_best_reductions > 0

@@ -192,6 +192,64 @@ class TestMessageTranslation:
         assert lb.replay(msgs).timeline[-1] == (101 * lb.NS, 99, None, 5, 0)
 
 
+class TestReplayReadsQuoteOnChange:
+    MSGS = [
+        "100.0,1,1,10,10000,1",  # one-sided bid
+        "100.0,1,2,10,10200,-1",  # two-sided
+        "100.5,1,3,5,9900,1",  # deep: no change
+        "101.0,5,0,7,10100,1",  # hidden execution
+        "101.5,6,0,5,10000,1",  # auction
+        "102.0,7,0,0,0,-1",  # halt
+        "102.5,1,4,3,10100,1",  # new best bid ...
+        "102.5,3,4,3,10100,1",  # ... gone in the same nanosecond
+        "103.0,2,1,4,10000,1",  # partial cancel at the best
+        "103.5,4,2,4,10200,-1",  # partial execution at the best
+        "104.0,1,5,9,10200,1",  # crossing buy: takes 6, rests 3 at 10200
+        "104.5,2,3,1,9900,1",  # partial cancel below the best
+        "105.0,3,5,3,10200,1",  # bid back to 10000
+        "105.5,3,1,6,10000,1",
+        "105.5,3,3,4,9900,1",  # bid side empty
+        "106.0,1,6,2,10100,1",
+    ]
+
+    @staticmethod
+    def reference(msgs):
+        """Replay one message at a time on one book, reading the quote after each."""
+        ob = bk.OrderBook()
+        timeline, l1_rows, events = [], [], []
+        counters = lb.ReplayCounters()
+        seq = 0
+        for msg in msgs:
+            step = lb.replay([msg], ob=ob, keep_events=True)
+            for ev in step.events:
+                order = ev.order
+                if order is not None:
+                    order = bk.Order(order.id, order.side, order.price, order.size,
+                                     order.entry_seq + seq)
+                events.append(ev._replace(seq=ev.seq + seq, order=order))
+            seq += max(1, len(step.events))
+            for name in vars(counters):
+                setattr(counters, name, getattr(counters, name) + getattr(step.counters, name))
+            st_ = ob.state(msg.t_ns)
+            if not timeline or timeline[-1][1:] != st_[1:]:
+                timeline.append(st_)
+            ask = st_.ask * 100 if st_.ask is not None else lb.EMPTY_ASK_PRICE
+            bid = st_.bid * 100 if st_.bid is not None else lb.EMPTY_BID_PRICE
+            l1_rows.append((ask, st_.na, bid, st_.nb))
+        return timeline, l1_rows, events, counters
+
+    def test_matches_reading_the_quote_after_every_message(self):
+        msgs = msg_rows(self.MSGS)
+        res = lb.replay(msgs, record_l1=True, keep_events=True)
+        timeline, l1_rows, events, counters = self.reference(msgs)
+        assert res.timeline == timeline
+        assert res.l1_rows == l1_rows
+        assert res.events == events
+        assert res.counters == counters
+        assert counters.crossing_submits == 1 and counters.ignored_messages == 2
+        assert [st_.t_ns for st_ in timeline].count(102_500_000_000) == 2
+
+
 class TestSessionFilter:
     def test_boundaries(self):
         # the window is half-open: a trade at the close is outside it

@@ -362,6 +362,33 @@ class TestCli:
         samples = Path("a/samples.csv").read_bytes()
         assert len(samples.splitlines()) == 41
         assert Path("b/samples.csv").read_bytes() == samples
+        # the variable stands in for the file's data_dir; a resolved config sets it
+        Path("run.cfg").write_text(Path("run.cfg").read_text().replace("data_dir = simdata\n", ""))
+        monkeypatch.setenv(pl.ENV_DATA_DIR, "simdata")
+        assert cli_main(["sample", "--config", "run.cfg", "--out", "c"]) == 0
+        assert cli_main(["sample", "--config", "c/resolved_config.txt", "--out", "d"]) == 0
+        assert Path("c/samples.csv").read_bytes() == Path("d/samples.csv").read_bytes() == samples
+
+    @pytest.mark.parametrize("command", ["sample", "fit", "evaluate", "report"])
+    def test_staged_out_is_a_file_exit_2(self, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"x")
+        assert cli_main([command, "--seed", "1", "--out", str(afile)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert afile.read_bytes() == b"x"
+
+    @pytest.mark.parametrize("command", ["simulate", "sample", "pipeline"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_non_ascii_out_dir_exit_2(self, tmp_path, monkeypatch, capsys, command, via):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--seed", "1"]
+        if via == "flag":
+            argv += ["--out", "o\u00e9"]
+        else:
+            monkeypatch.setenv(pl.ENV_OUT_DIR, "o\u00e9")
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: out_dir: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_local_curve_is_data_error(self, tmp_path):
         path = tmp_path / "local_curve.csv"
