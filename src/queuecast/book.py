@@ -201,10 +201,15 @@ class OrderBook:
             raise ValueError(f"order {order_id}: bad side {side}")
         if order_id in self._orders:
             raise ValueError(f"order id {order_id} already active")
-        best = self._best
-        opposite = best[-side]
+        opposite = self._best[-side]
         if opposite is not None and (price >= opposite if side == BUY else price <= opposite):
             raise CrossedSubmit(order_id, price, opposite)
+        return self._rest(order)
+
+    def _rest(self, order: Order) -> bool:
+        """``submit`` without its checks, for callers that made them: the
+        order is valid, its id is not live and it does not cross."""
+        side, price, order_id = order.side, order.price, order.id
         lvl = self._levels[side].get(price)
         if lvl is None:
             self._levels[side][price] = {order_id: order}
@@ -213,6 +218,7 @@ class OrderBook:
             lvl[order_id] = order
             self._totals[side][price] += order.size
         self._orders[order_id] = order
+        best = self._best
         own = best[side]
         if own is None or (price > own if side == BUY else price < own):
             best[side] = price

@@ -18,6 +18,19 @@ class ConfigError(QueuecastError):
 class DataError(QueuecastError):
     """Malformed or inconsistent input data."""
 
+    line_no = None  # the input line at fault, where one is known
+
+    def at_line(self, line_no: int) -> "DataError":
+        """Prefix the message with the input line at fault; returns self."""
+        self.line_no = line_no
+        self.args = (f"line {line_no}: {self}",)
+        return self
+
+    def in_file(self, path) -> "DataError":
+        """Append the file that holds the fault to the message; returns self."""
+        self.args = (f"{self} (in {path})",)
+        return self
+
 
 class NumericalError(QueuecastError):
     """Estimation or evaluation failure."""

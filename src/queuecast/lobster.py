@@ -29,6 +29,8 @@ from .errors import (
     MalformedRow,
     NoData,
     NonMonotoneTime,
+    OverReduce,
+    UnknownOrderId,
     UnknownTypeCode,
 )
 
@@ -47,7 +49,6 @@ AUCTION = 6
 HALT = 7
 
 _VALID_CODES = frozenset((1, 2, 3, 4, 5, 6, 7))
-_ZERO_SIZE_NAMES = {SUBMISSION: "submission", PARTIAL_CANCEL: "partial cancel", EXECUTION: "execution"}
 
 
 class LobsterMessage(NamedTuple):
@@ -209,76 +210,84 @@ def apply_message(
     else None. The ``BookEvent``s are built only when an ``events`` list is
     given, and are appended to it.
 
+    Submissions, the commonest message, are checked here once (size, tick
+    lattice, live id, crossing) and rested with the book's unchecked insert.
     Crossing submissions are decomposed into executions against the opposite
     queue in priority order plus a residual submission; LOBSTER streams
     report executions explicitly, so this path only fires on synthetic or
     foreign data.
     """
     t_ns, code, order_id, size, price_i4, direction = msg
+    if code == SUBMISSION:
+        price = price_i4 // tick_i4
+        if size < 1 or price < 1 or price * tick_i4 != price_i4 or order_id in ob._orders:
+            raise _submission_fault(ob, order_id, size, price_i4, tick_i4, line_no)
+        side = bk.BUY if direction == 1 else bk.SELL
+        best = ob._best
+        opp = best[-side]
+        changed, n, trades = False, 0, ()
+        if opp is not None and (price >= opp if side == bk.BUY else price <= opp):
+            counters.crossing_submits += 1
+            trades = []
+            while opp is not None and (price >= opp if side == bk.BUY else price <= opp):
+                head = ob.first_at_best(-side)
+                fill = min(size, head.size)
+                trades.append((head.price, fill))
+                changed |= ob.reduce(head.id, fill)
+                if events is not None:
+                    events.append(bk.BookEvent.execute(t_ns, seq + n, head.id, fill))
+                n += 1
+                size -= fill
+                if size == 0:
+                    return changed, n, trades, None
+                opp = best[-side]
+        order = bk.Order(order_id, side, price, size, seq + n)
+        if events is not None:  # the book shrinks its order in place; the event keeps a copy
+            events.append(bk.BookEvent.submit(t_ns, seq + n, replace(order)))
+        at_best = ob._rest(order)
+        return changed or at_best, n + 1, trades, (price, size) if at_best else None
     if code == FULL_DELETE:
         changed = ob.delete(order_id)
         if events is not None:
             events.append(bk.BookEvent.delete(t_ns, seq, order_id))
         return changed, 1, (), None
-    if code == HIDDEN_EXECUTION or code == AUCTION or code == HALT:
-        if code == HIDDEN_EXECUTION:
-            counters.hidden_volume += size
-        else:
-            counters.ignored_messages += 1
-        return False, 0, (), None
-    name = _ZERO_SIZE_NAMES.get(code)  # the codes left: 1, 2 and 4
-    if name is None:
-        raise UnknownTypeCode(line_no, code)
-    if size < 1:
-        raise MalformedRow(line_no, f"{name} with size 0")
     if code == EXECUTION:
+        if size < 1:
+            raise MalformedRow(line_no, "execution with size 0")
         price = ob.get_order(order_id).price
         changed = ob.reduce(order_id, size)
         if events is not None:
             events.append(bk.BookEvent.execute(t_ns, seq, order_id, size))
         return changed, 1, ((price, size),), None
     if code == PARTIAL_CANCEL:
+        if size < 1:
+            raise MalformedRow(line_no, "partial cancel with size 0")
         changed = ob.reduce(order_id, size)
         if events is not None:
             events.append(bk.BookEvent.reduce(t_ns, seq, order_id, size))
         return changed, 1, (), None
-    if ob.has_order(order_id):
-        raise MalformedRow(line_no, f"submission reuses live order id {order_id}")
-    price = _price_to_ticks(price_i4, tick_i4, line_no)
-    side = bk.BUY if direction == 1 else bk.SELL
-    changed, n, trades = False, 0, ()
-    opp = ob.best(-side)
-    if opp is not None and (price >= opp if side == bk.BUY else price <= opp):
-        counters.crossing_submits += 1
-        trades = []
-        while size > 0:
-            opp = ob.best(-side)
-            if opp is None or not (price >= opp if side == bk.BUY else price <= opp):
-                break
-            head = ob.first_at_best(-side)
-            fill = min(size, head.size)
-            trades.append((head.price, fill))
-            changed |= ob.reduce(head.id, fill)
-            if events is not None:
-                events.append(bk.BookEvent.execute(t_ns, seq + n, head.id, fill))
-            n += 1
-            size -= fill
-    if size == 0:
-        return changed, n, trades, None
-    order = bk.Order(order_id, side, price, size, seq + n)
-    if events is not None:  # the book shrinks its order in place; the event keeps a copy
-        events.append(bk.BookEvent.submit(t_ns, seq + n, replace(order)))
-    at_best = ob.submit(order)
-    return changed or at_best, n + 1, trades, (price, size) if at_best else None
+    if code == HIDDEN_EXECUTION:
+        counters.hidden_volume += size
+    elif code == AUCTION or code == HALT:
+        counters.ignored_messages += 1
+    else:
+        raise UnknownTypeCode(line_no, code)
+    return False, 0, (), None
 
 
-def _price_to_ticks(price_i4: int, tick_i4: int, line_no: int) -> int:
-    ticks, rem = divmod(price_i4, tick_i4)
-    if rem:
-        raise MalformedRow(line_no, f"price {price_i4} not on the {tick_i4} tick lattice")
-    if ticks < 1:
-        raise MalformedRow(line_no, f"price {price_i4} below one tick")
-    return ticks
+def _submission_fault(
+    ob: bk.OrderBook, order_id: int, size: int, price_i4: int, tick_i4: int, line_no: int
+) -> MalformedRow:
+    """The positioned error of a submission that failed apply_message's check."""
+    if size < 1:
+        reason = "submission with size 0"
+    elif ob.has_order(order_id):
+        reason = f"submission reuses live order id {order_id}"
+    elif price_i4 % tick_i4:
+        reason = f"price {price_i4} not on the {tick_i4} tick lattice"
+    else:
+        reason = f"price {price_i4} below one tick"
+    return MalformedRow(line_no, reason)
 
 
 def messages_to_events(msgs: Iterable[LobsterMessage], tick_size: float = 0.01) -> list[bk.BookEvent]:
@@ -333,8 +342,11 @@ def replay(
     record, so a level-1 row repeats the previous row object. Book events
     are built only with ``keep_events``.
 
-    Messages are pulled one at a time, so a generator that reads ``ob`` sees
-    the book after its previous message was applied.
+    A message is a LobsterMessage or a plain tuple in its field order; both
+    are read by position. Messages are pulled one at a time, so a generator
+    that reads ``ob`` sees the book after its previous message was applied.
+    A book fault (unknown order id, over-reduce) is raised positioned at its
+    message's line.
     """
     if ob is None:
         ob = bk.OrderBook(tick_size=tick_size)
@@ -350,34 +362,39 @@ def replay(
     first_session_ns = None
     row = None
     seq = n_messages = n_events = 0
-    for n_messages, msg in enumerate(msgs, start=1):
-        t = msg.t_ns
-        in_session = window is None or (open_ns <= t < close_ns)
-        if in_session and first_session_ns is None:
-            first_session_ns = t
-        changed, n, trades, submit = apply_message(ob, msg, seq, tick_i4, counters, n_messages, events)
-        n_events += n
-        seq += n or 1
-        if in_session:
-            for price_ticks, size in trades:
-                price_i4 = price_ticks * tick_i4
-                stats.executed_volume_i4 += size * price_i4
-                if stats.trade_price_min_i4 is None or price_i4 < stats.trade_price_min_i4:
-                    stats.trade_price_min_i4 = price_i4
-                if stats.trade_price_max_i4 is None or price_i4 > stats.trade_price_max_i4:
-                    stats.trade_price_max_i4 = price_i4
-            if submit is not None:
-                stats.best_quote_limit_volume_i4 += submit[1] * submit[0] * tick_i4
-        if changed or not timeline:
-            st = ob.state(t)
-            # a changed message may net out to the last record (intra-message flicker)
-            if not timeline or timeline[-1][1:] != st[1:]:
-                timeline.append(st)
-                if record_l1:
-                    row = (st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE, st.na,
-                           st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE, st.nb)
-        if record_l1:
-            l1_rows.append(row)
+    try:
+        for n_messages, msg in enumerate(msgs, start=1):
+            t = msg[0]
+            in_session = window is None or (open_ns <= t < close_ns)
+            if in_session and first_session_ns is None:
+                first_session_ns = t
+            changed, n, trades, submit = apply_message(
+                ob, msg, seq, tick_i4, counters, n_messages, events
+            )
+            n_events += n
+            seq += n or 1
+            if in_session:
+                for price_ticks, size in trades:
+                    price_i4 = price_ticks * tick_i4
+                    stats.executed_volume_i4 += size * price_i4
+                    if stats.trade_price_min_i4 is None or price_i4 < stats.trade_price_min_i4:
+                        stats.trade_price_min_i4 = price_i4
+                    if stats.trade_price_max_i4 is None or price_i4 > stats.trade_price_max_i4:
+                        stats.trade_price_max_i4 = price_i4
+                if submit is not None:
+                    stats.best_quote_limit_volume_i4 += submit[1] * submit[0] * tick_i4
+            if changed or not timeline:
+                st = ob.state(t)
+                # a changed message may net out to the last record (intra-message flicker)
+                if not timeline or timeline[-1][1:] != st[1:]:
+                    timeline.append(st)
+                    if record_l1:
+                        row = (st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE, st.na,
+                               st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE, st.nb)
+            if record_l1:
+                l1_rows.append(row)
+    except (UnknownOrderId, OverReduce) as exc:  # the book does not know the line
+        raise exc.at_line(n_messages)
     counters.messages, counters.events = n_messages, n_events
     res.first_session_event_ns = first_session_ns
     if window is not None:

@@ -240,7 +240,7 @@ def preset_day_config(cfg: RunConfig, day: int) -> sim.ZiConfig:
 
 
 def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
-    res = sim.simulate(preset_day_config(cfg, day))
+    res = sim._session(preset_day_config(cfg, day), record=False)  # no messages, no level-1 rows
     close_ns = min(res.end_ns, cfg.window.close_ns)
     day_samples = sp.build_day_samples(
         res.timeline,
@@ -264,21 +264,24 @@ def read_lobster_day(
 ) -> tuple[lb.ReplayResult, Optional[lb.VerificationReport]]:
     """Parse and replay LOBSTER day ``day``, and verify it if it has a level-1 file.
 
-    A file that cannot be read is a DataError naming it.
+    A file that cannot be read is a DataError naming it, and so is every
+    fault found in one.
     """
-    want_l1 = bool(cfg.orderbook_files)
+    path = cfg.message_files[day]
     try:
-        msgs = list(lb.parse_messages(cfg.message_files[day]))
+        msgs = list(lb.parse_messages(path))
         res = lb.replay(
             msgs, tick_size=cfg.tick_size, window=cfg.window,
-            record_l1=want_l1, keep_events=keep_events,
+            record_l1=bool(cfg.orderbook_files), keep_events=keep_events,
         )
-        if not want_l1:
+        if not cfg.orderbook_files:
             return res, None
-        ref = lb.parse_l1_file(cfg.orderbook_files[day])
+        path = cfg.orderbook_files[day]
+        return res, lb.verify_against_l1(res.l1_rows, lb.parse_l1_file(path))
     except OSError as exc:
         raise DataError(f"cannot read day {day}: {exc}") from None
-    return res, lb.verify_against_l1(res.l1_rows, ref)
+    except DataError as exc:
+        raise exc.in_file(path)
 
 
 def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:
@@ -324,10 +327,12 @@ def _day_worker(args) -> DayOutcome:
 
 
 def run_days(cfg: RunConfig) -> list[DayOutcome]:
+    """Every day's outcome, in day order. With ``jobs`` > 1 each day is its
+    own pool task, so a worker that finishes early takes the next day."""
     tasks = [(cfg, day) for day in range(cfg.days)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            return list(ex.map(_day_worker, tasks, chunksize=4))
+            return list(ex.map(_day_worker, tasks))
     return [_day_worker(t) for t in tasks]
 
 

@@ -294,6 +294,8 @@ def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
 
 
 def read_samples_csv(path) -> list[SamplePoint]:
+    """Read samples.csv; a row whose I is not a finite number in [-1, 1], or
+    whose y is not 0 or 1, is a DataError naming the file and the line."""
     out: list[SamplePoint] = []
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
@@ -302,16 +304,19 @@ def read_samples_csv(path) -> list[SamplePoint]:
             if header != list(SAMPLE_COLUMNS):
                 raise DataError(f"{path}: unexpected samples.csv header {header}")
             for row in reader:
-                out.append(
-                    SamplePoint(
-                        instrument=row[0],
-                        day=int(row[1]),
-                        t_sample_ns=int(row[2]),
-                        t_change_ns=int(row[3]),
-                        imbalance=float(row[4]),
-                        label=int(row[5]),
-                    )
+                point = SamplePoint(
+                    instrument=row[0],
+                    day=int(row[1]),
+                    t_sample_ns=int(row[2]),
+                    t_change_ns=int(row[3]),
+                    imbalance=float(row[4]),
+                    label=int(row[5]),
                 )
+                if not -1.0 <= point.imbalance <= 1.0:  # false for nan too
+                    raise ValueError(f"I = {row[4]} is not a finite number in [-1, 1]")
+                if point.label != 0 and point.label != 1:
+                    raise ValueError(f"y = {row[5]} is not 0 or 1")
+                out.append(point)
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
     except (ValueError, IndexError, csv.Error) as exc:

@@ -22,6 +22,7 @@ platform.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
@@ -84,17 +85,26 @@ class SimResult:
 
 def _uniforms(rng: np.random.Generator, block: int = 8192) -> Iterator[float]:
     """Sequential uniform [0,1) draws, block-buffered for speed."""
-    while True:
-        yield from rng.random(block).tolist()
+    return itertools.chain.from_iterable(iter(lambda: rng.random(block).tolist(), None))
 
 
 def simulate(cfg: ZiConfig) -> SimResult:
     """Run the zero-intelligence flow for one simulated session."""
+    return _session(cfg, record=True)
+
+
+def _session(cfg: ZiConfig, record: bool) -> SimResult:
+    """One simulated session. ``record`` keeps its messages and level-1 rows;
+    a pipeline day reads neither, so it runs without them and gets the same
+    timeline, stats and counts."""
     cfg.validate()
     ob = bk.OrderBook(tick_size=cfg.tick_size)
     start_ns = cfg.start_time_s * NS
     res = SimResult(config=cfg, first_event_ns=start_ns, end_ns=start_ns + round(cfg.horizon * NS))
-    rep = lb.replay(_order_flow(cfg, ob, res), tick_size=cfg.tick_size, record_l1=True, ob=ob)
+    flow = _order_flow(cfg, ob, res)
+    if record:
+        flow = _kept(flow, res.messages)
+    rep = lb.replay(flow, tick_size=cfg.tick_size, record_l1=record, ob=ob)
     res.timeline, res.l1_rows, res.stats = rep.timeline, rep.l1_rows, rep.stats
     # after a side depletion the last state is one-sided, so integrating
     # to the horizon adds nothing past the final message
@@ -103,17 +113,29 @@ def simulate(cfg: ZiConfig) -> SimResult:
     return res
 
 
-def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[lb.LobsterMessage]:
-    """Yield the session's messages, recording them and the process counts
-    in ``res``; ``ob`` is the book replay applies each message to."""
+def _kept(flow: Iterator[tuple], out: list[lb.LobsterMessage]) -> Iterator[tuple]:
+    """Pass ``flow`` through, appending each message to ``out`` as a LobsterMessage."""
+    keep, make = out.append, lb.LobsterMessage._make
+    for msg in flow:
+        keep(make(msg))
+        yield msg
+
+
+def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tuple]:
+    """Yield the session's messages, recording the process counts, the
+    side depletion and the order-time integral in ``res``; ``ob`` is the
+    book replay applies each message to. A message is a plain tuple in
+    ``LobsterMessage`` field order, which replay reads by position; building
+    the named tuple would add about 200 ns to each message."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     draw = _uniforms(rng).__next__
     tick_i4 = round(cfg.tick_size * 10000)
     counts = {"buy_limit": 0, "sell_limit": 0, "buy_market": 0, "sell_market": 0, "cancel": 0}
     res.process_counts = counts
-    keep = res.messages.append
-    message = lb.LobsterMessage
-    best, has_order = ob.best, ob.has_order
+    SUBMISSION, EXECUTION, FULL_DELETE = lb.SUBMISSION, lb.EXECUTION, lb.FULL_DELETE
+    BUY, SELL = bk.BUY, bk.SELL
+    # the book's own tables, read-only here: replay is the one writer
+    best, orders, book_levels = ob._best, ob._orders, ob._levels
     size, levels, market_rate, cancel_rate = cfg.order_size, cfg.levels, cfg.market_rate, cfg.cancel_rate
     registry: list[int] = []  # resting order ids, swap-removed on exit
     pos: dict[int, int] = {}
@@ -130,11 +152,9 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[lb.
     # initial book preamble: plain submissions at the start timestamp
     for lvl in range(cfg.initial_levels):
         for price in (cfg.initial_price - lvl, cfg.initial_price + cfg.initial_spread + lvl):
-            side = 1 if price <= cfg.initial_price else -1
+            side = BUY if price <= cfg.initial_price else SELL
             for _ in range(cfg.initial_depth):
-                msg = message(start_ns, lb.SUBMISSION, next_id, size, price * tick_i4, side)
-                keep(msg)
-                yield msg
+                yield (start_ns, SUBMISSION, next_id, size, price * tick_i4, side)
                 pos[next_id] = len(registry)
                 registry.append(next_id)
                 next_id += 1
@@ -158,38 +178,35 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[lb.
         t_ns += dt_ns
         v = draw() * total_rate
         if v < rate_limit:
-            side = bk.BUY if v < rate_limit_side else bk.SELL
-            anchor = best(-side)
+            side = BUY if v < rate_limit_side else SELL
+            anchor = best[-side]
             if anchor is None:
                 res.side_depleted = True
                 break
             offset = int(draw() * levels)
             if offset >= levels:  # guard against a draw of exactly 1.0
                 offset = levels - 1
-            price = anchor - 1 - offset if side == bk.BUY else anchor + 1 + offset
+            price = anchor - 1 - offset if side == BUY else anchor + 1 + offset
             if price < 1:
                 price = 1
-            counts["buy_limit" if side == bk.BUY else "sell_limit"] += 1
-            msg = message(t_ns, lb.SUBMISSION, next_id, size, price * tick_i4, side)
-            keep(msg)
-            yield msg
+            counts["buy_limit" if side == BUY else "sell_limit"] += 1
+            yield (t_ns, SUBMISSION, next_id, size, price * tick_i4, side)
             pos[next_id] = len(registry)
             registry.append(next_id)
             next_id += 1
         elif v < base_rate:
-            side = bk.BUY if v < rate_buy_market else bk.SELL
-            counts["buy_market" if side == bk.BUY else "sell_market"] += 1
+            side = BUY if v < rate_buy_market else SELL
+            counts["buy_market" if side == BUY else "sell_market"] += 1
             remaining = size
             while remaining > 0:
-                if best(-side) is None:
+                top = best[-side]
+                if top is None:
                     res.side_depleted = True
                     break
-                head = ob.first_at_best(-side)
+                head = next(iter(book_levels[-side][top].values()))  # FIFO head at the best
                 fill = min(remaining, head.size)
-                msg = message(t_ns, lb.EXECUTION, head.id, fill, head.price * tick_i4, head.side)
-                keep(msg)
-                yield msg
-                if not has_order(head.id):
+                yield (t_ns, EXECUTION, head.id, fill, top * tick_i4, -side)
+                if head.id not in orders:
                     drop_resting(head.id)
                 remaining -= fill
             if res.side_depleted:
@@ -199,13 +216,11 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[lb.
             if idx >= n_resting:
                 idx = n_resting - 1
             oid = registry[idx]
-            order = ob.get_order(oid)
+            order = orders[oid]
             counts["cancel"] += 1
-            msg = message(t_ns, lb.FULL_DELETE, oid, order.size, order.price * tick_i4, order.side)
-            keep(msg)
-            yield msg
+            yield (t_ns, FULL_DELETE, oid, order.size, order.price * tick_i4, order.side)
             drop_resting(oid)
-        if best(bk.BUY) is None or best(bk.SELL) is None:
+        if best[BUY] is None or best[SELL] is None:
             res.side_depleted = True
             break
     res.order_ns = order_ns

@@ -12,6 +12,8 @@ from queuecast.errors import (
     MalformedRow,
     NoData,
     NonMonotoneTime,
+    OverReduce,
+    UnknownOrderId,
     UnknownTypeCode,
 )
 
@@ -178,14 +180,66 @@ class TestMessageTranslation:
             ("100.5,4,1,0,10000,1", "execution with size 0"),
             ("100.5,1,1,5,9900,1", "reuses live order id 1"),
             ("100.5,1,3,5,0,1", "price 0 below one tick"),
+            ("100.5,1,3,0,9900,1", "submission with size 0"),
+            ("100.5,1,3,5,9950,1", "price 9950 not on the 100 tick lattice"),
+            ("100.5,1,3,5,-100,1", "price -100 below one tick"),
+            # the checks run in this order; the first failing one is reported
+            ("100.5,1,1,0,9950,1", "submission with size 0"),
+            ("100.5,1,1,5,-150,1", "reuses live order id 1"),
+            ("100.5,1,3,5,-150,1", "price -150 not on the 100 tick lattice"),
         ],
-        ids=["cancel-0", "execution-0", "duplicate-id", "price-0"],
+        ids=["cancel-0", "execution-0", "duplicate-id", "price-0", "submission-0",
+             "off-lattice", "negative-price", "size-before-id", "id-before-price",
+             "lattice-before-floor"],
     )
     def test_invalid_message_is_positioned_malformed_row(self, row, reason):
         msgs = msg_rows(["100.0,1,1,25,10000,1", "100.0,1,2,25,10100,-1", row])
         with pytest.raises(MalformedRow, match=reason) as ei:
             lb.replay(msgs)
         assert ei.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "row, error, text",
+        [
+            ("100.5,4,99,5,10000,1", UnknownOrderId, "unknown order id 99"),
+            ("100.5,3,99,5,10000,1", UnknownOrderId, "unknown order id 99"),
+            ("100.5,2,1,50,10000,1", OverReduce,
+             "reduce of 50 exceeds resting size 25 for order 1"),
+        ],
+        ids=["execution", "delete", "over-reduce"],
+    )
+    def test_book_fault_is_positioned(self, row, error, text):
+        msgs = msg_rows(["100.0,1,1,25,10000,1", "100.0,1,2,25,10100,-1", row])
+        with pytest.raises(error) as ei:
+            lb.replay(msgs)
+        assert str(ei.value) == f"line 3: {text}"
+        assert ei.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "size, tail, last",
+        [
+            (4, [(bk.EXECUTE, 1, 4)], (100, 101, 6, 5)),
+            (10, [(bk.EXECUTE, 1, 4), (bk.EXECUTE, 2, 6)], (None, 101, 0, 5)),
+            (12, [(bk.EXECUTE, 1, 4), (bk.EXECUTE, 2, 6), (bk.SUBMIT, 9, 0)], (None, 100, 0, 2)),
+        ],
+        ids=["head-only", "whole-level", "residual"],
+    )
+    def test_sell_touching_best_bid_is_decomposed(self, size, tail, last):
+        # bid queue [4, 6] at 100; a sell at exactly 100 trades, it does not rest
+        msgs = msg_rows(
+            [
+                "100.0,1,1,4,10000,1",
+                "100.0,1,2,6,10000,1",
+                "100.0,1,3,5,10100,-1",
+                f"101.0,1,9,{size},10000,-1",
+            ]
+        )
+        res = lb.replay(msgs, keep_events=True, window=lb.SessionWindow(0, 200))
+        assert [(e.kind, e.order_id, e.delta) for e in res.events[3:]] == tail
+        assert res.counters.crossing_submits == 1
+        assert res.timeline[-1][1:] == last
+        assert res.stats.executed_volume_i4 == min(size, 10) * 10000
+        assert res.stats.trade_price_min_i4 == res.stats.trade_price_max_i4 == 10000
 
     def test_resubmitting_a_removed_id_is_allowed(self):
         msgs = msg_rows(["100.0,1,1,25,10000,1", "100.5,3,1,25,10000,1", "101.0,1,1,5,9900,1"])

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from queuecast import lobster as lb
 from queuecast import pipeline as pl
+from queuecast import simulate as sim
 from queuecast.cli import main as cli_main
 from queuecast.errors import ConfigError, DataError
 from queuecast.evaluate import EvalReport, null_model_report
@@ -197,6 +201,31 @@ class TestPipelineRun:
         assert out.exists() and not any(out.iterdir())
 
 
+class TestDayLoop:
+    def test_jobs_keep_outcomes_in_day_order(self, tmp_path):
+        # five days over two workers, one day per task: both workers run days
+        cfg = pl.load_config(None, fast_overrides(tmp_path, days=5, horizon=30.0))
+        serial = pl.run_days(cfg)
+        assert [oc.day for oc in serial] == list(range(5))
+        assert pl.run_days(replace(cfg, jobs=2)) == serial
+
+    @pytest.mark.parametrize("preset", ["large-tick", "small-tick"])
+    def test_unrecorded_day_matches_recorded_simulation(self, tmp_path, monkeypatch, preset):
+        cfg = pl.load_config(None, fast_overrides(tmp_path, preset=preset, days=2, horizon=120.0))
+        lean = [pl._simulated_day(cfg, day) for day in range(2)]
+        session, recorded = sim._session, []
+
+        def recorded_session(zi, record):  # what sim.simulate returns
+            recorded.append(session(zi, record=True))
+            return recorded[-1]
+
+        monkeypatch.setattr(sim, "_session", recorded_session)
+        full = [pl._simulated_day(cfg, day) for day in range(2)]
+        assert all(res.messages and res.l1_rows for res in recorded)
+        assert lean == full
+        assert all(oc.points for oc in lean)
+
+
 class TestNullOnlyRun:
     def test_null_only_model_set(self, tmp_path):
         out = tmp_path / "nullrun"
@@ -270,15 +299,18 @@ class TestCli:
         assert err.startswith("data error: ") and "samples.csv" in err
 
     @pytest.mark.parametrize(
-        "extra_row",
+        "extra_row, text",
         [
-            "36000.000000000,2,1,0,200000,1",
-            "36000.000000000,4,1,0,200000,1",
-            "36000.000000000,1,1,1,200000,1",
+            ("36000.000000000,2,1,0,200000,1", "partial cancel with size 0"),
+            ("36000.000000000,4,1,0,200000,1", "execution with size 0"),
+            ("36000.000000000,1,1,1,200000,1", "submission reuses live order id 1"),
+            ("36000.000000000,4,99,1,200000,1", "unknown order id 99"),
+            ("36000.000000000,2,1,5,200000,1", "reduce of 5 exceeds resting size 1 for order 1"),
         ],
-        ids=["zero-size-cancel", "zero-size-execution", "duplicate-order-id"],
+        ids=["zero-size-cancel", "zero-size-execution", "duplicate-order-id", "unknown-id",
+             "over-reduce"],
     )
-    def test_ingest_invalid_message_exit_3(self, tmp_path, capsys, extra_row):
+    def test_ingest_invalid_message_exit_3(self, tmp_path, capsys, extra_row, text):
         day = simulate(regime_preset("large-tick", seed=7, horizon=1.0))
         rows = [lb.format_message(m) for m in day.messages[:10]]
         assert rows[0] == "36000.000000000,1,1,1,200000,1"
@@ -289,7 +321,33 @@ class TestCli:
             f"source = lobster\nmessage_files = {msg}\nout_dir = {tmp_path / 'ing_out'}\n"
         )
         assert cli_main(["ingest", "--config", str(cfgfile)]) == 3
-        assert capsys.readouterr().err.startswith("data error: line 11: ")
+        assert capsys.readouterr().err == f"data error: line 11: {text} (in {msg})\n"
+
+    @pytest.mark.parametrize("stage", ["fit", "evaluate"])
+    @pytest.mark.parametrize(
+        "value, text",
+        [("nan,1", "I = nan is not a finite number in [-1, 1]"),
+         ("-inf,1", "I = -inf is not a finite number in [-1, 1]"),
+         ("1.5,0", "I = 1.5 is not a finite number in [-1, 1]"),
+         ("0.25,2", "y = 2 is not 0 or 1")],
+        ids=["nan", "inf", "out-of-range", "bad-label"],
+    )
+    def test_bad_sample_value_exit_3(self, tmp_path, stage, value, text):
+        out = tmp_path / "stage_out"
+        out.mkdir()
+        rows = [f"SIM,0,{i},{i + 1},0.5,{i % 2}\n" for i in range(10)]
+        rows[6] = f"SIM,0,6,7,{value}\n"  # line 8, after the header
+        samples = out / "samples.csv"
+        samples.write_text("instrument,day,t_sample_ns,t_change_ns,I,y\n" + "".join(rows))
+        cfgfile = tmp_path / "stage.cfg"
+        cfgfile.write_text(f"out_dir = {out}\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "queuecast.cli", stage, "--config", str(cfgfile)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"data error: {samples}, line 8: {text}\n"
 
     @pytest.mark.parametrize(
         "stage, missing",

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from queuecast import lobster as lb
+from queuecast import simulate as sim
 from queuecast.errors import DegenerateConfig, UnknownPreset
 from queuecast.book import BestQuoteState
 from queuecast.lobster import integrate_timeline
@@ -129,6 +130,30 @@ class TestFlowProperties:
         # the simulator's own
         window = lb.SessionWindow(res.config.start_time_s, res.config.start_time_s + 120)
         assert lb.replay(msgs, window=window).stats == res.stats
+
+
+class TestUnrecordedSession:
+    """A session run without messages and level-1 rows (a pipeline day's)
+    is the recorded session minus those two lists."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            regime_preset("large-tick", seed=3, horizon=60.0),
+            regime_preset("small-tick", seed=3, horizon=120.0),
+            small_cfg(limit_rate=0.0, cancel_rate=0.0, market_rate=50.0,
+                      initial_levels=1, initial_depth=1, horizon=600.0),
+        ],
+        ids=["large-tick", "small-tick", "side-depleted"],
+    )
+    def test_matches_recorded_session(self, cfg):
+        full = simulate(cfg)
+        lean = sim._session(cfg, record=False)
+        assert full.messages and full.l1_rows
+        assert lean.messages == [] and lean.l1_rows == []
+        for name in ("timeline", "stats", "process_counts", "side_depleted", "order_ns",
+                     "first_event_ns", "end_ns"):
+            assert getattr(lean, name) == getattr(full, name), name
 
 
 class TestPresets:
