@@ -70,32 +70,56 @@ def _config_from_args(args) -> pl.RunConfig:
     return pl.load_config(args.config, overrides)
 
 
+def _open_out(path):
+    return open(path, "w", encoding="ascii", newline="\n")
+
+
 def cmd_simulate(cfg: pl.RunConfig) -> None:
-    """Write per-day message and level-1 orderbook CSVs plus a manifest."""
+    """Write per-day message and level-1 orderbook CSVs plus a manifest; each
+    row is written as the simulator makes it."""
     out = pl.fresh_out_dir(cfg)
     pl.write_resolved_config(cfg, out)
     manifest = {"preset": cfg.preset, "seed": cfg.seed, "days": []}
     for day in range(cfg.days):
-        res = sim.simulate(pl.preset_day_config(cfg, day))
         msg_name = f"day{day:03d}_message.csv"
         l1_name = f"day{day:03d}_orderbook.csv"
-        lb.write_messages(out / msg_name, res.messages)
-        lb.write_l1_file(out / l1_name, res.l1_rows)
+        with _open_out(out / msg_name) as msg_fh, _open_out(out / l1_name) as l1_fh:
+            res = sim.simulate(
+                pl.preset_day_config(cfg, day), lb.message_writer(msg_fh), lb.l1_writer(l1_fh)
+            )
         manifest["days"].append(
             {
                 "day": day,
                 "message_file": msg_name,
                 "orderbook_file": l1_name,
-                "messages": len(res.messages),
+                "messages": res.counters.messages,
                 "side_depleted": res.side_depleted,
             }
         )
     rp.write_json(out / "manifest.json", manifest)
 
 
+def _event_writer(fh):
+    """Append target that writes each book event to ``fh`` as an events-CSV row."""
+    write = fh.write
+
+    def append(ev: bk.BookEvent) -> None:
+        if ev.kind == bk.SUBMIT:
+            order = ev.order
+            write(f"{ev.seq},{ev.t_ns},{ev.kind},{order.id},{order.price},{order.size}\n")
+        else:
+            write(f"{ev.seq},{ev.t_ns},{ev.kind},{ev.order_id},,{ev.delta}\n")
+
+    return append
+
+
 def cmd_ingest(cfg: pl.RunConfig) -> None:
     """Replay message files into normalized event logs, verify against any
-    orderbook references, and write the summary-statistics record."""
+    orderbook references, and write the summary-statistics record.
+
+    Each day's events are written as replay makes them, under a temporary
+    name that becomes the events file once the day has verified; a day that
+    fails leaves neither."""
     if cfg.source != "lobster":
         raise ConfigError("ingest requires source = lobster with message_files")
     out = pl.fresh_out_dir(cfg)
@@ -103,16 +127,17 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
     day_stats = []
     verification = {}
     for day in range(cfg.days):
-        res, report = pl.read_lobster_day(cfg, day, keep_events=True)
+        events = out / f"day{day:03d}_events.csv"
+        partial = out / f"day{day:03d}_events.csv.partial"
+        try:
+            with _open_out(partial) as fh:
+                fh.write("seq,t_ns,kind,order_id,price_ticks,size_delta\n")
+                res, report = pl.read_lobster_day(cfg, day, events=_event_writer(fh))
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+        partial.replace(events)
         day_stats.append(res.stats)
-        with open(out / f"day{day:03d}_events.csv", "w", encoding="ascii", newline="\n") as fh:
-            fh.write("seq,t_ns,kind,order_id,price_ticks,size_delta\n")
-            for ev_ in res.events:
-                if ev_.kind == bk.SUBMIT:
-                    price, delta, oid = ev_.order.price, ev_.order.size, ev_.order.id
-                else:
-                    oid, delta, price = ev_.order_id, ev_.delta, ""
-                fh.write(f"{ev_.seq},{ev_.t_ns},{ev_.kind},{oid},{price},{delta}\n")
         if report is not None:
             verification[f"day{day:03d}"] = {
                 "checked": report.checked,

@@ -19,6 +19,7 @@ class DataError(QueuecastError):
     """Malformed or inconsistent input data."""
 
     line_no = None  # the input line at fault, where one is known
+    path = None  # the file at fault, where one is known
 
     def at_line(self, line_no: int) -> "DataError":
         """Prefix the message with the input line at fault; returns self."""
@@ -27,8 +28,11 @@ class DataError(QueuecastError):
         return self
 
     def in_file(self, path) -> "DataError":
-        """Append the file that holds the fault to the message; returns self."""
-        self.args = (f"{self} (in {path})",)
+        """Append the file that holds the fault to the message, unless one is
+        already named (the reader nearest the fault names it); returns self."""
+        if self.path is None:
+            self.path = path
+            self.args = (f"{self} (in {path})",)
         return self
 
 
@@ -73,8 +77,10 @@ class BothQueuesEmpty(NumericalError):
 
 class MalformedRow(DataError):
     def __init__(self, line_no, reason):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {reason}")
+        """``line_no`` None leaves the row to be positioned later (``at_line``)."""
+        super().__init__(reason)
+        if line_no is not None:
+            self.at_line(line_no)
 
 
 class NonMonotoneTime(DataError):
@@ -85,9 +91,11 @@ class NonMonotoneTime(DataError):
 
 class UnknownTypeCode(DataError):
     def __init__(self, line_no, code):
-        self.line_no = line_no
+        """``line_no`` None leaves the row to be positioned later (``at_line``)."""
         self.code = code
-        super().__init__(f"line {line_no}: unknown message type code {code}")
+        super().__init__(f"unknown message type code {code}")
+        if line_no is not None:
+            self.at_line(line_no)
 
 
 class LengthMismatch(DataError):

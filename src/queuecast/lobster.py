@@ -12,25 +12,34 @@ message, 7 trading halt. Codes 5-7 never mutate the visible book.
 
 The companion orderbook file carries one row per message; its first four
 columns are ask price x 10000, ask size, bid price x 10000, bid size, which
-is what ``verify_against_l1`` checks the reconstruction against.
+is what ``L1Verifier`` checks the reconstruction against.
+
+A day is one pass with no per-message list: ``replay`` pulls messages from
+``parse_messages`` one at a time, and sends each level-1 row and book event
+to an append target as it makes them, a list, a file writer
+(``l1_writer``) or an ``L1Verifier``, which compares the row with the next
+row of a lazily parsed orderbook file and keeps only the mismatches. What
+grows with the day is the quote timeline, one record per quote change.
 
 Times are parsed to integer nanoseconds; no float time arithmetic anywhere.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import (
+    Callable, ContextManager, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO,
+)
 
 from . import book as bk
 from .errors import (
+    DataError,
     LengthMismatch,
     MalformedRow,
     NoData,
     NonMonotoneTime,
-    OverReduce,
-    UnknownOrderId,
     UnknownTypeCode,
 )
 
@@ -105,80 +114,133 @@ def format_message(msg: LobsterMessage) -> str:
     )
 
 
-def _open_lines(source) -> Iterable[str]:
-    # A non-ASCII byte decodes to a lone surrogate, which no field parser
-    # accepts, so it is reported as a MalformedRow on its own line.
+def _open_lines(source) -> ContextManager[Iterable[str]]:
+    """The lines of ``source``, as a context that closes a file it opened.
+
+    A non-ASCII byte decodes to a lone surrogate, which no field parser
+    accepts, so it is reported as a MalformedRow on its own line."""
     if isinstance(source, str):
         return open(source, "r", encoding="ascii", errors="surrogateescape")
     if isinstance(source, bytes):
         return io.StringIO(source.decode("ascii", errors="surrogateescape"))
-    return source
+    return contextlib.nullcontext(source)
 
 
 def parse_messages(source) -> Iterator[LobsterMessage]:
     """Parse a message file (path, text-file object, or line iterable).
 
-    Yields messages in file order; raises a positioned error on the first
-    malformed row, non-monotone timestamp, or unknown type code.
+    Yields messages in file order as they are pulled; raises a positioned
+    error on the first malformed row, non-monotone timestamp, or unknown type
+    code. A fault that the consumer finds in a message and throws back into
+    this generator (``replay`` does) is positioned at the message's file line.
     """
+    new, message = tuple.__new__, LobsterMessage  # the named tuple without its Python __new__
     prev_t = -1
-    for line_no, line in enumerate(_open_lines(source), start=1):
-        row = line.strip()
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != 6:
-            raise MalformedRow(line_no, f"expected 6 fields, got {len(parts)}")
-        try:
-            t_ns = parse_time_ns(parts[0])
-            code = int(parts[1])
-            order_id = int(parts[2])
-            size = int(parts[3])
-            price = int(parts[4])
-            direction = int(parts[5])
-        except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
-        if code not in _VALID_CODES:
-            raise UnknownTypeCode(line_no, code)
-        if direction not in (1, -1):
-            raise MalformedRow(line_no, f"direction must be +1 or -1, got {direction}")
-        if size < 0:
-            raise MalformedRow(line_no, f"negative size {size}")
-        if t_ns < prev_t:
-            raise NonMonotoneTime(line_no)
-        prev_t = t_ns
-        yield LobsterMessage(t_ns, code, order_id, size, price, direction)
+    with _open_lines(source) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            row = line.strip()
+            if not row:
+                continue
+            parts = row.split(",")
+            if len(parts) != 6:
+                raise MalformedRow(line_no, f"expected 6 fields, got {len(parts)}")
+            stamp, code, order_id, size, price, direction = parts
+            whole, dot, frac = stamp.partition(".")
+            try:
+                if whole.isdecimal() and (not dot or frac.isdecimal() and len(frac) <= 9):
+                    t_ns = int(whole + frac.ljust(9, "0"))
+                else:  # spaces around the stamp, or a bad stamp
+                    t_ns = parse_time_ns(stamp)
+                code = int(code)
+                order_id = int(order_id)
+                size = int(size)
+                price = int(price)
+                direction = int(direction)
+            except ValueError as exc:
+                raise MalformedRow(line_no, str(exc)) from None
+            if code not in _VALID_CODES or direction not in (1, -1) or size < 0 or t_ns < prev_t:
+                raise _row_fault(line_no, code, direction, size)
+            prev_t = t_ns
+            try:
+                yield new(message, (t_ns, code, order_id, size, price, direction))
+            except DataError as exc:  # thrown back: the consumer's fault in this message
+                raise exc.at_line(line_no) from None
+
+
+def _row_fault(line_no: int, code: int, direction: int, size: int) -> DataError:
+    """The positioned error of a row that failed parse_messages' checks, the
+    first failing one in order; a row that passes the first three goes back in time."""
+    if code not in _VALID_CODES:
+        return UnknownTypeCode(line_no, code)
+    if direction not in (1, -1):
+        return MalformedRow(line_no, f"direction must be +1 or -1, got {direction}")
+    if size < 0:
+        return MalformedRow(line_no, f"negative size {size}")
+    return NonMonotoneTime(line_no)
+
+
+def message_writer(fh: TextIO) -> Callable[[LobsterMessage], None]:
+    """Append target that writes each message to ``fh`` as a message-file row."""
+    write = fh.write
+
+    def append(msg: LobsterMessage) -> None:
+        write(format_message(msg) + "\n")
+
+    return append
 
 
 def write_messages(path, msgs: Iterable[LobsterMessage]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
+        append = message_writer(fh)
         for m in msgs:
-            fh.write(format_message(m))
-            fh.write("\n")
+            append(m)
+
+
+def parse_l1_rows(source) -> Iterator[tuple[int, int, int, int]]:
+    """Parse the first four columns of a LOBSTER orderbook file, row by row
+    as they are pulled."""
+    last_line = l1 = None
+    with _open_lines(source) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            if line != last_line:  # a row repeats while the quote is unchanged
+                row = line.strip()
+                if not row:
+                    continue
+                parts = row.split(",", 4)
+                if len(parts) < 4:
+                    raise MalformedRow(line_no, f"expected >= 4 fields, got {len(parts)}")
+                try:
+                    l1 = (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
+                except ValueError as exc:
+                    raise MalformedRow(line_no, str(exc)) from None
+                last_line = line
+            yield l1
 
 
 def parse_l1_file(source) -> list[tuple[int, int, int, int]]:
-    """Parse the first four columns of a LOBSTER orderbook file."""
-    rows = []
-    for line_no, line in enumerate(_open_lines(source), start=1):
-        row = line.strip()
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) < 4:
-            raise MalformedRow(line_no, f"expected >= 4 fields, got {len(parts)}")
-        try:
-            rows.append(tuple(int(p) for p in parts[:4]))
-        except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
-    return rows
+    """Every row of ``parse_l1_rows``, as a list."""
+    return list(parse_l1_rows(source))
+
+
+def l1_writer(fh: TextIO) -> Callable[[tuple[int, int, int, int]], None]:
+    """Append target that writes each level-1 row to ``fh`` as an orderbook-file row."""
+    write = fh.write
+    last = text = None
+
+    def append(row: tuple[int, int, int, int]) -> None:
+        nonlocal last, text
+        if row is not last:  # replay repeats the row object while the quote is unchanged
+            last, text = row, f"{row[0]},{row[1]},{row[2]},{row[3]}\n"
+        write(text)
+
+    return append
 
 
 def write_l1_file(path, rows: Iterable[tuple[int, int, int, int]]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
+        append = l1_writer(fh)
         for r in rows:
-            fh.write(",".join(str(v) for v in r))
-            fh.write("\n")
+            append(r)
 
 
 # --- message -> event translation ---------------------------------------------
@@ -198,8 +260,7 @@ def apply_message(
     seq: int,
     tick_i4: int,
     counters: ReplayCounters,
-    line_no: int = 0,
-    events: Optional[list[bk.BookEvent]] = None,
+    emit: Optional[Callable[[bk.BookEvent], None]] = None,
 ) -> tuple[bool, int, Sequence[tuple[int, int]], Optional[tuple[int, int]]]:
     """Translate one message into book mutations and apply them in order.
 
@@ -207,8 +268,9 @@ def apply_message(
     changed, how many book events the message became (numbered from
     ``seq``), the executed ``(price_ticks, size)`` pairs, and the
     ``(price_ticks, size)`` of a submission that rests at its side's best,
-    else None. The ``BookEvent``s are built only when an ``events`` list is
-    given, and are appended to it.
+    else None. The ``BookEvent``s are built only when an ``emit`` append
+    target is given, and go to it in order. A fault in the message is raised
+    without a line; ``replay`` positions it.
 
     Submissions, the commonest message, are checked here once (size, tick
     lattice, live id, crossing) and rested with the book's unchecked insert.
@@ -221,7 +283,7 @@ def apply_message(
     if code == SUBMISSION:
         price = price_i4 // tick_i4
         if size < 1 or price < 1 or price * tick_i4 != price_i4 or order_id in ob._orders:
-            raise _submission_fault(ob, order_id, size, price_i4, tick_i4, line_no)
+            raise _submission_fault(ob, order_id, size, price_i4, tick_i4)
         side = bk.BUY if direction == 1 else bk.SELL
         best = ob._best
         opp = best[-side]
@@ -234,51 +296,51 @@ def apply_message(
                 fill = min(size, head.size)
                 trades.append((head.price, fill))
                 changed |= ob.reduce(head.id, fill)
-                if events is not None:
-                    events.append(bk.BookEvent.execute(t_ns, seq + n, head.id, fill))
+                if emit is not None:
+                    emit(bk.BookEvent.execute(t_ns, seq + n, head.id, fill))
                 n += 1
                 size -= fill
                 if size == 0:
                     return changed, n, trades, None
                 opp = best[-side]
         order = bk.Order(order_id, side, price, size, seq + n)
-        if events is not None:  # the book shrinks its order in place; the event keeps a copy
-            events.append(bk.BookEvent.submit(t_ns, seq + n, replace(order)))
+        if emit is not None:  # the book shrinks its order in place; the event keeps a copy
+            emit(bk.BookEvent.submit(t_ns, seq + n, replace(order)))
         at_best = ob._rest(order)
         return changed or at_best, n + 1, trades, (price, size) if at_best else None
     if code == FULL_DELETE:
         changed = ob.delete(order_id)
-        if events is not None:
-            events.append(bk.BookEvent.delete(t_ns, seq, order_id))
+        if emit is not None:
+            emit(bk.BookEvent.delete(t_ns, seq, order_id))
         return changed, 1, (), None
     if code == EXECUTION:
         if size < 1:
-            raise MalformedRow(line_no, "execution with size 0")
+            raise MalformedRow(None, "execution with size 0")
         price = ob.get_order(order_id).price
         changed = ob.reduce(order_id, size)
-        if events is not None:
-            events.append(bk.BookEvent.execute(t_ns, seq, order_id, size))
+        if emit is not None:
+            emit(bk.BookEvent.execute(t_ns, seq, order_id, size))
         return changed, 1, ((price, size),), None
     if code == PARTIAL_CANCEL:
         if size < 1:
-            raise MalformedRow(line_no, "partial cancel with size 0")
+            raise MalformedRow(None, "partial cancel with size 0")
         changed = ob.reduce(order_id, size)
-        if events is not None:
-            events.append(bk.BookEvent.reduce(t_ns, seq, order_id, size))
+        if emit is not None:
+            emit(bk.BookEvent.reduce(t_ns, seq, order_id, size))
         return changed, 1, (), None
     if code == HIDDEN_EXECUTION:
         counters.hidden_volume += size
     elif code == AUCTION or code == HALT:
         counters.ignored_messages += 1
     else:
-        raise UnknownTypeCode(line_no, code)
+        raise UnknownTypeCode(None, code)
     return False, 0, (), None
 
 
 def _submission_fault(
-    ob: bk.OrderBook, order_id: int, size: int, price_i4: int, tick_i4: int, line_no: int
+    ob: bk.OrderBook, order_id: int, size: int, price_i4: int, tick_i4: int
 ) -> MalformedRow:
-    """The positioned error of a submission that failed apply_message's check."""
+    """The error of a submission that failed apply_message's check."""
     if size < 1:
         reason = "submission with size 0"
     elif ob.has_order(order_id):
@@ -287,7 +349,7 @@ def _submission_fault(
         reason = f"price {price_i4} not on the {tick_i4} tick lattice"
     else:
         reason = f"price {price_i4} below one tick"
-    return MalformedRow(line_no, reason)
+    return MalformedRow(None, reason)
 
 
 def messages_to_events(msgs: Iterable[LobsterMessage], tick_size: float = 0.01) -> list[bk.BookEvent]:
@@ -325,28 +387,33 @@ def replay(
     msgs: Iterable[LobsterMessage],
     tick_size: float = 0.01,
     window: Optional[SessionWindow] = None,
-    record_l1: bool = False,
-    keep_events: bool = False,
+    record_l1: bool | Optional[Callable[[tuple[int, int, int, int]], None]] = False,
+    keep_events: bool | Optional[Callable[[bk.BookEvent], None]] = False,
     ob: Optional[bk.OrderBook] = None,
 ) -> ReplayResult:
     """Replay a message stream through a fresh book.
 
-    Returns the change timeline (one BestQuoteState per best-quote change),
-    optional per-message level-1 rows for verification, and session-window
-    accumulators for the summary-statistics table. Events outside the window
-    still evolve the book (warm start); the window only scopes the stats and
-    marks the first in-session event time for sampling.
+    Returns the change timeline (one BestQuoteState per best-quote change)
+    and session-window accumulators for the summary-statistics table. Events
+    outside the window still evolve the book (warm start); the window only
+    scopes the stats and marks the first in-session event time for sampling.
+
+    ``record_l1`` and ``keep_events`` say where the per-message level-1 rows
+    and the book events go: nowhere (False or None), to the result's ``l1_rows`` or
+    ``events`` list (True), or to an append target, a callable that takes
+    each one as it is made (a file writer, an ``L1Verifier.check``). Neither
+    is built when it goes nowhere.
 
     The quote is read (``ob.state``) only after a message that changed it,
     and after the first message; otherwise it equals the last timeline
-    record, so a level-1 row repeats the previous row object. Book events
-    are built only with ``keep_events``.
+    record, so a level-1 row repeats the previous row object.
 
     A message is a LobsterMessage or a plain tuple in its field order; both
     are read by position. Messages are pulled one at a time, so a generator
     that reads ``ob`` sees the book after its previous message was applied.
-    A book fault (unknown order id, over-reduce) is raised positioned at its
-    message's line.
+    A fault in a message (unknown order id, over-reduce, an invalid
+    submission) is raised positioned at its line: the file line when ``msgs``
+    is ``parse_messages``, else the message's ordinal.
     """
     if ob is None:
         ob = bk.OrderBook(tick_size=tick_size)
@@ -355,8 +422,8 @@ def replay(
     counters = res.counters
     stats = res.stats
     timeline = res.timeline
-    l1_rows = res.l1_rows
-    events = res.events if keep_events else None
+    l1 = _append_target(record_l1, res.l1_rows)
+    emit = _append_target(keep_events, res.events)
     open_ns = window.open_ns if window is not None else None
     close_ns = window.close_ns if window is not None else None
     first_session_ns = None
@@ -368,9 +435,7 @@ def replay(
             in_session = window is None or (open_ns <= t < close_ns)
             if in_session and first_session_ns is None:
                 first_session_ns = t
-            changed, n, trades, submit = apply_message(
-                ob, msg, seq, tick_i4, counters, n_messages, events
-            )
+            changed, n, trades, submit = apply_message(ob, msg, seq, tick_i4, counters, emit)
             n_events += n
             seq += n or 1
             if in_session:
@@ -388,19 +453,44 @@ def replay(
                 # a changed message may net out to the last record (intra-message flicker)
                 if not timeline or timeline[-1][1:] != st[1:]:
                     timeline.append(st)
-                    if record_l1:
+                    if l1 is not None:
                         row = (st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE, st.na,
                                st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE, st.nb)
-            if record_l1:
-                l1_rows.append(row)
-    except (UnknownOrderId, OverReduce) as exc:  # the book does not know the line
-        raise exc.at_line(n_messages)
+            if l1 is not None:
+                l1(row)
+    except DataError as exc:
+        if exc.line_no is not None:  # a fault in reading, positioned by its reader
+            raise
+        raise _at_message(msgs, exc, n_messages) from None
     counters.messages, counters.events = n_messages, n_events
     res.first_session_event_ns = first_session_ns
     if window is not None:
         (stats.nb_time_integral, stats.na_time_integral, stats.spread_time_integral,
          stats.two_sided_ns) = integrate_timeline(timeline, open_ns, close_ns)
     return res
+
+
+def _append_target(spec, kept: list) -> Optional[Callable]:
+    """Where a ``record_l1`` / ``keep_events`` argument sends its items."""
+    if spec is True:
+        return kept.append
+    return spec or None
+
+
+def _at_message(msgs: Iterable, exc: DataError, ordinal: int) -> DataError:
+    """Position a fault found in message ``ordinal`` of ``msgs``.
+
+    The fault is thrown back into a generator source: ``parse_messages``
+    positions it at the message's file line, which differs from the ordinal
+    after a blank line. Any other source leaves it to the ordinal.
+    """
+    throw = getattr(msgs, "throw", None)
+    if throw is not None:
+        try:
+            throw(exc)
+        except DataError:
+            pass
+    return exc if exc.line_no is not None else exc.at_line(ordinal)
 
 
 def integrate_timeline(
@@ -447,19 +537,57 @@ class VerificationReport:
         return not self.mismatches
 
 
+class L1Verifier:
+    """Append target for replay's level-1 rows: ``check`` compares each row
+    with the next reference row as it comes, keeping only the mismatches.
+
+    The reference is pulled lazily, so a parsed orderbook file is read in
+    step with the message file. A DataError from reading it names ``source``.
+    """
+
+    def __init__(self, reference: Iterable[tuple[int, int, int, int]], source=None):
+        self._reference = enumerate(reference)
+        self._source = source
+        self._unmatched = 0  # rows checked after the reference ran out
+        self.mismatches: list[Mismatch] = []
+
+    def check(self, row: tuple[int, int, int, int]) -> None:
+        try:
+            for i, ref in self._reference:  # one step
+                if ref != row:
+                    self.mismatches.append(Mismatch(i, row, ref))
+                return
+        except DataError as exc:
+            raise self._named(exc) from None
+        self._unmatched += 1
+
+    def report(self, checked: int) -> VerificationReport:
+        """End the check after ``checked`` rows (replay's message count).
+
+        Reads the reference rows left over; LengthMismatch if the reference
+        does not have exactly ``checked`` rows, whichever is longer."""
+        try:
+            left_over = sum(1 for _ in self._reference)
+        except DataError as exc:
+            raise self._named(exc) from None
+        n_reference = checked - self._unmatched + left_over
+        if n_reference != checked:
+            raise self._named(LengthMismatch(checked, n_reference))
+        return VerificationReport(checked, self.mismatches)
+
+    def _named(self, exc: DataError) -> DataError:
+        return exc if self._source is None else exc.in_file(self._source)
+
+
 def verify_against_l1(
     reconstructed: Sequence[tuple[int, int, int, int]],
     reference: Sequence[tuple[int, int, int, int]],
 ) -> VerificationReport:
-    """Compare per-message level-1 rows against a reference orderbook file."""
-    if len(reconstructed) != len(reference):
-        raise LengthMismatch(len(reconstructed), len(reference))
-    mismatches = [
-        Mismatch(i, tuple(a), tuple(b))
-        for i, (a, b) in enumerate(zip(reconstructed, reference))
-        if tuple(a) != tuple(b)
-    ]
-    return VerificationReport(len(reconstructed), mismatches)
+    """Compare per-message level-1 rows against a reference orderbook file's rows."""
+    verifier = L1Verifier(map(tuple, reference))
+    for row in reconstructed:
+        verifier.check(tuple(row))
+    return verifier.report(len(reconstructed))
 
 
 @dataclass

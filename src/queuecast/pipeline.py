@@ -19,11 +19,12 @@ import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__, seeds
+from . import book as bk
 from . import evaluate as ev
 from . import local as lo
 from . import logistic as lg
@@ -240,7 +241,7 @@ def preset_day_config(cfg: RunConfig, day: int) -> sim.ZiConfig:
 
 
 def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
-    res = sim._session(preset_day_config(cfg, day), record=False)  # no messages, no level-1 rows
+    res = sim._session(preset_day_config(cfg, day))  # no messages, no level-1 rows
     close_ns = min(res.end_ns, cfg.window.close_ns)
     day_samples = sp.build_day_samples(
         res.timeline,
@@ -260,28 +261,34 @@ def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
 
 
 def read_lobster_day(
-    cfg: RunConfig, day: int, keep_events: bool = False
+    cfg: RunConfig, day: int, events: Optional[Callable[[bk.BookEvent], None]] = None
 ) -> tuple[lb.ReplayResult, Optional[lb.VerificationReport]]:
-    """Parse and replay LOBSTER day ``day``, and verify it if it has a level-1 file.
+    """Parse, replay and verify LOBSTER day ``day`` in one pass.
+
+    Messages are parsed as replay pulls them. If the day has a level-1 file,
+    each reconstructed row is checked against its next row as soon as replay
+    makes it, and only the mismatches are kept. The book events go to the
+    append target ``events``, if given. What the day keeps is the quote
+    timeline, one record per quote change.
 
     A file that cannot be read is a DataError naming it, and so is every
-    fault found in one.
+    fault found in one; of two faults, the first in reading order is raised.
     """
     path = cfg.message_files[day]
+    verifier = None
+    if cfg.orderbook_files:
+        l1_path = cfg.orderbook_files[day]
+        verifier = lb.L1Verifier(lb.parse_l1_rows(l1_path), source=l1_path)
     try:
-        msgs = list(lb.parse_messages(path))
         res = lb.replay(
-            msgs, tick_size=cfg.tick_size, window=cfg.window,
-            record_l1=bool(cfg.orderbook_files), keep_events=keep_events,
+            lb.parse_messages(path), tick_size=cfg.tick_size, window=cfg.window,
+            record_l1=verifier.check if verifier else None, keep_events=events,
         )
-        if not cfg.orderbook_files:
-            return res, None
-        path = cfg.orderbook_files[day]
-        return res, lb.verify_against_l1(res.l1_rows, lb.parse_l1_file(path))
+        return res, verifier.report(res.counters.messages) if verifier else None
     except OSError as exc:
         raise DataError(f"cannot read day {day}: {exc}") from None
     except DataError as exc:
-        raise exc.in_file(path)
+        raise exc.in_file(path)  # a level-1 fault already names its file
 
 
 def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:

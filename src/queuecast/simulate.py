@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -76,6 +76,7 @@ class SimResult:
     l1_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
     timeline: list[bk.BestQuoteState] = field(default_factory=list)
     stats: lb.DayStats = field(default_factory=lb.DayStats)
+    counters: lb.ReplayCounters = field(default_factory=lb.ReplayCounters)
     process_counts: dict = field(default_factory=dict)
     order_ns: int = 0  # integral of resting-order count over time, order x ns
     side_depleted: bool = False
@@ -88,24 +89,40 @@ def _uniforms(rng: np.random.Generator, block: int = 8192) -> Iterator[float]:
     return itertools.chain.from_iterable(iter(lambda: rng.random(block).tolist(), None))
 
 
-def simulate(cfg: ZiConfig) -> SimResult:
-    """Run the zero-intelligence flow for one simulated session."""
-    return _session(cfg, record=True)
+def simulate(
+    cfg: ZiConfig,
+    messages: Optional[Callable[[lb.LobsterMessage], None]] = None,
+    l1_rows: Optional[Callable[[tuple[int, int, int, int]], None]] = None,
+) -> SimResult:
+    """Run the zero-intelligence flow for one simulated session.
+
+    Each message and each level-1 row goes to its append target as it is
+    generated (``lobster.message_writer`` and ``l1_writer`` write them to
+    files); without a target they are kept in ``messages`` and ``l1_rows``
+    of the result."""
+    kept_messages, kept_rows = [], []
+    res = _session(cfg, messages or kept_messages.append, l1_rows or kept_rows.append)
+    res.messages, res.l1_rows = kept_messages, kept_rows
+    return res
 
 
-def _session(cfg: ZiConfig, record: bool) -> SimResult:
-    """One simulated session. ``record`` keeps its messages and level-1 rows;
-    a pipeline day reads neither, so it runs without them and gets the same
-    timeline, stats and counts."""
+def _session(
+    cfg: ZiConfig,
+    messages: Optional[Callable[[lb.LobsterMessage], None]] = None,
+    l1_rows: Optional[Callable[[tuple[int, int, int, int]], None]] = None,
+) -> SimResult:
+    """One simulated session, its messages and level-1 rows sent to the
+    append targets given. A pipeline day reads neither, so it runs without
+    them and gets the same timeline, stats and counts."""
     cfg.validate()
     ob = bk.OrderBook(tick_size=cfg.tick_size)
     start_ns = cfg.start_time_s * NS
     res = SimResult(config=cfg, first_event_ns=start_ns, end_ns=start_ns + round(cfg.horizon * NS))
     flow = _order_flow(cfg, ob, res)
-    if record:
-        flow = _kept(flow, res.messages)
-    rep = lb.replay(flow, tick_size=cfg.tick_size, record_l1=record, ob=ob)
-    res.timeline, res.l1_rows, res.stats = rep.timeline, rep.l1_rows, rep.stats
+    if messages is not None:
+        flow = _kept(flow, messages)
+    rep = lb.replay(flow, tick_size=cfg.tick_size, record_l1=l1_rows, ob=ob)
+    res.timeline, res.stats, res.counters = rep.timeline, rep.stats, rep.counters
     # after a side depletion the last state is one-sided, so integrating
     # to the horizon adds nothing past the final message
     (res.stats.nb_time_integral, res.stats.na_time_integral, res.stats.spread_time_integral,
@@ -113,11 +130,11 @@ def _session(cfg: ZiConfig, record: bool) -> SimResult:
     return res
 
 
-def _kept(flow: Iterator[tuple], out: list[lb.LobsterMessage]) -> Iterator[tuple]:
-    """Pass ``flow`` through, appending each message to ``out`` as a LobsterMessage."""
-    keep, make = out.append, lb.LobsterMessage._make
+def _kept(flow: Iterator[tuple], append: Callable[[lb.LobsterMessage], None]) -> Iterator[tuple]:
+    """Pass ``flow`` through, giving each message to ``append`` as a LobsterMessage."""
+    new, message = tuple.__new__, lb.LobsterMessage
     for msg in flow:
-        keep(make(msg))
+        append(new(message, msg))
         yield msg
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from queuecast import book as bk
 from queuecast import lobster as lb
 from queuecast.errors import (
+    DataError,
     LengthMismatch,
     MalformedRow,
     NoData,
@@ -302,6 +303,71 @@ class TestReplayReadsQuoteOnChange:
         assert res.counters == counters
         assert counters.crossing_submits == 1 and counters.ignored_messages == 2
         assert [st_.t_ns for st_ in timeline].count(102_500_000_000) == 2
+
+
+# per field, values that a row must be rejected for, in one context or another
+FAULTY_FIELDS = [
+    ["", "x", "1.0000000001", "-1.0", "1e3"],
+    ["0", "8", "x"],
+    ["x", ""],
+    ["0", "-1", "1.5"],
+    ["10150", "0", "-100", ""],
+    ["0", "2", "+"],
+]
+
+
+@st.composite
+def message_rows(draw):
+    """Six-field rows over a few order ids and overlapping bid and ask
+    prices, so that books form and cross. Some rows carry a fault: a blank
+    line (not a fault), a garbled field, a wrong field count, time going back."""
+    rows, t_ns = [], 36000 * lb.NS
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            rows.append(draw(st.sampled_from(["", "  "])))
+            continue
+        t_ns += draw(st.integers(-1, 30))
+        fields = [
+            lb.format_time_ns(t_ns),
+            draw(st.sampled_from("1111234567")),  # submissions are the commonest
+            str(draw(st.integers(1, 9))),
+            str(draw(st.integers(1, 12))),
+            str(draw(st.integers(98, 102)) * 100),
+            draw(st.sampled_from(["1", "-1"])),
+        ]
+        if kind == 1:
+            i = draw(st.integers(0, 5))
+            fields[i] = draw(st.sampled_from(FAULTY_FIELDS[i])
+                             | st.text(alphabet="0123456789.-+ x\xe9", max_size=4))
+        elif kind == 2:
+            fields = fields[: draw(st.integers(1, 5))] or fields + ["1"]
+        rows.append(",".join(fields))
+    return rows
+
+
+class TestArbitraryRows:
+    @given(rows=message_rows())
+    def test_replay_succeeds_or_raises_positioned_data_error(self, rows):
+        try:
+            lb.replay(lb.parse_messages(rows), record_l1=True, keep_events=True)
+        except DataError as exc:
+            line = exc.line_no
+            assert line is not None and str(exc).startswith(f"line {line}: ")
+            assert 1 <= line <= len(rows) and rows[line - 1].strip()
+            # the fault is in that file line: the rows before it are clean
+            lb.replay(lb.parse_messages(rows[: line - 1]))
+            with pytest.raises(DataError):
+                lb.replay(lb.parse_messages(rows[:line]))
+
+    def test_fault_after_a_blank_line_names_its_file_line(self):
+        rows = ["36000.0,1,1,10,10000,1", "", "36001.0,1,2,10,10200,-1", "36002.0,4,99,1,10000,1"]
+        with pytest.raises(UnknownOrderId) as ei:
+            lb.replay(lb.parse_messages(rows))
+        assert str(ei.value) == "line 4: unknown order id 99"
+        # a list of messages has no file lines: its ordinal stands in
+        with pytest.raises(UnknownOrderId, match="^line 3: "):
+            lb.replay(list(lb.parse_messages(rows)))
 
 
 class TestSessionFilter:

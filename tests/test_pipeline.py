@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +48,15 @@ def fast_overrides(out_dir, **extra):
     }
     base.update(extra)
     return base
+
+
+def run_cli(*argv, cwd=None):
+    """The CLI in a child process, so that a traceback would show on its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "queuecast.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
 
 
 class TestConfig:
@@ -215,15 +225,86 @@ class TestDayLoop:
         lean = [pl._simulated_day(cfg, day) for day in range(2)]
         session, recorded = sim._session, []
 
-        def recorded_session(zi, record):  # what sim.simulate returns
-            recorded.append(session(zi, record=True))
-            return recorded[-1]
+        def recorded_session(zi):  # the session sim.simulate runs, its lists kept
+            messages, l1_rows = [], []
+            recorded.append((messages, l1_rows))
+            return session(zi, messages.append, l1_rows.append)
 
         monkeypatch.setattr(sim, "_session", recorded_session)
         full = [pl._simulated_day(cfg, day) for day in range(2)]
-        assert all(res.messages and res.l1_rows for res in recorded)
+        assert all(messages and l1_rows for messages, l1_rows in recorded)
         assert lean == full
         assert all(oc.points for oc in lean)
+
+
+def write_day(directory, zi) -> int:
+    """Simulate a day into a message file and its level-1 file; its message count."""
+    with open(directory / "m.csv", "w") as msg_fh, open(directory / "o.csv", "w") as l1_fh:
+        res = simulate(zi, lb.message_writer(msg_fh), lb.l1_writer(l1_fh))
+    return res.counters.messages
+
+
+def lobster_config(directory):
+    return pl.load_config(None, {
+        "source": "lobster", "message_files": str(directory / "m.csv"),
+        "orderbook_files": str(directory / "o.csv"),
+    })
+
+
+def list_based_day(cfg, day):
+    """The day read whole: parse every message, replay the list, then verify
+    the level-1 rows against the parsed reference list."""
+    msgs = list(lb.parse_messages(cfg.message_files[day]))
+    res = lb.replay(msgs, tick_size=cfg.tick_size, window=cfg.window, record_l1=True)
+    reference = lb.parse_l1_file(cfg.orderbook_files[day])
+    report = lb.verify_against_l1(res.l1_rows, reference)
+    assert [(m.index, m.reconstructed, m.reference) for m in report.mismatches] == [
+        (i, a, b) for i, (a, b) in enumerate(zip(res.l1_rows, reference)) if a != b
+    ]
+    return res, report
+
+
+class TestOnePassDay:
+    @pytest.mark.parametrize("preset", ["large-tick", "small-tick", "altered-row"])
+    def test_streamed_day_equals_list_based(self, tmp_path, preset):
+        if preset == "altered-row":
+            rows = ["36000.0,1,1,10,10000,1", "36000.0,1,2,10,10200,-1", "",
+                    "36001.0,5,0,7,10100,1", "36001.5,1,3,4,10100,1", "36001.5,3,3,4,10100,1",
+                    "36002.0,1,4,12,10200,1", "36003.0,2,1,4,10000,1"]
+            (tmp_path / "m.csv").write_text("".join(f"{r}\n" for r in rows))
+            l1 = lb.replay(lb.parse_messages(rows), record_l1=True).l1_rows
+            l1[3] = (l1[3][0], l1[3][1] + 1, *l1[3][2:])
+            lb.write_l1_file(tmp_path / "o.csv", l1)
+        else:
+            write_day(tmp_path, regime_preset(preset, seed=5, horizon=120.0))
+        cfg = lobster_config(tmp_path)
+        streamed, report = pl.read_lobster_day(cfg, 0)
+        listed, list_report = list_based_day(cfg, 0)
+        for name in ("timeline", "stats", "counters", "first_session_event_ns"):
+            assert getattr(streamed, name) == getattr(listed, name), name
+        assert streamed.l1_rows == [] and streamed.events == []
+        assert report == list_report
+        assert report.checked == streamed.counters.messages
+        if preset == "altered-row":
+            assert [m.index for m in report.mismatches] == [3]
+        else:
+            assert report.ok and len(streamed.timeline) > 50
+
+    def test_peak_memory_per_message(self, tmp_path):
+        # What a day keeps is its quote timeline, about 40 traced bytes a
+        # message on large-tick, plus the book; a day read whole (messages,
+        # reconstructed and reference level-1 rows in lists) peaked at about
+        # 410 bytes a message.
+        n_messages = write_day(tmp_path, regime_preset("large-tick", seed=3, horizon=300.0))
+        cfg = lobster_config(tmp_path)
+        tracemalloc.start()
+        try:
+            res, report = pl.read_lobster_day(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and n_messages > 25_000
+        assert peak / n_messages < 150
 
 
 class TestNullOnlyRun:
@@ -341,11 +422,7 @@ class TestCli:
         samples.write_text("instrument,day,t_sample_ns,t_change_ns,I,y\n" + "".join(rows))
         cfgfile = tmp_path / "stage.cfg"
         cfgfile.write_text(f"out_dir = {out}\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "queuecast.cli", stage, "--config", str(cfgfile)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli(stage, "--config", str(cfgfile))
         assert proc.returncode == 3
         assert proc.stderr == f"data error: {samples}, line 8: {text}\n"
 
@@ -393,6 +470,82 @@ class TestCli:
         err = capsys.readouterr().err
         expected = str(tmp_path / name) if what == "dir" else "line 2: "
         assert err.startswith("data error: ") and expected in err
+
+    def test_fault_after_a_blank_line_names_its_file_line(self, tmp_path):
+        (tmp_path / "m.csv").write_text(
+            "36000.0,1,1,10,10000,1\n\n36001.0,1,2,10,10200,-1\n36002.0,4,99,1,10000,1\n"
+        )
+        (tmp_path / "run.cfg").write_text("source = lobster\nmessage_files = m.csv\n")
+        proc = run_cli("ingest", "--config", "run.cfg", "--out", "out", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "data error: line 4: unknown order id 99 (in m.csv)\n"
+
+    # a day whose level-1 file matches its messages row for row
+    DAY = {
+        "m.csv": ["36000.0,1,1,10,10000,1", "36001.0,1,2,10,10200,-1",
+                  "36002.0,2,1,3,10000,1", "36003.0,4,2,4,10200,-1"],
+        "o.csv": ["9999999999,0,10000,10", "10200,10,10000,10",
+                  "10200,10,10000,7", "10200,6,10000,7"],
+    }
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            ({("m.csv", 2): "36002.0,2,1,30,10000,1"},
+             "line 3: reduce of 30 exceeds resting size 10 for order 1 (in m.csv)"),
+            ({("m.csv", 3): "36003.0,x,2,4,10200,-1"},
+             "line 4: invalid literal for int() with base 10: 'x' (in m.csv)"),
+            ({("o.csv", 1): "10200,x,10000,10"},
+             "line 2: invalid literal for int() with base 10: 'x' (in o.csv)"),
+            ({("o.csv", 3): None}, "row count mismatch: 4 reconstructed vs 3 reference (in o.csv)"),
+            ({("o.csv", 4): "10200,6,10000,7"},
+             "row count mismatch: 4 reconstructed vs 5 reference (in o.csv)"),
+            ({("m.csv", 3): None}, "row count mismatch: 3 reconstructed vs 4 reference (in o.csv)"),
+            # of two faults, the first in reading order: files are read row by row in step
+            ({("m.csv", 3): "36003.0,4,9,4,10200,-1", ("o.csv", 1): "10200,10,10000"},
+             "line 2: expected >= 4 fields, got 3 (in o.csv)"),
+            ({("m.csv", 1): "36001.0,4,9,4,10200,-1", ("o.csv", 3): "10200,10,10000"},
+             "line 2: unknown order id 9 (in m.csv)"),
+        ],
+        ids=["message-book-fault", "message-malformed", "orderbook-malformed",
+             "orderbook-short", "orderbook-long", "message-short", "orderbook-fault-first",
+             "message-fault-first"],
+    )
+    def test_interleaved_day_fault_exit_3(self, tmp_path, edits, error):
+        files = {name: list(rows) for name, rows in self.DAY.items()}
+        for (name, i), row in edits.items():
+            if i == len(files[name]):
+                files[name].append(row)
+            else:
+                files[name][i] = row
+        for name, rows in files.items():
+            (tmp_path / name).write_text("".join(f"{r}\n" for r in rows if r is not None))
+        (tmp_path / "run.cfg").write_text(
+            "source = lobster\nmessage_files = m.csv\norderbook_files = o.csv\n"
+        )
+        proc = run_cli("ingest", "--config", "run.cfg", "--out", "out", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == f"data error: {error}\n"
+        # the day failed: neither its events file nor its partial one is left
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["resolved_config.txt"]
+
+    def test_ingest_writes_events_once_the_day_verified(self, tmp_path):
+        for name, rows in self.DAY.items():
+            (tmp_path / name).write_text("".join(f"{r}\n" for r in rows))
+        (tmp_path / "run.cfg").write_text(
+            "source = lobster\nmessage_files = m.csv\norderbook_files = o.csv\n"
+        )
+        assert run_cli("ingest", "--config", "run.cfg", "--out", "out", cwd=tmp_path).returncode == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "day000_events.csv", "resolved_config.txt", "summary.json", "verification.json"]
+        assert (out / "day000_events.csv").read_text().splitlines() == [
+            "seq,t_ns,kind,order_id,price_ticks,size_delta",
+            "0,36000000000000,submit,1,100,10",
+            "1,36001000000000,submit,2,102,10",
+            "2,36002000000000,reduce,1,,3",
+            "3,36003000000000,execute,2,,4",
+        ]
 
     def test_simulate_and_ingest_refuse_nonempty_dir(self, tmp_path):
         cfgfile = tmp_path / "sim.cfg"

@@ -148,7 +148,7 @@ class TestUnrecordedSession:
     )
     def test_matches_recorded_session(self, cfg):
         full = simulate(cfg)
-        lean = sim._session(cfg, record=False)
+        lean = sim._session(cfg)
         assert full.messages and full.l1_rows
         assert lean.messages == [] and lean.l1_rows == []
         for name in ("timeline", "stats", "process_counts", "side_depleted", "order_ns",
