@@ -158,25 +158,19 @@ def parse_messages(source) -> Iterator[LobsterMessage]:
                 direction = int(direction)
             except ValueError as exc:
                 raise MalformedRow(line_no, str(exc)) from None
-            if code not in _VALID_CODES or direction not in (1, -1) or size < 0 or t_ns < prev_t:
-                raise _row_fault(line_no, code, direction, size)
+            if code not in _VALID_CODES:
+                raise UnknownTypeCode(line_no, code)
+            if direction not in (1, -1):
+                raise MalformedRow(line_no, f"direction must be +1 or -1, got {direction}")
+            if size < 0:
+                raise MalformedRow(line_no, f"negative size {size}")
+            if t_ns < prev_t:
+                raise NonMonotoneTime(line_no)
             prev_t = t_ns
             try:
                 yield new(message, (t_ns, code, order_id, size, price, direction))
             except DataError as exc:  # thrown back: the consumer's fault in this message
                 raise exc.at_line(line_no) from None
-
-
-def _row_fault(line_no: int, code: int, direction: int, size: int) -> DataError:
-    """The positioned error of a row that failed parse_messages' checks, the
-    first failing one in order; a row that passes the first three goes back in time."""
-    if code not in _VALID_CODES:
-        return UnknownTypeCode(line_no, code)
-    if direction not in (1, -1):
-        return MalformedRow(line_no, f"direction must be +1 or -1, got {direction}")
-    if size < 0:
-        return MalformedRow(line_no, f"negative size {size}")
-    return NonMonotoneTime(line_no)
 
 
 def message_writer(fh: TextIO) -> Callable[[LobsterMessage], None]:
