@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuecast import book as bk
@@ -347,6 +347,7 @@ def message_rows(draw):
 
 
 class TestArbitraryRows:
+    @settings(deadline=None)  # a property of the rows, not of how fast a loaded machine replays them
     @given(rows=message_rows())
     def test_replay_succeeds_or_raises_positioned_data_error(self, rows):
         try:
