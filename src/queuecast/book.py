@@ -126,14 +126,6 @@ class OrderBook:
 
     # -- inspection ---------------------------------------------------------
 
-    @property
-    def best_bid(self) -> Optional[int]:
-        return self._best[BUY]
-
-    @property
-    def best_ask(self) -> Optional[int]:
-        return self._best[SELL]
-
     def best(self, side: int) -> Optional[int]:
         return self._best[side]
 
@@ -152,9 +144,6 @@ class OrderBook:
         if best is None:
             raise EmptySide(f"no resting orders on side {side}")
         return next(iter(self._levels[side][best].values()))
-
-    def level_size(self, side: int, price: int) -> int:
-        return self._totals[side].get(price, 0)
 
     def state(self, t_ns: Optional[int] = None) -> BestQuoteState:
         bb, ba = self._best[BUY], self._best[SELL]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import book as bk
 from . import lobster as lb
@@ -141,10 +142,7 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
         if report is not None:
             verification[f"day{day:03d}"] = {
                 "checked": report.checked,
-                "mismatches": [
-                    {"index": m.index, "reconstructed": m.reconstructed, "reference": m.reference}
-                    for m in report.mismatches[:100]
-                ],
+                "mismatches": [asdict(m) for m in report.mismatches[:100]],
                 "mismatch_count": len(report.mismatches),
             }
     pl.write_summary(out / "summary.json", day_stats, cfg.tick_size)

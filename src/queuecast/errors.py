@@ -126,19 +126,13 @@ class UnknownPreset(ConfigError):
 class PointSkipped(NumericalError):
     """A sample point could not be drawn; day drivers count these."""
 
-    reason = "skipped"
-
 
 class OneSidedBook(PointSkipped):
     """The prevailing book state has an empty side; imbalance undefined."""
 
-    reason = "one_sided"
-
 
 class EmptyInterior(PointSkipped):
     """Interval too narrow to contain a strictly interior nanosecond."""
-
-    reason = "empty_interior"
 
 
 class TooFewPoints(NumericalError):

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import EmptyInput, OneClassOnly
 from .logistic import TestResult
 
-SCHEMA_VERSION = 1
-
 
 @dataclass
 class RocCurve:
@@ -28,9 +26,6 @@ class RocCurve:
 
     fpr: np.ndarray
     tpr: np.ndarray
-
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
 @dataclass

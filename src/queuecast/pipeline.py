@@ -17,7 +17,7 @@ import math
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -359,7 +359,7 @@ def stage_sample(cfg: RunConfig, out: Path) -> None:
             {"bid": ev.queue_survivor(nb), "ask": ev.queue_survivor(na)},
         )
     flags = {
-        "schema_version": ev.SCHEMA_VERSION,
+        "schema_version": rp.SCHEMA_VERSION,
         "days": {str(oc.day): oc.flags for oc in outcomes},
         "total_points": len(points),
     }
@@ -371,13 +371,12 @@ def stage_sample(cfg: RunConfig, out: Path) -> None:
     try:
         write_summary(out / "summary.json", [oc.stats for oc in outcomes], cfg.tick_size)
     except DataError:
-        rp.write_json(out / "summary.json", {"schema_version": ev.SCHEMA_VERSION, "days": 0})
+        rp.write_json(out / "summary.json", {"schema_version": rp.SCHEMA_VERSION, "days": 0})
 
 
 def write_summary(path: Path, day_stats: list[lb.DayStats], tick_size: float) -> None:
     """The summary-statistics record over all days; NoData if none is two-sided."""
-    summary = lb.summary_stats(day_stats, tick_size=tick_size)
-    rp.write_json(path, {"schema_version": ev.SCHEMA_VERSION, **asdict(summary)})
+    rp.write_json(path, rp.record_to_dict(lb.summary_stats(day_stats, tick_size=tick_size)))
 
 
 def _read_split(out: Path, points):
@@ -396,6 +395,21 @@ def _read_split(out: Path, points):
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}, line {line_no}: {exc}") from None
     return train, test
+
+
+@dataclass
+class LocalMeta:
+    """``fits/local_meta.json``: the cross-validated bandwidth of the local
+    fit, what the CV ran over, and the fit's grid diagnostics."""
+
+    alpha: float
+    alpha_candidates: list
+    cv_msr: dict  # repr(alpha) -> cross-validated mean squared residual
+    cv_folds: int
+    grid_points: int
+    train_ref: str
+    degenerate_grid_points: int
+    nonconverged_grid_points: int
 
 
 def stage_fit(cfg: RunConfig, out: Path) -> None:
@@ -418,9 +432,9 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
     y_tr = np.array([p.label for p in ds.train])
     if "logistic" in cfg.models or "local" in cfg.models:
         fit = lg.fit_logistic(I_tr, y_tr)
-        rp.write_json(fits_dir / "logistic.json", rp.fit_to_dict(fit))
+        rp.write_json(fits_dir / "logistic.json", rp.record_to_dict(fit))
         nested = lg.fit_intercept_only(y_tr)
-        rp.write_json(fits_dir / "intercept.json", rp.fit_to_dict(nested))
+        rp.write_json(fits_dir / "intercept.json", rp.record_to_dict(nested))
     if "local" in cfg.models:
         grid = lo.default_grid(cfg.grid_points)
         cv = lo.cv_bandwidth(
@@ -431,20 +445,17 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
             I_tr, y_tr, cv.alpha, grid=grid, train_ref=f"samples.csv@seed{cfg.seed}"
         )
         rp.write_local_curve_csv(fits_dir / "local_curve.csv", lfit)
-        rp.write_json(
-            fits_dir / "local_meta.json",
-            {
-                "schema_version": ev.SCHEMA_VERSION,
-                "alpha": cv.alpha,
-                "alpha_candidates": cfg.alphas,
-                "cv_msr": {repr(k): v for k, v in cv.msr_by_alpha.items()},
-                "cv_folds": cfg.cv_folds,
-                "grid_points": cfg.grid_points,
-                "train_ref": lfit.train_ref,
-                "degenerate_grid_points": int(lfit.degenerate.sum()),
-                "nonconverged_grid_points": int(lfit.nonconverged.sum()),
-            },
+        meta = LocalMeta(
+            alpha=cv.alpha,
+            alpha_candidates=cfg.alphas,
+            cv_msr={repr(k): v for k, v in cv.msr_by_alpha.items()},
+            cv_folds=cfg.cv_folds,
+            grid_points=cfg.grid_points,
+            train_ref=lfit.train_ref,
+            degenerate_grid_points=int(lfit.degenerate.sum()),
+            nonconverged_grid_points=int(lfit.nonconverged.sum()),
         )
+        rp.write_json(fits_dir / "local_meta.json", rp.record_to_dict(meta))
 
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> None:
@@ -463,46 +474,45 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     rp.write_histogram_csv(eval_dir / "histogram.csv", edges, counts)
 
     if "logistic" in cfg.models:
-        fit = rp.fit_from_dict(rp.read_json(out / "fits" / "logistic.json"))
-        nested = rp.fit_from_dict(rp.read_json(out / "fits" / "intercept.json"))
-        s_tr = lg.predict_logistic(fit, I_tr)
-        s_te = lg.predict_logistic(fit, I_te)
-        rep = ev.EvalReport(
-            model_id="logistic",
-            n_train=len(train),
-            n_test=len(test),
-            auc_in=ev.auc(s_tr, y_tr),
-            auc_out=ev.auc(s_te, y_te),
-            msr_in=ev.mean_squared_residual(s_tr, y_tr),
-            msr_out=ev.mean_squared_residual(s_te, y_te),
+        fit = rp.read_record(lg.LogisticFit, out / "fits" / "logistic.json")
+        nested = rp.read_record(lg.LogisticFit, out / "fits" / "intercept.json")
+        _write_eval(
+            eval_dir, "logistic",
+            lg.predict_logistic(fit, I_tr), y_tr, lg.predict_logistic(fit, I_te), y_te,
             wald_x0=lg.wald_test(fit, "x0"),
             wald_x1=lg.wald_test(fit, "x1"),
             lr_full=lg.lr_test(fit, nested),
         )
-        rp.write_json(eval_dir / "report_logistic.json", rp.report_to_dict(rep))
-        rp.write_roc_csv(eval_dir / "roc_logistic_out.csv", ev.roc_curve(s_te, y_te))
     if "local" in cfg.models:
-        meta = rp.read_json(out / "fits" / "local_meta.json")
+        meta = rp.read_record(LocalMeta, out / "fits" / "local_meta.json")
         lfit = rp.read_local_curve_csv(
-            out / "fits" / "local_curve.csv", alpha=meta["alpha"], train_ref=meta["train_ref"]
+            out / "fits" / "local_curve.csv", alpha=meta.alpha, train_ref=meta.train_ref
         )
-        s_tr = lo.predict_local(lfit, I_tr)
-        s_te = lo.predict_local(lfit, I_te)
-        rep = ev.EvalReport(
-            model_id="local",
-            n_train=len(train),
-            n_test=len(test),
-            auc_in=ev.auc(s_tr, y_tr),
-            auc_out=ev.auc(s_te, y_te),
-            msr_in=ev.mean_squared_residual(s_tr, y_tr),
-            msr_out=ev.mean_squared_residual(s_te, y_te),
-            extra={"alpha": meta["alpha"]},
+        _write_eval(
+            eval_dir, "local",
+            lo.predict_local(lfit, I_tr), y_tr, lo.predict_local(lfit, I_te), y_te,
+            extra={"alpha": meta.alpha},
         )
-        rp.write_json(eval_dir / "report_local.json", rp.report_to_dict(rep))
-        rp.write_roc_csv(eval_dir / "roc_local_out.csv", ev.roc_curve(s_te, y_te))
     if "null" in cfg.models:
         rep = ev.null_model_report(y_tr, y_te)
-        rp.write_json(eval_dir / "report_null.json", rp.report_to_dict(rep))
+        rp.write_json(eval_dir / "report_null.json", rp.record_to_dict(rep))
+
+
+def _write_eval(eval_dir: Path, model_id: str, s_tr, y_tr, s_te, y_te, **rest) -> None:
+    """Score one model's train and test predictions; write its report JSON and
+    its out-of-sample ROC CSV. ``rest`` holds the report's remaining fields."""
+    rep = ev.EvalReport(
+        model_id=model_id,
+        n_train=len(y_tr),
+        n_test=len(y_te),
+        auc_in=ev.auc(s_tr, y_tr),
+        auc_out=ev.auc(s_te, y_te),
+        msr_in=ev.mean_squared_residual(s_tr, y_tr),
+        msr_out=ev.mean_squared_residual(s_te, y_te),
+        **rest,
+    )
+    rp.write_json(eval_dir / f"report_{model_id}.json", rp.record_to_dict(rep))
+    rp.write_roc_csv(eval_dir / f"roc_{model_id}_out.csv", ev.roc_curve(s_te, y_te))
 
 
 def stage_report(cfg: RunConfig, out: Path) -> None:
@@ -511,14 +521,14 @@ def stage_report(cfg: RunConfig, out: Path) -> None:
     reports = []
     fits = {}
     for model in sorted(cfg.models, key=MODELS.index):
-        reports.append(rp.report_from_dict(rp.read_json(eval_dir / f"report_{model}.json")))
+        reports.append(rp.read_record(ev.EvalReport, eval_dir / f"report_{model}.json"))
         if model == "logistic":
-            fits["logistic"] = rp.fit_from_dict(rp.read_json(out / "fits" / "logistic.json"))
+            fits["logistic"] = rp.read_record(lg.LogisticFit, out / "fits" / "logistic.json")
     (out / "report.txt").write_text(rp.emit_report_text(reports, fits), encoding="ascii")
     combined = {
-        "schema_version": ev.SCHEMA_VERSION,
+        "schema_version": rp.SCHEMA_VERSION,
         "provenance": provenance_block(cfg),
-        "models": {r.model_id: rp.report_to_dict(r) for r in reports},
+        "models": {r.model_id: rp.record_to_dict(r) for r in reports},
     }
     rp.write_json(out / "report.json", combined)
 

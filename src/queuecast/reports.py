@@ -1,127 +1,95 @@
 """Artifact serialization: fit records and evaluation reports as JSON with a
 stable schema, plot-ready CSVs, and the aligned text table with significance
 stars. All writers are deterministic: canonical key order, shortest
-round-trip float rendering, no timestamps."""
+round-trip float rendering, no timestamps.
+
+A JSON record's schema is its dataclass: ``record_to_dict`` writes the fields
+beside ``schema_version``, and ``read_record`` reads them back, checking that
+the top level is an object, that every field without a default is present,
+and that each value has a JSON type its annotation allows. Any other input,
+and a NaN or infinity in a JSON file, is a DataError that names the file (and
+the key); a NaN can never be written to one.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import Optional, Sequence
+import math
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .errors import DataError
-from .evaluate import EvalReport, RocCurve, SCHEMA_VERSION
+from .errors import DataError, NumericalError
+from .evaluate import EvalReport, RocCurve
 from .local import LocalLogisticFit
-from .logistic import CRIT_95, CRIT_99, LogisticFit, TestResult
+from .logistic import CRIT_95, CRIT_99, TestResult
 
+SCHEMA_VERSION = 1
 
-def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+# the JSON values each field annotation accepts; bool is checked apart, since
+# it is an int to Python but not a number to a record
+_JSON_TYPES = {float: (int, float), int: int, bool: bool, str: str, list: list, dict: dict}
 
 
 def write_json(path, obj) -> None:
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.write(text)
 
 
 def read_json(path):
+    def reject(constant):
+        raise DataError(f"{path}: {constant} is not a JSON number")
+
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
+            return json.load(fh, parse_constant=reject)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DataError(f"{path}: {exc.strerror}") from None
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def fit_to_dict(fit: LogisticFit) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "x0": fit.x0,
-        "x1": fit.x1,
-        "se0": fit.se0,
-        "se1": fit.se1,
-        "loglik": fit.loglik,
-        "n": fit.n,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "separated": fit.separated,
-        "intercept_only": fit.intercept_only,
-    }
+def record_to_dict(rec) -> dict:
+    """The JSON object of dataclass record ``rec``: its fields and the schema version."""
+    return {"schema_version": SCHEMA_VERSION, **asdict(rec)}
 
 
-def fit_from_dict(d: dict) -> LogisticFit:
-    return LogisticFit(
-        x0=d["x0"],
-        x1=d["x1"],
-        se0=d["se0"],
-        se1=d["se1"],
-        loglik=d["loglik"],
-        n=d["n"],
-        iterations=d["iterations"],
-        converged=d["converged"],
-        separated=d["separated"],
-        intercept_only=d.get("intercept_only", False),
-    )
+def read_record(cls, path):
+    """The ``cls`` record in JSON file ``path``, checked against its fields."""
+    return _record(cls, read_json(path), path, "")
 
 
-def test_to_dict(res: Optional[TestResult]) -> Optional[dict]:
-    if res is None:
-        return None
-    return {
-        "statistic": res.statistic,
-        "df": res.df,
-        "p_value": res.p_value,
-        "significant_95": res.significant_95,
-        "significant_99": res.significant_99,
-    }
+def _record(cls, obj, path, where: str):
+    if not isinstance(obj, dict):
+        what = f"key {where!r}" if where else "top level"
+        raise DataError(f"{path}: {what}: expected a JSON object")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = f"{where}.{f.name}" if where else f.name
+        if f.name in obj:
+            values[f.name] = _value(hints[f.name], obj[f.name], path, key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise DataError(f"{path}: missing key {key!r}")
+    return cls(**values)
 
 
-def test_from_dict(d: Optional[dict]) -> Optional[TestResult]:
-    if d is None:
-        return None
-    return TestResult(
-        statistic=d["statistic"],
-        df=d["df"],
-        p_value=d["p_value"],
-        significant_95=d["significant_95"],
-        significant_99=d["significant_99"],
-    )
-
-
-def report_to_dict(rep: EvalReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "model_id": rep.model_id,
-        "n_train": rep.n_train,
-        "n_test": rep.n_test,
-        "auc_in": rep.auc_in,
-        "auc_out": rep.auc_out,
-        "msr_in": rep.msr_in,
-        "msr_out": rep.msr_out,
-        "wald_x0": test_to_dict(rep.wald_x0),
-        "wald_x1": test_to_dict(rep.wald_x1),
-        "lr_full": test_to_dict(rep.lr_full),
-        "extra": rep.extra,
-    }
-
-
-def report_from_dict(d: dict) -> EvalReport:
-    return EvalReport(
-        model_id=d["model_id"],
-        n_train=d["n_train"],
-        n_test=d["n_test"],
-        auc_in=d["auc_in"],
-        auc_out=d["auc_out"],
-        msr_in=d["msr_in"],
-        msr_out=d["msr_out"],
-        wald_x0=test_from_dict(d["wald_x0"]),
-        wald_x1=test_from_dict(d["wald_x1"]),
-        lr_full=test_from_dict(d["lr_full"]),
-        extra=d.get("extra", {}),
-    )
+def _value(tp, value, path, key: str):
+    if type(None) in get_args(tp):  # Optional[X]
+        if value is None:
+            return None
+        tp = next(arg for arg in get_args(tp) if arg is not type(None))
+    if is_dataclass(tp):
+        return _record(tp, value, path, key)
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES[tp]):
+        raise DataError(f"{path}: key {key!r}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
@@ -150,10 +118,15 @@ def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "")
             if header != ["grid", "fitted"]:
                 raise DataError(f"{path}: unexpected local curve header {header}")
             for row in reader:
-                grid.append(float(row[0]))
-                fitted.append(float(row[1]))
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
+                g, v = float(row[0]), float(row[1])
+                if not (math.isfinite(g) and math.isfinite(v)):
+                    raise DataError(
+                        f"{path}, line {reader.line_num}: grid,fitted = {g},{v} is not finite"
+                    )
+                grid.append(g)
+                fitted.append(v)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DataError(f"{path}: {exc.strerror}") from None
     except (ValueError, IndexError, csv.Error) as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return LocalLogisticFit(np.array(grid), np.array(fitted), alpha, train_ref)

@@ -79,8 +79,8 @@ class TestApplyEvent:
         ob, oid = make_book(bids=[(100, 50)])
         changed = ob.apply(BookEvent.submit(10, oid + 1, Order(99, BUY, 101, 10, oid + 1)))
         assert changed and not ob.state().two_sided  # still one-sided, no quote
-        assert ob.best_bid == 101
-        assert ob.level_size(BUY, 101) == 10
+        assert ob.best(BUY) == 101
+        assert ob.state().nb == 10  # the size resting at the new best bid
 
     def test_partial_execute_keeps_fifo_priority(self):
         ob, oid = make_book(bids=[(100, 1)], asks=[(101, 7), (101, 5)])
@@ -220,8 +220,9 @@ class TestAgainstNaiveRebuild:
     @pytest.mark.parametrize("seed", range(8))
     def test_never_crossed(self, seed):
         for ob, _naive, _ev in random_event_stream(seed):
-            if ob.best_bid is not None and ob.best_ask is not None:
-                assert ob.best_bid < ob.best_ask
+            bid, ask = ob.best(BUY), ob.best(SELL)
+            if bid is not None and ask is not None:
+                assert bid < ask
 
     def test_determinism_byte_for_byte(self):
         def run(seed):

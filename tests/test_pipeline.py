@@ -1,10 +1,11 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,15 +14,17 @@ from queuecast import lobster as lb
 from queuecast import pipeline as pl
 from queuecast import simulate as sim
 from queuecast.cli import main as cli_main
-from queuecast.errors import ConfigError, DataError
+from queuecast.errors import ConfigError, DataError, NumericalError
 from queuecast.evaluate import EvalReport, null_model_report
+from queuecast.logistic import LogisticFit
 from queuecast.logistic import TestResult as SigTest
 from queuecast.reports import (
     emit_report_text,
     read_local_curve_csv,
-    report_from_dict,
-    report_to_dict,
+    read_record,
+    record_to_dict,
     stars,
+    write_json,
 )
 from queuecast.simulate import regime_preset, simulate
 
@@ -609,6 +612,53 @@ class TestCli:
         with pytest.raises(DataError, match="local_curve.csv"):
             read_local_curve_csv(path)
 
+    @pytest.mark.parametrize(
+        "stage, rel, edit, message",
+        [
+            ("evaluate", "fits/logistic.json", "drop:x0", ": missing key 'x0'"),
+            ("evaluate", "fits/logistic.json", "list", ": top level: expected a JSON object"),
+            ("evaluate", "fits/logistic.json", 'set:x1:"abc"',
+             ": key 'x1': expected float, got 'abc'"),
+            ("evaluate", "fits/logistic.json", "set:x1:NaN", ": NaN is not a JSON number"),
+            ("evaluate", "fits/local_meta.json", "drop:alpha", ": missing key 'alpha'"),
+            ("evaluate", "fits/local_meta.json", "list", ": top level: expected a JSON object"),
+            ("report", "eval/report_null.json", "drop:auc_out", ": missing key 'auc_out'"),
+            ("evaluate", "fits/local_curve.csv", "nan-line-3",
+             ", line 3: grid,fitted = -0.98,nan is not finite"),
+            ("evaluate", "fits/logistic.json", "dir", ": Is a directory"),
+            ("evaluate", "fits/local_curve.csv", "dir", ": Is a directory"),
+        ],
+        ids=["fit-no-x0", "fit-list", "fit-x1-string", "fit-x1-nan", "meta-no-alpha",
+             "meta-list", "report-no-auc-out", "curve-nan", "fit-dir", "curve-dir"],
+    )
+    def test_bad_artifact_exit_3(self, run_once, tmp_path, stage, rel, edit, message):
+        out = tmp_path / "run"
+        shutil.copytree(run_once, out)
+        path = out / rel
+        text = path.read_text()
+        kind, _, arg = edit.partition(":")
+        if kind == "drop":
+            text = json.dumps({k: v for k, v in json.loads(text).items() if k != arg})
+        elif kind == "list":
+            text = f"[{text}]"
+        elif kind == "set":
+            key, _, value = arg.partition(":")
+            text = text.replace(f'"{key}": {json.dumps(json.loads(text)[key])}',
+                                f'"{key}": {value}')
+        elif kind == "nan-line-3":
+            lines = text.splitlines()
+            lines[2] = "-0.98,nan"
+            text = "\n".join(lines) + "\n"
+        path.unlink()
+        if kind == "dir":
+            path.mkdir()
+        else:
+            path.write_text(text)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in fast_overrides(out).items()))
+        proc = run_cli(stage, "--config", str(cfgfile))
+        assert (proc.returncode, proc.stderr) == (3, f"data error: {path}{message}\n")
+
     def test_simulate_then_sample_from_files(self, tmp_path):
         simdir = tmp_path / "simdata"
         assert (
@@ -660,22 +710,86 @@ class TestCli:
         assert summary == sample_summary
 
 
-class TestReportRoundTrip:
-    def test_logistic_report(self):
-        tr = SigTest(12.5, 1, 4e-4, True, True)
-        rep = EvalReport(
-            "logistic", 80, 20, 0.71, 0.69, 0.21, 0.22,
-            wald_x0=SigTest(0.3, 1, 0.58, False, False), wald_x1=tr, lr_full=tr,
-        )
-        d = json.loads(json.dumps(report_to_dict(rep)))
-        assert report_from_dict(d) == rep
+def _null_report_with_extra():
+    rep = null_model_report([0, 1, 1, 0, 1], [1, 0, 0])
+    rep.extra = {"note": "constant 1/2"}
+    return rep
 
-    def test_null_report(self):
-        rep = null_model_report([0, 1, 1, 0, 1], [1, 0, 0])
-        rep.extra = {"note": "constant 1/2"}
-        d = json.loads(json.dumps(report_to_dict(rep)))
-        assert report_from_dict(d) == rep
-        assert rep.wald_x1 is None and rep.lr_full is None
+
+RECORDS = {
+    "logistic-fit": LogisticFit(0.02, 0.91, 0.011, 0.03, -640.5, 1000, 4, True, False),
+    "intercept-fit": LogisticFit(0.1, 0.0, 0.04, None, -690.1, 1000, 0, True, False, True),
+    "report-with-tests": EvalReport(
+        "logistic", 80, 20, 0.71, 0.69, 0.21, 0.22,
+        wald_x0=SigTest(0.3, 1, 0.58, False, False),
+        wald_x1=SigTest(12.5, 1, 4e-4, True, True),
+        lr_full=SigTest(12.5, 1, 4e-4, True, True),
+    ),
+    "report-one-class-test-set": EvalReport("null", 5, 3, 0.5, None, 0.25, 0.25),
+    "report-with-extra": _null_report_with_extra(),
+    "local-meta": pl.LocalMeta(
+        0.65, [0.5, 0.65, 0.8], {"0.5": 0.241, "0.65": 0.239, "0.8": 0.24}, 5, 401,
+        "samples.csv@seed7", 3, 0,
+    ),
+}
+
+
+def _required(cls):
+    return [f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING]
+
+
+class TestRecordRoundTrip:
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_round_trip(self, tmp_path, name):
+        rec = RECORDS[name]
+        cls = type(rec)
+        path = tmp_path / "record.json"
+        d = record_to_dict(rec)
+        assert d["schema_version"] == 1
+        write_json(path, d)
+        assert read_record(cls, path) == rec
+
+        for key in _required(cls):
+            without = {k: v for k, v in d.items() if k != key}
+            path.write_text(json.dumps(without))
+            with pytest.raises(DataError, match=f"record.json: missing key '{key}'"):
+                read_record(cls, path)
+            # a string where no string is allowed, a number in a string field,
+            # and a bool in any field but a bool
+            wrongs = [1 if isinstance(d[key], str) else "abc"]
+            wrongs.append(0 if isinstance(d[key], bool) else True)
+            for wrong in wrongs:
+                path.write_text(json.dumps({**d, key: wrong}))
+                with pytest.raises(DataError, match=f"record.json: key '{key}': expected"):
+                    read_record(cls, path)
+
+        # a field with a default may be absent
+        required = {k: v for k, v in d.items() if k in _required(cls)}
+        path.write_text(json.dumps(required))
+        assert read_record(cls, path) == cls(**required)
+
+    def test_nested_record_names_its_key(self, tmp_path):
+        d = record_to_dict(RECORDS["report-with-tests"])
+        del d["lr_full"]["p_value"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataError, match="missing key 'lr_full.p_value'"):
+            read_record(EvalReport, path)
+        d["lr_full"] = [12.5]
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataError, match="key 'lr_full': expected a JSON object"):
+            read_record(EvalReport, path)
+
+    def test_no_nan_in_json(self, tmp_path):
+        path = tmp_path / "report.json"
+        rec = replace(RECORDS["report-with-tests"], msr_out=float("nan"))
+        with pytest.raises(NumericalError, match="report.json"):
+            write_json(path, record_to_dict(rec))
+        assert not path.exists()
+        path.write_text(json.dumps(record_to_dict(rec)))
+        with pytest.raises(DataError, match="report.json: NaN is not a JSON number"):
+            read_record(EvalReport, path)
 
 
 class TestEmitReport:
