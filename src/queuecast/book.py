@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
-    BothQueuesEmpty,
     CrossedSubmit,
     EmptySide,
     OverReduce,
@@ -93,16 +92,6 @@ class BestQuoteState(NamedTuple):
         if self.bid is None or self.ask is None:
             return None
         return self.bid + self.ask
-
-
-def queue_imbalance(nb: int, na: int) -> float:
-    """Normalized best-queue imbalance (nb - na) / (nb + na) in [-1, 1]."""
-    if nb < 0 or na < 0:
-        raise ValueError("queue lengths must be nonnegative")
-    total = nb + na
-    if total == 0:
-        raise BothQueuesEmpty("imbalance undefined: both best queues empty")
-    return (nb - na) / total
 
 
 class OrderBook:

@@ -12,6 +12,10 @@ Subcommands mirror the pipeline stages so each can be rerun on its own:
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 error.
+
+A subcommand loads only the modules it runs: ``report`` loads no numpy, and
+``fit`` and ``evaluate`` load neither the simulator nor the book and LOBSTER
+modules.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from . import book as bk
-from . import lobster as lb
 from . import pipeline as pl
 from . import reports as rp
-from . import simulate as sim
 from .errors import ConfigError, DataError, NumericalError, QueuecastError
+
+if TYPE_CHECKING:
+    from .book import BookEvent
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -78,6 +83,9 @@ def _open_out(path):
 def cmd_simulate(cfg: pl.RunConfig) -> None:
     """Write per-day message and level-1 orderbook CSVs plus a manifest; each
     row is written as the simulator makes it."""
+    from . import lobster as lb
+    from . import simulate as sim
+
     out = pl.fresh_out_dir(cfg)
     pl.write_resolved_config(cfg, out)
     manifest = {"preset": cfg.preset, "seed": cfg.seed, "days": []}
@@ -102,10 +110,12 @@ def cmd_simulate(cfg: pl.RunConfig) -> None:
 
 def _event_writer(fh):
     """Append target that writes each book event to ``fh`` as an events-CSV row."""
+    from .book import SUBMIT
+
     write = fh.write
 
-    def append(ev: bk.BookEvent) -> None:
-        if ev.kind == bk.SUBMIT:
+    def append(ev: BookEvent) -> None:
+        if ev.kind == SUBMIT:
             order = ev.order
             write(f"{ev.seq},{ev.t_ns},{ev.kind},{order.id},{order.price},{order.size}\n")
         else:

@@ -10,6 +10,18 @@ exit code 2.
 class QueuecastError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # a pool worker's error is pickled back to the parent; rebuild it from
+        # its message and attributes, since subclass __init__ signatures differ
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
 
 class ConfigError(QueuecastError):
     """Invalid run configuration."""

@@ -11,13 +11,12 @@ null model therefore scores AUC 0.5 and mean squared residual 0.25 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInput, OneClassOnly
-from .logistic import TestResult
+from .reports import EvalReport
 
 
 @dataclass
@@ -26,21 +25,6 @@ class RocCurve:
 
     fpr: np.ndarray
     tpr: np.ndarray
-
-
-@dataclass
-class EvalReport:
-    model_id: str  # logistic | local | null
-    n_train: int
-    n_test: int
-    auc_in: Optional[float]
-    auc_out: Optional[float]
-    msr_in: float
-    msr_out: float
-    wald_x0: Optional[TestResult] = None
-    wald_x1: Optional[TestResult] = None
-    lr_full: Optional[TestResult] = None
-    extra: dict = field(default_factory=dict)
 
 
 def _check_two_classes(labels: np.ndarray) -> tuple[int, int]:

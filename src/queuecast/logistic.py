@@ -18,42 +18,15 @@ standard errors) rather than treated as fatal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import AllOneLabel, NotConverged, NotNested, TooFewPoints
+from .reports import CRIT_95, CRIT_99, LogisticFit, TestResult
 
 DECREMENT_TOL = 1e-12  # per unit of total weight
 MAX_ITER = 100
 SEPARATION_SLOPE = 30.0
-
-CRIT_95 = 3.84
-CRIT_99 = 6.63
-
-
-@dataclass
-class LogisticFit:
-    x0: float
-    x1: float
-    se0: Optional[float]
-    se1: Optional[float]
-    loglik: float
-    n: int
-    iterations: int
-    converged: bool
-    separated: bool
-    intercept_only: bool = False
-
-
-@dataclass(frozen=True)
-class TestResult:
-    statistic: float
-    df: int
-    p_value: float
-    significant_95: bool
-    significant_99: bool
 
 
 def sigmoid(eta):

@@ -8,37 +8,41 @@ results bit for bit. Every run writes its resolved configuration and a
 provenance block beside its outputs; nothing in an artifact depends on
 wall-clock time, so identical (inputs, seed) give byte-identical output
 directories.
+
+Each stage imports the modules it runs when it runs, so that a process that
+runs one stage loads only those: configuration and ``stage_report`` need no
+numpy, and ``stage_fit`` and ``stage_evaluate`` need no simulator, book or
+LOBSTER reader. The day loop imports the process pool only for ``jobs`` > 1.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
-from . import __version__, seeds
-from . import book as bk
-from . import evaluate as ev
-from . import local as lo
-from . import logistic as lg
-from . import lobster as lb
+from . import __version__
 from . import reports as rp
-from . import sampling as sp
-from . import simulate as sim
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, UnknownPreset
+
+if TYPE_CHECKING:
+    from . import book as bk
+    from . import lobster as lb
+    from . import sampling as sp
+    from . import simulate as sim
 
 ENV_DATA_DIR = "QUEUECAST_DATA_DIR"
 ENV_OUT_DIR = "QUEUECAST_OUT_DIR"
 
 CONFIG_VERSION = 1
 MODELS = ("logistic", "local", "null")  # in report order
+# spelled here so that validating a config loads neither module; a test holds
+# them equal to sampling.UNIFORM/EVENT and to simulate's preset table
+SAMPLING_MODES = ("uniform", "event")
+PRESETS = ("large-tick", "small-tick")
 
 
 def _parser(cast, rule, ok=lambda value: True):
@@ -100,7 +104,7 @@ class RunConfig:
     instrument: str = _key("SIM", str)
     session_open: int = _key("36000", _parser(int, "expected integer seconds"))
     session_close: int = _key("55800", _parser(int, "expected integer seconds"))
-    sampling_mode: str = _key(sp.UNIFORM, _choice(sp.UNIFORM, sp.EVENT))
+    sampling_mode: str = _key(SAMPLING_MODES[0], _choice(*SAMPLING_MODES))
     subsample: int = _key("100", _at_least(1))
     train_frac: float = _key(
         "0.8", _parser(float, "expected a number in (0, 1)", lambda v: 0.0 < v < 1.0)
@@ -123,7 +127,9 @@ class RunConfig:
 
     @property
     def window(self) -> lb.SessionWindow:
-        return lb.SessionWindow(self.session_open, self.session_close)
+        from .lobster import SessionWindow
+
+        return SessionWindow(self.session_open, self.session_close)
 
     def resolved_items(self) -> list[tuple[str, str]]:
         return [(f.name, _text(getattr(self, f.name))) for f in fields(self)]
@@ -198,7 +204,8 @@ def _validate(values: dict) -> RunConfig:
     if "local" in v["models"] and not (alphas and all(0.0 < a <= 1.0 for a in alphas)):
         raise ConfigError(f"local model requires alpha candidates in (0, 1], got {alphas}")
     if v["source"] == "preset":
-        sim.regime_preset(v["preset"])  # UnknownPreset is a ConfigError
+        if v["preset"] not in PRESETS:
+            raise UnknownPreset(v["preset"])
         v["message_files"] = v["orderbook_files"] = []
         return RunConfig(**v)
     files = v["message_files"]
@@ -234,13 +241,20 @@ class DayOutcome:
 
 def preset_day_config(cfg: RunConfig, day: int) -> sim.ZiConfig:
     """The simulator configuration of preset day ``day`` of a run."""
+    from . import seeds
+    from . import simulate as sim
+
     zi = sim.regime_preset(
         cfg.preset, seed=seeds.seed_for(cfg.seed, seeds.SIMULATE, day), horizon=cfg.horizon
     )
-    return replace(zi, tick_size=cfg.tick_size, start_time_s=cfg.window.open_s)
+    return replace(zi, tick_size=cfg.tick_size, start_time_s=cfg.session_open)
 
 
 def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
+    from . import sampling as sp
+    from . import seeds
+    from . import simulate as sim
+
     res = sim._session(preset_day_config(cfg, day))  # no messages, no level-1 rows
     close_ns = min(res.end_ns, cfg.window.close_ns)
     day_samples = sp.build_day_samples(
@@ -274,6 +288,8 @@ def read_lobster_day(
     A file that cannot be read is a DataError naming it, and so is every
     fault found in one; of two faults, the first in reading order is raised.
     """
+    from . import lobster as lb
+
     path = cfg.message_files[day]
     verifier = None
     if cfg.orderbook_files:
@@ -292,6 +308,9 @@ def read_lobster_day(
 
 
 def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:
+    from . import sampling as sp
+    from . import seeds
+
     res, verification = read_lobster_day(cfg, day)
     mismatches = None if verification is None else len(verification.mismatches)
     if res.first_session_event_ns is None:
@@ -338,6 +357,11 @@ def run_days(cfg: RunConfig) -> list[DayOutcome]:
     own pool task, so a worker that finishes early takes the next day."""
     tasks = [(cfg, day) for day in range(cfg.days)]
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # loaded before the pool starts, so that forked workers inherit them
+        from . import lobster, sampling, seeds, simulate  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
             return list(ex.map(_day_worker, tasks))
     return [_day_worker(t) for t in tasks]
@@ -348,6 +372,11 @@ def run_days(cfg: RunConfig) -> list[DayOutcome]:
 def stage_sample(cfg: RunConfig, out: Path) -> None:
     """Simulate or ingest every day, sample, subsample, and write samples.csv
     plus the per-day flag log and the summary-statistics record."""
+    import numpy as np
+
+    from . import evaluate as ev
+    from . import sampling as sp
+
     outcomes = run_days(cfg)
     points = [p for oc in outcomes for p in oc.points]
     sp.write_samples_csv(out / "samples.csv", points)
@@ -376,25 +405,43 @@ def stage_sample(cfg: RunConfig, out: Path) -> None:
 
 def write_summary(path: Path, day_stats: list[lb.DayStats], tick_size: float) -> None:
     """The summary-statistics record over all days; NoData if none is two-sided."""
+    from . import lobster as lb
+
     rp.write_json(path, rp.record_to_dict(lb.summary_stats(day_stats, tick_size=tick_size)))
 
 
-def _read_split(out: Path, points):
-    path = out / "split.csv"
+def _read_split(path: Path, n: int):
+    """The train and the test row indices that split.csv lists, as arrays. It
+    must list each of the ``n`` rows of samples.csv once, as train or test."""
+    import numpy as np
+
     try:
         rows = path.read_text(encoding="ascii").splitlines()
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DataError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # not ASCII
+        raise DataError(f"{path}: {exc}") from None
     if not rows or rows[0] != "index,subset":
         raise DataError(f"{path}: unexpected header {rows[:1]}")
-    train, test = [], []
+    parts = {"train": [], "test": []}
+    listed = bytearray(n)
     for line_no, row in enumerate(rows[1:], start=2):
         idx, _, subset = row.partition(",")
         try:
-            (train if subset == "train" else test).append(points[int(idx)])
-        except (ValueError, IndexError) as exc:
+            i = int(idx)
+        except ValueError as exc:
             raise DataError(f"{path}, line {line_no}: {exc}") from None
-    return train, test
+        if not 0 <= i < n:
+            raise DataError(f"{path}, line {line_no}: list index out of range")
+        if subset not in parts:
+            raise DataError(f"{path}, line {line_no}: subset {subset!r} is not train or test")
+        if listed[i]:
+            raise DataError(f"{path}, line {line_no}: row {i} is listed twice")
+        listed[i] = 1
+        parts[subset].append(i)
+    if len(rows) - 1 != n:
+        raise DataError(f"{path}: lists {len(rows) - 1} of the {n} rows of samples.csv")
+    return np.array(parts["train"], dtype=np.intp), np.array(parts["test"], dtype=np.intp)
 
 
 @dataclass
@@ -414,22 +461,22 @@ class LocalMeta:
 
 def stage_fit(cfg: RunConfig, out: Path) -> None:
     """Split samples.csv and fit every configured model on the train part."""
-    points = sp.read_samples_csv(out / "samples.csv")
-    ds = sp.train_test_split(
-        points, cfg.train_frac, seeds.rng_for(cfg.seed, seeds.SPLIT), seed=cfg.seed
+    from . import local as lo
+    from . import logistic as lg
+    from . import sampling as sp
+    from . import seeds
+
+    samples = sp.read_samples_csv(out / "samples.csv")
+    train, test = sp.split_indices(
+        len(samples), cfg.train_frac, seeds.rng_for(cfg.seed, seeds.SPLIT)
     )
-    index_of = {id(p): i for i, p in enumerate(points)}
-    lines = ["index,subset"]
-    for p in ds.train:
-        lines.append(f"{index_of[id(p)]},train")
-    for p in ds.test:
-        lines.append(f"{index_of[id(p)]},test")
+    lines = ["index,subset", *(f"{i},train" for i in train), *(f"{i},test" for i in test)]
     (out / "split.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
     fits_dir = out / "fits"
     fits_dir.mkdir(exist_ok=True)
-    I_tr = np.array([p.imbalance for p in ds.train])
-    y_tr = np.array([p.label for p in ds.train])
+    I_tr = samples.imbalance[train]
+    y_tr = samples.label[train]
     if "logistic" in cfg.models or "local" in cfg.models:
         fit = lg.fit_logistic(I_tr, y_tr)
         rp.write_json(fits_dir / "logistic.json", rp.record_to_dict(fit))
@@ -461,21 +508,26 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
 def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     """Score every configured model in and out of sample; emit eval JSONs,
     ROC CSVs, and the descriptive histogram / survivor datasets."""
-    points = sp.read_samples_csv(out / "samples.csv")
-    train, test = _read_split(out, points)
-    y_tr = np.array([p.label for p in train])
-    y_te = np.array([p.label for p in test])
-    I_tr = np.array([p.imbalance for p in train])
-    I_te = np.array([p.imbalance for p in test])
+    from . import evaluate as ev
+    from . import local as lo
+    from . import logistic as lg
+    from . import sampling as sp
+
+    samples = sp.read_samples_csv(out / "samples.csv")
+    train, test = _read_split(out / "split.csv", len(samples))
+    y_tr = samples.label[train]
+    y_te = samples.label[test]
+    I_tr = samples.imbalance[train]
+    I_te = samples.imbalance[test]
     eval_dir = out / "eval"
     eval_dir.mkdir(exist_ok=True)
 
-    edges, counts = ev.imbalance_histogram(np.array([p.imbalance for p in points]))
+    edges, counts = ev.imbalance_histogram(samples.imbalance)
     rp.write_histogram_csv(eval_dir / "histogram.csv", edges, counts)
 
     if "logistic" in cfg.models:
-        fit = rp.read_record(lg.LogisticFit, out / "fits" / "logistic.json")
-        nested = rp.read_record(lg.LogisticFit, out / "fits" / "intercept.json")
+        fit = rp.read_record(rp.LogisticFit, out / "fits" / "logistic.json")
+        nested = rp.read_record(rp.LogisticFit, out / "fits" / "intercept.json")
         _write_eval(
             eval_dir, "logistic",
             lg.predict_logistic(fit, I_tr), y_tr, lg.predict_logistic(fit, I_te), y_te,
@@ -485,9 +537,13 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
         )
     if "local" in cfg.models:
         meta = rp.read_record(LocalMeta, out / "fits" / "local_meta.json")
-        lfit = rp.read_local_curve_csv(
-            out / "fits" / "local_curve.csv", alpha=meta.alpha, train_ref=meta.train_ref
-        )
+        curve = out / "fits" / "local_curve.csv"
+        lfit = rp.read_local_curve_csv(curve, alpha=meta.alpha, train_ref=meta.train_ref)
+        if len(lfit.grid) != meta.grid_points:
+            raise DataError(
+                f"{curve}: {len(lfit.grid)} grid points, where local_meta.json has "
+                f"{meta.grid_points}"
+            )
         _write_eval(
             eval_dir, "local",
             lo.predict_local(lfit, I_tr), y_tr, lo.predict_local(lfit, I_te), y_te,
@@ -501,7 +557,9 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
 def _write_eval(eval_dir: Path, model_id: str, s_tr, y_tr, s_te, y_te, **rest) -> None:
     """Score one model's train and test predictions; write its report JSON and
     its out-of-sample ROC CSV. ``rest`` holds the report's remaining fields."""
-    rep = ev.EvalReport(
+    from . import evaluate as ev
+
+    rep = rp.EvalReport(
         model_id=model_id,
         n_train=len(y_tr),
         n_test=len(y_te),
@@ -521,9 +579,9 @@ def stage_report(cfg: RunConfig, out: Path) -> None:
     reports = []
     fits = {}
     for model in sorted(cfg.models, key=MODELS.index):
-        reports.append(rp.read_record(ev.EvalReport, eval_dir / f"report_{model}.json"))
+        reports.append(rp.read_record(rp.EvalReport, eval_dir / f"report_{model}.json"))
         if model == "logistic":
-            fits["logistic"] = rp.read_record(lg.LogisticFit, out / "fits" / "logistic.json")
+            fits["logistic"] = rp.read_record(rp.LogisticFit, out / "fits" / "logistic.json")
     (out / "report.txt").write_text(rp.emit_report_text(reports, fits), encoding="ascii")
     combined = {
         "schema_version": rp.SCHEMA_VERSION,
@@ -548,6 +606,8 @@ def provenance_block(cfg: RunConfig) -> dict:
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -3,12 +3,17 @@ stable schema, plot-ready CSVs, and the aligned text table with significance
 stars. All writers are deterministic: canonical key order, shortest
 round-trip float rendering, no timestamps.
 
-A JSON record's schema is its dataclass: ``record_to_dict`` writes the fields
-beside ``schema_version``, and ``read_record`` reads them back, checking that
-the top level is an object, that every field without a default is present,
-and that each value has a JSON type its annotation allows. Any other input,
-and a NaN or infinity in a JSON file, is a DataError that names the file (and
-the key); a NaN can never be written to one.
+A JSON record's schema is its dataclass, and the records that ``report``
+reads are defined here: ``LogisticFit``, ``TestResult`` and ``EvalReport``.
+``record_to_dict`` writes the fields beside ``schema_version``, and
+``read_record`` reads them back, checking that the top level is an object
+whose ``schema_version`` is ``SCHEMA_VERSION``, that every field without a
+default is present, and that each value has a JSON type its annotation
+allows. Any other input, and a NaN or infinity in a JSON file, is a DataError
+that names the file (and the key); a NaN can never be written to one.
+
+The module imports no numpy, so that a process which only tabulates reports
+does not load it.
 """
 
 from __future__ import annotations
@@ -16,17 +21,60 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, asdict, fields, is_dataclass
-from typing import Optional, Sequence, get_args, get_type_hints
-
-import numpy as np
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import TYPE_CHECKING, Optional, Sequence, get_args, get_type_hints
 
 from .errors import DataError, NumericalError
-from .evaluate import EvalReport, RocCurve
-from .local import LocalLogisticFit
-from .logistic import CRIT_95, CRIT_99, TestResult
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .evaluate import RocCurve
+    from .local import LocalLogisticFit
 
 SCHEMA_VERSION = 1
+
+CRIT_95 = 3.84  # chi-square(1) critical values
+CRIT_99 = 6.63
+
+
+@dataclass
+class LogisticFit:
+    x0: float
+    x1: float
+    se0: Optional[float]
+    se1: Optional[float]
+    loglik: float
+    n: int
+    iterations: int
+    converged: bool
+    separated: bool
+    intercept_only: bool = False
+
+
+@dataclass(frozen=True)
+class TestResult:
+    statistic: float
+    df: int
+    p_value: float
+    significant_95: bool
+    significant_99: bool
+
+
+@dataclass
+class EvalReport:
+    model_id: str  # logistic | local | null
+    n_train: int
+    n_test: int
+    auc_in: Optional[float]
+    auc_out: Optional[float]
+    msr_in: float
+    msr_out: float
+    wald_x0: Optional[TestResult] = None
+    wald_x1: Optional[TestResult] = None
+    lr_full: Optional[TestResult] = None
+    extra: dict = field(default_factory=dict)
+
 
 # the JSON values each field annotation accepts; bool is checked apart, since
 # it is an int to Python but not a number to a record
@@ -62,7 +110,16 @@ def record_to_dict(rec) -> dict:
 
 def read_record(cls, path):
     """The ``cls`` record in JSON file ``path``, checked against its fields."""
-    return _record(cls, read_json(path), path, "")
+    obj = read_json(path)
+    if isinstance(obj, dict):
+        if "schema_version" not in obj:
+            raise DataError(f"{path}: missing key 'schema_version'")
+        version = obj["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise DataError(
+                f"{path}: key 'schema_version': expected {SCHEMA_VERSION}, got {version!r}"
+            )
+    return _record(cls, obj, path, "")
 
 
 def _record(cls, obj, path, where: str):
@@ -109,6 +166,10 @@ def write_local_curve_csv(path, fit: LocalLogisticFit) -> None:
 
 
 def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "") -> LocalLogisticFit:
+    import numpy as np
+
+    from .local import LocalLogisticFit
+
     grid = []
     fitted = []
     try:

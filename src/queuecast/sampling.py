@@ -4,7 +4,8 @@ From a day's best-quote timeline this module extracts the mid-price change
 times and their direction labels, draws one imbalance observation per
 change interval (uniformly in wall time, or uniformly over the discrete
 best-quote update times), subsamples each day to a fixed size, and splits
-the aggregated points into train and test sets.
+the aggregated points into train and test sets. The fit and evaluate stages
+read samples.csv back as columns, not points.
 
 Mids are compared as exact half-tick integers (bid + ask), so change
 detection has no tolerance parameter. All timestamps are integer
@@ -17,12 +18,14 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .book import BestQuoteState, queue_imbalance
-from .errors import DataError, EmptyInterior, OneSidedBook, TooFewPoints
+from .errors import BothQueuesEmpty, DataError, EmptyInterior, OneSidedBook, TooFewPoints
+
+if TYPE_CHECKING:
+    from .book import BestQuoteState
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +46,27 @@ class SplitDataset:
     train: list[SamplePoint]
     test: list[SamplePoint]
     seed: int
+
+
+@dataclass
+class SampleColumns:
+    """The columns of samples.csv that fitting and scoring use, row-aligned."""
+
+    imbalance: np.ndarray  # I
+    label: np.ndarray  # y, 0 or 1
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+
+def queue_imbalance(nb: int, na: int) -> float:
+    """Normalized best-queue imbalance (nb - na) / (nb + na) in [-1, 1]."""
+    if nb < 0 or na < 0:
+        raise ValueError("queue lengths must be nonnegative")
+    total = nb + na
+    if total == 0:
+        raise BothQueuesEmpty("imbalance undefined: both best queues empty")
+    return (nb - na) / total
 
 
 class QuoteTimeline:
@@ -253,14 +277,14 @@ def subsample_day(
     return [points[i] for i in idx], False
 
 
-def train_test_split(
-    points: Sequence[SamplePoint],
+def split_indices(
+    n: int,
     frac: float = 0.8,
     rng: Optional[np.random.Generator] = None,
     seed: int = 0,
-) -> SplitDataset:
-    """Uniform random partition with |train| = floor(frac * N)."""
-    n = len(points)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform random partition of range(n) with |train| = floor(frac * n):
+    the sorted train indices and the sorted test indices."""
     if n < 5:
         raise TooFewPoints(n, 5)
     if not 0.0 < frac < 1.0:
@@ -269,13 +293,18 @@ def train_test_split(
         rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(frac * n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    return SplitDataset(
-        train=[points[i] for i in train_idx],
-        test=[points[i] for i in test_idx],
-        seed=seed,
-    )
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
+def train_test_split(
+    points: Sequence[SamplePoint],
+    frac: float = 0.8,
+    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
+) -> SplitDataset:
+    """The points of ``split_indices``' train and test parts."""
+    train, test = split_indices(len(points), frac, rng, seed)
+    return SplitDataset([points[i] for i in train], [points[i] for i in test], seed)
 
 
 # --- CSV interchange -----------------------------------------------------------
@@ -293,10 +322,13 @@ def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
             )
 
 
-def read_samples_csv(path) -> list[SamplePoint]:
-    """Read samples.csv; a row whose I is not a finite number in [-1, 1], or
-    whose y is not 0 or 1, is a DataError naming the file and the line."""
-    out: list[SamplePoint] = []
+def read_samples_csv(path) -> SampleColumns:
+    """The I and y columns of samples.csv. A row whose day or times are not
+    integers, whose I is not a finite number in [-1, 1], or whose y is not 0
+    or 1 is a DataError naming the file and the line, and so is a file that
+    cannot be read."""
+    imbalance: list[float] = []
+    label: list[int] = []
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
             reader = csv.reader(fh)
@@ -304,21 +336,16 @@ def read_samples_csv(path) -> list[SamplePoint]:
             if header != list(SAMPLE_COLUMNS):
                 raise DataError(f"{path}: unexpected samples.csv header {header}")
             for row in reader:
-                point = SamplePoint(
-                    instrument=row[0],
-                    day=int(row[1]),
-                    t_sample_ns=int(row[2]),
-                    t_change_ns=int(row[3]),
-                    imbalance=float(row[4]),
-                    label=int(row[5]),
-                )
-                if not -1.0 <= point.imbalance <= 1.0:  # false for nan too
+                int(row[1]), int(row[2]), int(row[3])  # day and times: checked, not kept
+                i, y = float(row[4]), int(row[5])
+                if not -1.0 <= i <= 1.0:  # false for nan too
                     raise ValueError(f"I = {row[4]} is not a finite number in [-1, 1]")
-                if point.label != 0 and point.label != 1:
+                if y != 0 and y != 1:
                     raise ValueError(f"y = {row[5]} is not 0 or 1")
-                out.append(point)
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
+                imbalance.append(i)
+                label.append(y)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DataError(f"{path}: {exc.strerror}") from None
     except (ValueError, IndexError, csv.Error) as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    return out
+    return SampleColumns(np.array(imbalance), np.array(label))

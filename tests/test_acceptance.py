@@ -79,13 +79,10 @@ def _load_eval(out: Path, model: str) -> dict:
 
 
 def _load_train_test(out: Path):
-    points = read_samples_csv(out / "samples.csv")
-    train, test = pl._read_split(out, points)
-    to_arrays = lambda pts: (
-        np.array([p.imbalance for p in pts]),
-        np.array([p.label for p in pts]),
-    )
-    return to_arrays(train), to_arrays(test)
+    samples = read_samples_csv(out / "samples.csv")
+    train, test = pl._read_split(out / "split.csv", len(samples))
+    return ((samples.imbalance[train], samples.label[train]),
+            (samples.imbalance[test], samples.label[test]))
 
 
 # --- criteria ------------------------------------------------------------------

@@ -13,7 +13,6 @@ from queuecast.book import (
     BookEvent,
     Order,
     OrderBook,
-    queue_imbalance,
 )
 from queuecast.errors import (
     BothQueuesEmpty,
@@ -22,6 +21,7 @@ from queuecast.errors import (
     OverReduce,
     UnknownOrderId,
 )
+from queuecast.sampling import queue_imbalance
 
 from oracles import NaiveBook
 

@@ -627,9 +627,24 @@ class TestCli:
              ", line 3: grid,fitted = -0.98,nan is not finite"),
             ("evaluate", "fits/logistic.json", "dir", ": Is a directory"),
             ("evaluate", "fits/local_curve.csv", "dir", ": Is a directory"),
+            ("fit", "samples.csv", "dir", ": Is a directory"),
+            ("evaluate", "samples.csv", "dir", ": Is a directory"),
+            ("evaluate", "split.csv", "dir", ": Is a directory"),
+            ("evaluate", "split.csv", "drop-last-line",
+             ": lists 179 of the 180 rows of samples.csv"),
+            ("evaluate", "split.csv", "lines:0,test:0,test", ", line 3: row 0 is listed twice"),
+            ("evaluate", "split.csv", "lines:0,tset",
+             ", line 2: subset 'tset' is not train or test"),
+            ("evaluate", "split.csv", "lines:-1,train", ", line 2: list index out of range"),
+            ("evaluate", "split.csv", "lines:180,train", ", line 2: list index out of range"),
+            ("evaluate", "fits/local_curve.csv", "drop-last-line",
+             ": 40 grid points, where local_meta.json has 41"),
         ],
         ids=["fit-no-x0", "fit-list", "fit-x1-string", "fit-x1-nan", "meta-no-alpha",
-             "meta-list", "report-no-auc-out", "curve-nan", "fit-dir", "curve-dir"],
+             "meta-list", "report-no-auc-out", "curve-nan", "fit-dir", "curve-dir",
+             "samples-dir-fit", "samples-dir-evaluate", "split-dir", "split-short",
+             "split-twice", "split-bad-subset", "split-negative", "split-past-end",
+             "curve-short"],
     )
     def test_bad_artifact_exit_3(self, run_once, tmp_path, stage, rel, edit, message):
         out = tmp_path / "run"
@@ -648,6 +663,13 @@ class TestCli:
         elif kind == "nan-line-3":
             lines = text.splitlines()
             lines[2] = "-0.98,nan"
+            text = "\n".join(lines) + "\n"
+        elif kind == "drop-last-line":
+            text = "".join(text.splitlines(keepends=True)[:-1])
+        elif kind == "lines":  # the first data lines replaced
+            lines = text.splitlines()
+            new = arg.split(":")
+            lines[1:1 + len(new)] = new
             text = "\n".join(lines) + "\n"
         path.unlink()
         if kind == "dir":
@@ -710,6 +732,152 @@ class TestCli:
         assert summary == sample_summary
 
 
+# every subcommand and the inputs it reads, relative to its working directory
+SWEEP_INPUTS = [
+    ("simulate", "sim.cfg"),
+    ("ingest", "m.csv"),
+    ("ingest", "o.csv"),
+    ("sample", "o.csv"),
+    ("pipeline", "m.csv"),
+    ("fit", "run/samples.csv"),
+    ("evaluate", "run/samples.csv"),
+    ("evaluate", "run/split.csv"),
+    ("evaluate", "run/fits/logistic.json"),
+    ("evaluate", "run/fits/local_curve.csv"),
+    ("report", "run/eval/report_null.json"),
+    ("report", "run/fits/logistic.json"),
+]
+SWEEP_ERRORS = {2: "config error: ", 3: "data error: "}
+
+
+class TestCliSweep:
+    """Every subcommand against each of its inputs replaced by an empty
+    directory, removed, cut in the middle of a row, and with a non-ASCII byte
+    in its middle. Each run is a child process, so a traceback would show."""
+
+    @pytest.fixture
+    def workdir(self, run_once, tmp_path):
+        shutil.copytree(run_once, tmp_path / "run")
+        (tmp_path / "run.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in fast_overrides("run").items())
+        )
+        (tmp_path / "sim.cfg").write_text("days = 1\nhorizon = 5\n")
+        (tmp_path / "lobster.cfg").write_text(
+            "source = lobster\nmessage_files = m.csv\norderbook_files = o.csv\njobs = 2\n"
+        )
+        for name, rows in TestCli.DAY.items():
+            (tmp_path / name).write_text("".join(f"{r}\n" for r in rows))
+        return tmp_path
+
+    @pytest.mark.parametrize("fault", ["empty-dir", "missing", "truncated", "corrupted"])
+    @pytest.mark.parametrize(
+        "command, rel", SWEEP_INPUTS, ids=[f"{c}-{r.rsplit('/', 1)[-1]}" for c, r in SWEEP_INPUTS]
+    )
+    def test_fault_exits_cleanly(self, workdir, command, rel, fault):
+        path = workdir / rel
+        data = path.read_bytes()
+        path.unlink()
+        if fault == "empty-dir":
+            path.mkdir()
+        elif fault == "truncated":
+            cut = data[: len(data) // 2]  # on a line end, cut the row's last byte too
+            path.write_bytes(cut[:-2] if cut.endswith(b"\n") else cut)
+        elif fault == "corrupted":
+            middle = len(data) // 2
+            path.write_bytes(data[:middle] + b"\xff" + data[middle + 1:])
+        config = {"simulate": "sim.cfg", "ingest": "lobster.cfg", "sample": "lobster.cfg",
+                  "pipeline": "lobster.cfg"}.get(command, "run.cfg")
+        out = "run" if config == "run.cfg" else "out"
+        proc = run_cli(command, "--config", config, "--out", out, cwd=workdir)
+        assert "Traceback" not in proc.stderr
+        # a config fault, and a data file the config names but that is not
+        # there, are configuration errors; any other fault in a data file is a
+        # data error that names it, or the level-1 file it disagrees with
+        config_fault = rel == "sim.cfg" or (fault == "missing" and config == "lobster.cfg")
+        assert proc.returncode == (2 if config_fault else 3), proc.stderr
+        assert proc.stderr.startswith(SWEEP_ERRORS[proc.returncode])
+        assert proc.stderr.count("\n") == 1
+        if not config_fault:
+            assert any(name in proc.stderr for name in {path.name, "o.csv"})
+
+
+# every name `queuecast` exported when it imported all its submodules
+EXPORTED = """
+    BUY SELL BestQuoteState BookEvent Order OrderBook queue_imbalance
+    EvalReport RocCurve auc auc_from_curve imbalance_histogram mean_squared_residual
+    null_model_report queue_survivor roc_curve
+    LobsterMessage SessionWindow messages_to_events parse_messages replay summary_stats
+    verify_against_l1
+    CvResult LocalLogisticFit cv_bandwidth fit_local_logistic predict_local
+    LogisticFit TestResult chi2_sf_1df fit_intercept_only fit_logistic lr_test
+    predict_logistic wald_test
+    SamplePoint SplitDataset build_day_samples mid_change_times sample_event_time
+    sample_uniform_time subsample_day train_test_split
+    SimResult ZiConfig regime_preset
+"""
+
+
+class TestStartup:
+    """What each staged subcommand loads, listed in a child process at exit."""
+
+    MODULES = (
+        "import runpy, sys\n"
+        "sys.argv = ['queuecast', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('queuecast.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(' '.join(sorted(sys.modules)))\n"
+    )
+    HEAVY = {"queuecast.simulate", "queuecast.lobster", "queuecast.book",
+             "concurrent.futures.process"}
+
+    def test_staged_subcommands_load_only_what_they_run(self, run_once, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        shutil.copyfile(run_once / "samples.csv", out / "samples.csv")
+        (tmp_path / "run.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in fast_overrides(out).items())
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
+        loaded = {}
+        for command in ("fit", "evaluate", "report"):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.MODULES, command, "--config", "run.cfg"],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            loaded[command] = set(proc.stdout.split())
+        assert "numpy" not in loaded["report"]
+        assert not self.HEAVY & (loaded["fit"] | loaded["evaluate"] | loaded["report"])
+        assert "queuecast.local" in loaded["fit"] and "queuecast.evaluate" in loaded["evaluate"]
+        digests = tree_digest(out)
+        for rel, digest in tree_digest(run_once).items():
+            if rel not in ("resolved_config.txt", "sampling_flags.json", "summary.json",
+                           "queue_survivor.csv"):
+                assert digests[rel] == digest, rel
+
+    def test_package_names_resolve(self):
+        import queuecast
+
+        for name in EXPORTED.split():
+            assert name in queuecast.__all__ and name in dir(queuecast), name
+            value = getattr(queuecast, name)
+            module = getattr(value, "__module__", None)
+            if module is not None:  # a class or function: the object its module defines
+                assert getattr(sys.modules[module], name) is value, name
+        for module in ("book", "errors", "evaluate", "lobster", "local", "logistic",
+                       "sampling", "simulate"):
+            assert getattr(queuecast, module) is sys.modules[f"queuecast.{module}"]
+        with pytest.raises(AttributeError):
+            queuecast.no_such_name
+
+    def test_config_spells_the_names_its_modules_define(self):
+        from queuecast import sampling as sp
+
+        assert pl.SAMPLING_MODES == (sp.UNIFORM, sp.EVENT)
+        assert pl.PRESETS == tuple(sim._PRESETS)
+
+
 def _null_report_with_extra():
     rep = null_model_report([0, 1, 1, 0, 1], [1, 0, 0])
     rep.extra = {"note": "constant 1/2"}
@@ -766,8 +934,29 @@ class TestRecordRoundTrip:
 
         # a field with a default may be absent
         required = {k: v for k, v in d.items() if k in _required(cls)}
-        path.write_text(json.dumps(required))
+        path.write_text(json.dumps({"schema_version": 1, **required}))
         assert read_record(cls, path) == cls(**required)
+
+    @pytest.mark.parametrize(
+        "version, message",
+        [(None, "missing key 'schema_version'"),
+         (2, "key 'schema_version': expected 1, got 2"),
+         ("1", "key 'schema_version': expected 1, got '1'"),
+         (1.0, "key 'schema_version': expected 1, got 1.0"),
+         (True, "key 'schema_version': expected 1, got True")],
+        ids=["missing", "newer", "string", "float", "bool"],
+    )
+    def test_schema_version_refused(self, tmp_path, version, message):
+        d = record_to_dict(RECORDS["logistic-fit"])
+        if version is None:
+            del d["schema_version"]
+        else:
+            d["schema_version"] = version
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataError) as info:
+            read_record(LogisticFit, path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_nested_record_names_its_key(self, tmp_path):
         d = record_to_dict(RECORDS["report-with-tests"])

@@ -275,5 +275,9 @@ class TestCsvRoundTrip:
         assert text[0] == "instrument,day,t_sample_ns,t_change_ns,I,y"
         assert text[1].split(",")[4] == "0.333333333333"
         back = read_samples_csv(path)
-        assert [p.label for p in back] == [1, 0]
-        assert back[0].imbalance == pytest.approx(1 / 3, abs=1e-12)
+        assert len(back) == 2
+        assert back.label.tolist() == [1, 0]
+        assert back.imbalance[0] == pytest.approx(1 / 3, abs=1e-12)
+        # each I is float() of its text, bit for bit
+        texts = [row.split(",")[4] for row in text[1:]]
+        assert back.imbalance.tobytes() == np.array([float(t) for t in texts]).tobytes()
