@@ -76,10 +76,6 @@ def _config_from_args(args) -> pl.RunConfig:
     return pl.load_config(args.config, overrides)
 
 
-def _open_out(path):
-    return open(path, "w", encoding="ascii", newline="\n")
-
-
 def cmd_simulate(cfg: pl.RunConfig) -> None:
     """Write per-day message and level-1 orderbook CSVs plus a manifest; each
     row is written as the simulator makes it."""
@@ -92,7 +88,8 @@ def cmd_simulate(cfg: pl.RunConfig) -> None:
     for day in range(cfg.days):
         msg_name = f"day{day:03d}_message.csv"
         l1_name = f"day{day:03d}_orderbook.csv"
-        with _open_out(out / msg_name) as msg_fh, _open_out(out / l1_name) as l1_fh:
+        with (rp.open_out(out / msg_name, newline="\n") as msg_fh,
+              rp.open_out(out / l1_name, newline="\n") as l1_fh):
             res = sim.simulate(
                 pl.preset_day_config(cfg, day), lb.message_writer(msg_fh), lb.l1_writer(l1_fh)
             )
@@ -141,7 +138,7 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
         events = out / f"day{day:03d}_events.csv"
         partial = out / f"day{day:03d}_events.csv.partial"
         try:
-            with _open_out(partial) as fh:
+            with rp.open_out(partial, newline="\n") as fh:
                 fh.write("seq,t_ns,kind,order_id,price_ticks,size_delta\n")
                 res, report = pl.read_lobster_day(cfg, day, events=_event_writer(fh))
         except BaseException:

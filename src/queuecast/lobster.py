@@ -21,6 +21,15 @@ to an append target as it makes them, a list, a file writer
 row of a lazily parsed orderbook file and keeps only the mismatches. What
 grows with the day is the quote timeline, one record per quote change.
 
+``parse_messages`` reads the message file in blocks of ``BLOCK_LINES``
+lines, and holds one block at a time. A block whose every line is a
+canonical row (nine-decimal stamp, ASCII digits, LF ending; see
+``_CANONICAL_ROW``) and whose times never go back is converted in one numpy
+call. Every other block (fewer decimals, spaces, CRLF, ``+`` signs, long
+fields, blank lines, a fault) goes through the per-line parser from its
+first line, so it parses, or fails with the same error at the same line,
+as if the file were read line by line.
+
 Times are parsed to integer nanoseconds; no float time arithmetic anywhere.
 """
 
@@ -28,9 +37,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 from typing import (
-    Callable, ContextManager, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO,
+    Callable, ContextManager, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence,
+    TextIO,
 )
 
 from . import book as bk
@@ -58,6 +70,14 @@ AUCTION = 6
 HALT = 7
 
 _VALID_CODES = frozenset((1, 2, 3, 4, 5, 6, 7))
+
+# Lines that parse_messages reads and converts at a time.
+BLOCK_LINES = 1024
+# A canonical message row: a nine-decimal stamp, type 1-7, direction +1 or -1,
+# ASCII digits, at most 18 of them a field (so every value fits an int64),
+# and an LF ending. A block of them is its lines joined with a space.
+_CANONICAL_ROW = r"[0-9]{1,9}\.[0-9]{9},[1-7],-?[0-9]{1,18},[0-9]{1,18},-?[0-9]{1,18},-?1\n"
+_CANONICAL_BLOCK = re.compile(f"{_CANONICAL_ROW}(?: {_CANONICAL_ROW})*+")
 
 
 class LobsterMessage(NamedTuple):
@@ -133,44 +153,90 @@ def parse_messages(source) -> Iterator[LobsterMessage]:
     error on the first malformed row, non-monotone timestamp, or unknown type
     code. A fault that the consumer finds in a message and throws back into
     this generator (``replay`` does) is positioned at the message's file line.
+
+    The source is read ``BLOCK_LINES`` lines at a time. A canonical block is
+    converted in one numpy call; any other block goes through ``_parse_lines``
+    from its first line, which parses it as if the file were read line by line.
     """
     new, message = tuple.__new__, LobsterMessage  # the named tuple without its Python __new__
     prev_t = -1
+    start = 0  # lines before the block
     with _open_lines(source) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            row = line.strip()
-            if not row:
-                continue
-            parts = row.split(",")
-            if len(parts) != 6:
-                raise MalformedRow(line_no, f"expected 6 fields, got {len(parts)}")
-            stamp, code, order_id, size, price, direction = parts
-            whole, dot, frac = stamp.partition(".")
-            try:
-                if whole.isdecimal() and (not dot or frac.isdecimal() and len(frac) <= 9):
-                    t_ns = int(whole + frac.ljust(9, "0"))
-                else:  # spaces around the stamp, or a bad stamp
-                    t_ns = parse_time_ns(stamp)
-                code = int(code)
-                order_id = int(order_id)
-                size = int(size)
-                price = int(price)
-                direction = int(direction)
-            except ValueError as exc:
-                raise MalformedRow(line_no, str(exc)) from None
-            if code not in _VALID_CODES:
-                raise UnknownTypeCode(line_no, code)
-            if direction not in (1, -1):
-                raise MalformedRow(line_no, f"direction must be +1 or -1, got {direction}")
-            if size < 0:
-                raise MalformedRow(line_no, f"negative size {size}")
-            if t_ns < prev_t:
-                raise NonMonotoneTime(line_no)
-            prev_t = t_ns
-            try:
-                yield new(message, (t_ns, code, order_id, size, price, direction))
-            except DataError as exc:  # thrown back: the consumer's fault in this message
-                raise exc.at_line(line_no) from None
+        lines = iter(lines)
+        while block := list(islice(lines, BLOCK_LINES)):
+            values = _canonical_values(block, prev_t)
+            if values is None:
+                prev_t = yield from _parse_lines(block, start, prev_t)
+            else:
+                prev_t = values[-6]
+                rows = zip(*[iter(values)] * 6)
+                for line_no, msg in enumerate(map(new, repeat(message), rows), start + 1):
+                    try:
+                        yield msg
+                    except DataError as exc:  # thrown back: the consumer's fault in this message
+                        raise exc.at_line(line_no) from None
+            start += len(block)
+
+
+def _canonical_values(block: list[str], prev_t: int) -> Optional[list[int]]:
+    """The six values of each line of ``block`` in order, if every line is a
+    canonical row and time never goes back from ``prev_t``; else None.
+
+    The lines are joined with a space, which no canonical row holds, so the
+    block regex matches only when each line is one whole row."""
+    import numpy as np  # here, so that importing this module loads no numpy
+
+    text = " ".join(block)
+    if _CANONICAL_BLOCK.fullmatch(text) is None:
+        return None
+    values = np.fromstring(text.replace(".", "").replace("\n", ","), dtype=np.int64, sep=",")
+    t = values[::6]
+    if values.size != 6 * len(block) or t[0] < prev_t or (t[1:] < t[:-1]).any():
+        return None
+    return values.tolist()
+
+
+def _parse_lines(
+    lines: Iterable[str], start: int, prev_t: int
+) -> Generator[LobsterMessage, None, int]:
+    """Parse ``lines``, the lines after the first ``start`` of the file, one at
+    a time; time must not go back from ``prev_t``. Returns the last time."""
+    new, message = tuple.__new__, LobsterMessage
+    for line_no, line in enumerate(lines, start=start + 1):
+        row = line.strip()
+        if not row:
+            continue
+        parts = row.split(",")
+        if len(parts) != 6:
+            raise MalformedRow(line_no, f"expected 6 fields, got {len(parts)}")
+        stamp, code, order_id, size, price, direction = parts
+        whole, dot, frac = stamp.partition(".")
+        try:
+            if whole.isdecimal() and (not dot or frac.isdecimal() and len(frac) <= 9):
+                t_ns = int(whole + frac.ljust(9, "0"))
+            else:  # spaces around the stamp, or a bad stamp
+                t_ns = parse_time_ns(stamp)
+            code = int(code)
+            order_id = int(order_id)
+            size = int(size)
+            price = int(price)
+            direction = int(direction)
+        except ValueError as exc:
+            raise MalformedRow(line_no, str(exc)) from None
+        if code not in _VALID_CODES:
+            raise UnknownTypeCode(line_no, code)
+        if direction not in (1, -1):
+            raise MalformedRow(line_no, f"direction must be +1 or -1, got {direction}")
+        if size < 0:
+            raise MalformedRow(line_no, f"negative size {size}")
+        if t_ns < prev_t:
+            raise NonMonotoneTime(line_no)
+        prev_t = t_ns
+        try:
+            yield new(message, (t_ns, code, order_id, size, price, direction))
+        except DataError as exc:  # thrown back: the consumer's fault in this message
+            raise exc.at_line(line_no) from None
+    return prev_t
 
 
 def message_writer(fh: TextIO) -> Callable[[LobsterMessage], None]:

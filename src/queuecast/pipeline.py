@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from . import __version__
 from . import reports as rp
-from .errors import ConfigError, DataError, NumericalError, UnknownPreset
+from .errors import ConfigError, DataError, NotConverged, NumericalError, UnknownPreset
 
 if TYPE_CHECKING:
     from . import book as bk
@@ -150,26 +150,30 @@ def parse_config_text(text: str) -> dict:
     return {**DEFAULTS, **_config_keys(text)}
 
 
-def _config_keys(text: str) -> dict:
-    """The keys a config text sets, as text."""
+def _config_keys(text: str, path=None) -> dict:
+    """The keys a config text sets, as text; a fault names ``path``, the file
+    the text was read from, where there is one."""
+    where = "config" if path is None else f"{path},"
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {line_no}: expected key = value")
+            raise ConfigError(f"{where} line {line_no}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in DEFAULTS:
-            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+            raise ConfigError(f"{where} line {line_no}: unknown key {key!r}")
         values[key] = val.strip()
     return values
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
-    """Parse, apply CLI/env overrides, and validate a run configuration."""
+    """Parse, apply CLI/env overrides, and validate a run configuration. A bad
+    value that the config file set names the file."""
     values = dict(DEFAULTS)
+    file_keys: dict = {}
     # QUEUECAST_DATA_DIR stands in for a data_dir the file does not set; a
     # resolved config sets it (to empty, beside the joined paths)
     if os.environ.get(ENV_DATA_DIR):
@@ -179,16 +183,21 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             text = Path(path).read_text(encoding="ascii")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        values.update(_config_keys(text))
+        file_keys = _config_keys(text, path)
+        values.update(file_keys)
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = str(val)
+            file_keys.pop(key, None)
     if os.environ.get(ENV_OUT_DIR):
         values["out_dir"] = os.environ[ENV_OUT_DIR]
-    return _validate(values)
+        file_keys.pop("out_dir", None)
+    return _validate(values, path, file_keys)
 
 
-def _validate(values: dict) -> RunConfig:
+def _validate(values: dict, path=None, file_keys=()) -> RunConfig:
+    """The RunConfig of ``values``; a bad value of one of ``file_keys``, the
+    keys that the config file ``path`` set, names the file."""
     v = {}
     for f in fields(RunConfig):
         text = values[f.name]
@@ -197,7 +206,8 @@ def _validate(values: dict) -> RunConfig:
                 raise ValueError("expected ASCII text")
             v[f.name] = f.metadata["parse"](text)
         except ValueError as exc:
-            raise ConfigError(f"{f.name}: {exc} (got {text!a})") from None
+            where = f"{path}: " if f.name in file_keys else ""
+            raise ConfigError(f"{where}{f.name}: {exc} (got {text!a})") from None
     if v["session_open"] >= v["session_close"]:
         raise ConfigError("session_open must precede session_close")
     alphas = v["alphas"]
@@ -225,7 +235,7 @@ def _validate(values: dict) -> RunConfig:
 
 def write_resolved_config(cfg: RunConfig, out: Path) -> None:
     lines = [f"{k} = {v}" for k, v in cfg.resolved_items()]
-    (out / "resolved_config.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    rp.write_text(out / "resolved_config.txt", "\n".join(lines) + "\n")
 
 
 # --- per-day work ----------------------------------------------------------------
@@ -471,14 +481,18 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
         len(samples), cfg.train_frac, seeds.rng_for(cfg.seed, seeds.SPLIT)
     )
     lines = ["index,subset", *(f"{i},train" for i in train), *(f"{i},test" for i in test)]
-    (out / "split.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    rp.write_text(out / "split.csv", "\n".join(lines) + "\n")
 
     fits_dir = out / "fits"
-    fits_dir.mkdir(exist_ok=True)
+    rp.make_dir(fits_dir)
     I_tr = samples.imbalance[train]
     y_tr = samples.label[train]
     if "logistic" in cfg.models or "local" in cfg.models:
         fit = lg.fit_logistic(I_tr, y_tr)
+        if not fit.converged or fit.separated:
+            why = " and ".join(text for text, failed in (("did not converge", not fit.converged),
+                                                         ("is separated", fit.separated)) if failed)
+            raise NotConverged(f"global logistic fit {why} after {fit.iterations} iterations")
         rp.write_json(fits_dir / "logistic.json", rp.record_to_dict(fit))
         nested = lg.fit_intercept_only(y_tr)
         rp.write_json(fits_dir / "intercept.json", rp.record_to_dict(nested))
@@ -520,7 +534,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     I_tr = samples.imbalance[train]
     I_te = samples.imbalance[test]
     eval_dir = out / "eval"
-    eval_dir.mkdir(exist_ok=True)
+    rp.make_dir(eval_dir)
 
     edges, counts = ev.imbalance_histogram(samples.imbalance)
     rp.write_histogram_csv(eval_dir / "histogram.csv", edges, counts)
@@ -582,7 +596,7 @@ def stage_report(cfg: RunConfig, out: Path) -> None:
         reports.append(rp.read_record(rp.EvalReport, eval_dir / f"report_{model}.json"))
         if model == "logistic":
             fits["logistic"] = rp.read_record(rp.LogisticFit, out / "fits" / "logistic.json")
-    (out / "report.txt").write_text(rp.emit_report_text(reports, fits), encoding="ascii")
+    rp.write_text(out / "report.txt", rp.emit_report_text(reports, fits))
     combined = {
         "schema_version": rp.SCHEMA_VERSION,
         "provenance": provenance_block(cfg),

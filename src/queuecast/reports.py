@@ -24,7 +24,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, get_args, get_type_hints
 
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,13 +81,36 @@ class EvalReport:
 _JSON_TYPES = {float: (int, float), int: int, bool: bool, str: str, list: list, dict: dict}
 
 
+def open_out(path, newline=None):
+    """``path`` opened to write an artifact. A path that cannot be written (a
+    directory stands there, or a file where its directory should be) is a
+    ConfigError naming it: the output location is at fault, not the data."""
+    try:
+        return open(path, "w", encoding="ascii", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def make_dir(path) -> None:
+    """Create the artifact directory ``path``, or reuse it; a file standing
+    there is a ConfigError naming it."""
+    try:
+        path.mkdir(exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from None
+
+
+def write_text(path, text: str) -> None:
+    with open_out(path) as fh:
+        fh.write(text)
+
+
 def write_json(path, obj) -> None:
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"{path}: {exc}") from None
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    write_text(path, text)
 
 
 def read_json(path):
@@ -150,7 +173,7 @@ def _value(tp, value, path, key: str):
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open_out(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("fpr", "tpr"))
         for x, y in zip(curve.fpr, curve.tpr):
@@ -158,7 +181,7 @@ def write_roc_csv(path, curve: RocCurve) -> None:
 
 
 def write_local_curve_csv(path, fit: LocalLogisticFit) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open_out(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("grid", "fitted"))
         for g, v in zip(fit.grid, fit.fitted):
@@ -194,7 +217,7 @@ def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "")
 
 
 def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open_out(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("bin_left", "bin_right", "count"))
         for left, right, c in zip(edges[:-1], edges[1:], counts):
@@ -203,7 +226,7 @@ def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
 
 def write_survivor_csv(path, named_series: dict) -> None:
     """named_series: {"bid": (values, survivor), "ask": (...)}."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open_out(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("side", "queue_length", "survivor"))
         for name in sorted(named_series):

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .errors import BothQueuesEmpty, DataError, EmptyInterior, OneSidedBook, TooFewPoints
+from .reports import open_out
 
 if TYPE_CHECKING:
     from .book import BestQuoteState
@@ -313,7 +314,7 @@ SAMPLE_COLUMNS = ("instrument", "day", "t_sample_ns", "t_change_ns", "I", "y")
 
 
 def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open_out(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SAMPLE_COLUMNS)
         for p in points:

@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,6 +370,101 @@ class TestArbitraryRows:
         # a list of messages has no file lines: its ordinal stands in
         with pytest.raises(UnknownOrderId, match="^line 3: "):
             lb.replay(list(lb.parse_messages(rows)))
+
+
+@st.composite
+def message_text(draw):
+    """Message-file text mixing canonical rows with rows the block parser
+    must leave to the per-line parser: fewer decimals, spaces, CRLF, ``+``
+    signs, fields over 18 digits, blank lines, garbled fields, a wrong field
+    count and time going back. The last row may lack its LF."""
+    rows, t_ns = [], 36000 * lb.NS
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            rows.append(draw(st.sampled_from(["\n", "  \n", "\r\n"])))
+            continue
+        t_ns += draw(st.integers(-1, 30))
+        fields = [
+            lb.format_time_ns(t_ns),
+            draw(st.sampled_from("1111234567")),
+            str(draw(st.integers(1, 9))),
+            str(draw(st.integers(1, 12))),
+            str(draw(st.integers(98, 102)) * 100),
+            draw(st.sampled_from(["1", "-1"])),
+        ]
+        end = "\n"
+        i = draw(st.integers(0, 5))
+        if kind == 1:
+            fields[0] = fields[0].rstrip("0") or "0"
+        elif kind == 2:
+            fields[i] = draw(st.sampled_from([" ", "\t"])) + fields[i]
+        elif kind == 3:
+            end = "\r\n"
+        elif kind == 4:
+            fields[i] = "+" + fields[i]
+        elif kind == 5:  # over 18 digits, with the value unchanged or not
+            fields[i] = draw(st.sampled_from(["0" * 18, "9" * 19])) + fields[i].lstrip("-")
+        elif kind == 6:
+            fields[i] = draw(st.sampled_from(FAULTY_FIELDS[i])
+                             | st.text(alphabet="0123456789.-+ x\xe9", max_size=4))
+        elif kind == 7:
+            fields = fields[: draw(st.integers(1, 5))] or fields + ["1"]
+        rows.append(",".join(fields) + end)
+    text = "".join(rows)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+def outcome(run):
+    """What ``run()`` returns, or the class, line and text of the DataError it raises."""
+    try:
+        return run()
+    except DataError as exc:
+        return type(exc), exc.line_no, str(exc)
+
+
+def per_line(text):
+    """The per-line parser over the whole text: the block parser's oracle."""
+    return lb._parse_lines(io.StringIO(text), 0, -1)
+
+
+class TestBlockParse:
+    """Blocks of canonical rows are converted in one numpy call; every other
+    block goes through the per-line parser. The split must not show."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(text=message_text())
+    def test_blocks_parse_as_lines(self, text):
+        expected = outcome(lambda: list(per_line(text)))
+        replayed = outcome(lambda: lb.replay(per_line(text), record_l1=True).l1_rows)
+        for size in (1, 2, 3):
+            with mock.patch.object(lb, "BLOCK_LINES", size):
+                sources = [io.StringIO(text), text.splitlines(keepends=True)]
+                if text.isascii():
+                    sources.append(text.encode("ascii"))
+                for source in sources:
+                    assert outcome(lambda: list(lb.parse_messages(source))) == expected
+                assert outcome(lambda: lb.replay(
+                    lb.parse_messages(io.StringIO(text)), record_l1=True).l1_rows) == replayed
+
+    def test_canonical_block_is_converted_whole(self, monkeypatch):
+        rows = [lb.LobsterMessage(36000 * lb.NS + i, 1 + i % 7, 10**17 + i, i, -1 if i % 2 else i,
+                                  1 if i % 3 else -1) for i in range(7)]
+        text = "".join(lb.format_message(m) + "\n" for m in rows)
+        monkeypatch.setattr(lb, "_parse_lines", None)  # the per-line parser is not called
+        monkeypatch.setattr(lb, "BLOCK_LINES", 3)
+        assert list(lb.parse_messages(io.StringIO(text))) == rows
+        assert all(type(m) is lb.LobsterMessage for m in lb.parse_messages(text.encode()))
+
+    def test_book_fault_in_a_canonical_block_names_its_file_line(self, monkeypatch):
+        # block 1 holds a blank line and goes line by line; block 2 is canonical
+        rows = ["36000.000000000,1,1,10,10000,1", "", "36001.000000000,1,2,10,10200,-1",
+                "36001.500000000,1,3,10,10100,1", "36002.000000000,1,4,10,10300,-1",
+                "36002.000000000,4,99,1,10000,1", "36003.000000000,1,5,10,10000,1"]
+        monkeypatch.setattr(lb, "BLOCK_LINES", 4)
+        with pytest.raises(UnknownOrderId) as ei:
+            lb.replay(lb.parse_messages(io.StringIO("".join(f"{r}\n" for r in rows))))
+        assert str(ei.value) == "line 6: unknown order id 99"
 
 
 class TestSessionFilter:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from queuecast import lobster as lb
 from queuecast import pipeline as pl
+from queuecast import sampling as sp
 from queuecast import simulate as sim
 from queuecast.cli import main as cli_main
 from queuecast.errors import ConfigError, DataError, NumericalError
@@ -77,6 +79,32 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             pl.parse_config_text("no_such_key = 3")
+
+    @pytest.mark.parametrize(
+        "text, overrides, message",
+        [
+            ("days = 1\nho", {}, "{path}, line 2: expected key = value"),
+            ("days = 1\nno_such_key = 3\n", {}, "{path}, line 2: unknown key 'no_such_key'"),
+            ("days = x\n", {}, "{path}: days: expected an integer >= 1 (got 'x')"),
+            # a value from an override is not the file's: the message names none
+            ("days = 2\n", {"days": "x"}, "days: expected an integer >= 1 (got 'x')"),
+            ("days = 2\n", {"out_dir": "o\u00e9"}, "out_dir: expected ASCII text (got 'o\\xe9')"),
+        ],
+        ids=["line", "unknown-key", "value", "override-value", "override-out-dir"],
+    )
+    def test_config_file_fault_names_the_file(self, tmp_path, text, overrides, message):
+        path = tmp_path / "t.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as ei:
+            pl.load_config(str(path), overrides)
+        assert str(ei.value) == message.format(path=path)
+
+    def test_out_dir_from_environment_keeps_its_message(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.cfg"
+        path.write_text("out_dir = o\n")
+        monkeypatch.setenv(pl.ENV_OUT_DIR, "o\u00e9")
+        with pytest.raises(ConfigError, match=r"^out_dir: expected ASCII text"):
+            pl.load_config(str(path))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
@@ -604,6 +632,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: out_dir: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_separated_global_fit_exits_4(self, tmp_path):
+        """A global fit that separates the labels is reported, not written."""
+        out = tmp_path / "run"
+        out.mkdir()
+        rows = [",".join(sp.SAMPLE_COLUMNS)]
+        for k in range(40):
+            i = -0.975 + 0.05 * k
+            rows.append(f"X,0,{k},{k + 1},{i:.12g},{int(i > 0)}")
+        (out / "samples.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "run.cfg").write_text("models = logistic,null\n")
+        proc = run_cli("fit", "--config", "run.cfg", "--out", "run", cwd=tmp_path)
+        assert proc.returncode == 4
+        assert re.fullmatch(
+            r"numerical error: global logistic fit is separated after \d+ iterations\n",
+            proc.stderr,
+        )
+        assert not (out / "fits" / "logistic.json").exists()
+
     def test_bad_local_curve_is_data_error(self, tmp_path):
         path = tmp_path / "local_curve.csv"
         with pytest.raises(DataError, match="local_curve.csv"):
@@ -799,6 +845,36 @@ class TestCliSweep:
         assert proc.stderr.count("\n") == 1
         if not config_fault:
             assert any(name in proc.stderr for name in {path.name, "o.csv"})
+        elif rel == "sim.cfg":  # a fault in the config file names it
+            assert "sim.cfg" in proc.stderr
+            if fault == "truncated":
+                assert proc.stderr == "config error: sim.cfg, line 2: expected key = value\n"
+
+    @pytest.mark.parametrize(
+        "command, rel, kind, error",
+        [
+            ("fit", "split.csv", "dir", "cannot write run/split.csv: Is a directory"),
+            ("fit", "fits", "file", "cannot create directory run/fits: File exists"),
+            ("evaluate", "eval", "file", "cannot create directory run/eval: File exists"),
+            ("report", "report.txt", "dir", "cannot write run/report.txt: Is a directory"),
+            ("report", "report.json", "dir", "cannot write run/report.json: Is a directory"),
+        ],
+        ids=["split-dir", "fits-file", "eval-file", "report-txt-dir", "report-json-dir"],
+    )
+    def test_output_path_fault_exits_2(self, workdir, command, rel, kind, error):
+        """A directory where a stage writes a file, or a file where it makes a
+        directory, is a fault of the output location: exit 2, naming it."""
+        path = workdir / "run" / rel
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
+        if kind == "dir":
+            path.mkdir()
+        else:
+            path.write_text("x\n")
+        proc = run_cli(command, "--config", "run.cfg", "--out", "run", cwd=workdir)
+        assert (proc.returncode, proc.stderr) == (2, f"config error: {error}\n")
 
 
 # every name `queuecast` exported when it imported all its submodules
@@ -856,6 +932,14 @@ class TestStartup:
                            "queue_survivor.csv"):
                 assert digests[rel] == digest, rel
 
+    def test_lobster_import_loads_no_numpy(self):
+        """parse_messages loads numpy when it converts its first block."""
+        env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
+        code = "import sys, queuecast.lobster; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.stdout, proc.stderr) == ("False\n", "")
+
     def test_package_names_resolve(self):
         import queuecast
 
@@ -872,8 +956,6 @@ class TestStartup:
             queuecast.no_such_name
 
     def test_config_spells_the_names_its_modules_define(self):
-        from queuecast import sampling as sp
-
         assert pl.SAMPLING_MODES == (sp.UNIFORM, sp.EVENT)
         assert pl.PRESETS == tuple(sim._PRESETS)
 
