@@ -155,7 +155,7 @@ def _config_keys(text: str, path=None) -> dict:
     the text was read from, where there is one."""
     where = "config" if path is None else f"{path},"
     values = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):  # splitlines() also splits at \f
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

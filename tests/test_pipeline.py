@@ -84,13 +84,15 @@ class TestConfig:
         "text, overrides, message",
         [
             ("days = 1\nho", {}, "{path}, line 2: expected key = value"),
+            ("days = 1\f\nho\n", {}, "{path}, line 2: expected key = value"),
             ("days = 1\nno_such_key = 3\n", {}, "{path}, line 2: unknown key 'no_such_key'"),
             ("days = x\n", {}, "{path}: days: expected an integer >= 1 (got 'x')"),
             # a value from an override is not the file's: the message names none
             ("days = 2\n", {"days": "x"}, "days: expected an integer >= 1 (got 'x')"),
             ("days = 2\n", {"out_dir": "o\u00e9"}, "out_dir: expected ASCII text (got 'o\\xe9')"),
         ],
-        ids=["line", "unknown-key", "value", "override-value", "override-out-dir"],
+        ids=["line", "line-after-form-feed", "unknown-key", "value", "override-value",
+             "override-out-dir"],
     )
     def test_config_file_fault_names_the_file(self, tmp_path, text, overrides, message):
         path = tmp_path / "t.cfg"
