@@ -19,7 +19,8 @@ A day is one pass with no per-message list: ``replay`` pulls messages from
 to an append target as it makes them, a list, a file writer
 (``l1_writer``) or an ``L1Verifier``, which compares the row with the next
 row of a lazily parsed orderbook file and keeps only the mismatches. What
-grows with the day is the quote timeline, one record per quote change.
+grows with the day is the quote timeline, one record per nanosecond at which
+the quote changed.
 
 ``parse_messages`` reads the message file in blocks of ``BLOCK_LINES``
 lines, and holds one block at a time. A block whose every line is a
@@ -453,8 +454,11 @@ def replay(
 ) -> ReplayResult:
     """Replay a message stream through a fresh book.
 
-    Returns the change timeline (one BestQuoteState per best-quote change)
-    and session-window accumulators for the summary-statistics table. Events
+    Returns the quote timeline and session-window accumulators for the
+    summary-statistics table. The timeline holds the last best quote of each
+    nanosecond at which it changed: several changes stamped alike leave one
+    record, and none if they net out to the record before. So times rise
+    strictly and no record repeats the quote of the one before it. Events
     outside the window still evolve the book (warm start); the window only
     scopes the stats and marks the first in-session event time for sampling.
 
@@ -466,7 +470,8 @@ def replay(
 
     The quote is read (``ob.state``) only after a message that changed it,
     and after the first message; otherwise it equals the last timeline
-    record, so a level-1 row repeats the previous row object.
+    record, so a level-1 row repeats the previous row object. A level-1 row
+    is the quote after its own message, whatever the timeline keeps.
 
     A message is a LobsterMessage or a plain tuple in its field order; both
     are read by position. Messages are pulled one at a time, so a generator
@@ -512,7 +517,12 @@ def replay(
                 st = ob.state(t)
                 # a changed message may net out to the last record (intra-message flicker)
                 if not timeline or timeline[-1][1:] != st[1:]:
-                    timeline.append(st)
+                    # only the last quote of a nanosecond is observable: it replaces the
+                    # record made earlier in that nanosecond, or nets out to the one before
+                    if timeline and timeline[-1][0] == t:
+                        timeline.pop()
+                    if not timeline or timeline[-1][1:] != st[1:]:
+                        timeline.append(st)
                     if l1 is not None:
                         row = (st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE, st.na,
                                st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE, st.nb)

@@ -14,9 +14,10 @@ its mean label, which leaves the local likelihood, score and Hessian exactly
 as they are over the raw points. The radius is read off the cumulative
 counts of the distinct values sorted by distance, which gives the same float
 as selecting the k-th of all n distances. Each grid point's Newton starts
-from the previous converged local line. A window holding a single distinct
-value has no slope to fit and, like a window whose labels all agree, takes
-its mean label as a clamped, degenerate value.
+from the previous converged local line. A window without a finite slope
+(one distinct value, labels that all agree, or a separated fit) takes its
+weighted mean label as a clamped, degenerate value, which does not depend on
+where Newton stopped.
 
 The bandwidth fraction alpha is chosen by k-fold cross validation on the
 training set, minimizing the mean squared residual of held-out predictions
@@ -76,9 +77,10 @@ def fit_local_logistic(
 
     ``all_weights_one`` is a test mode that disables the kernel entirely;
     the resulting curve must coincide with the global logistic fit.
-    Neighbourhoods whose weighted labels are all identical (or whose local
-    fit separates) get a clamped fitted value and a degeneracy flag; grid
-    points whose local fit did not converge are flagged in ``nonconverged``.
+    Neighbourhoods whose weighted labels are all identical, or whose local
+    fit separates, get their clamped weighted mean label and a degeneracy
+    flag; grid points whose local fit did not converge are flagged in
+    ``nonconverged``.
     """
     I = np.asarray(imbalance, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -131,14 +133,16 @@ def fit_local_logistic(
         b0, b1, _ll, _it, converged, separated, _cov = weighted_logistic_mle(
             values[lo:hi] - g, ybar[lo:hi], w, start=(line[0] + line[1] * g, line[1])
         )
-        value = float(sigmoid(b0))
         nonconverged[j] = not converged
         if separated:
-            value = min(max(value, FITTED_FLOOR), 1.0 - FITTED_FLOOR)
+            # no finite slope either: the weighted mean label, whatever Newton reached
+            label = float(w @ ybar[lo:hi] / w.sum())
+            fitted[j] = min(max(label, FITTED_FLOOR), 1.0 - FITTED_FLOOR)
             degenerate[j] = True
-        elif converged:
+            continue
+        if converged:
             line = (b0 - b1 * g, b1)
-        fitted[j] = value
+        fitted[j] = float(sigmoid(b0))
     return LocalLogisticFit(grid, fitted, alpha, train_ref, degenerate, nonconverged)
 
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from . import __version__
 from . import reports as rp
-from .errors import ConfigError, DataError, NotConverged, NumericalError, UnknownPreset
+from .errors import ConfigError, DataError, NotConverged, UnknownPreset
 
 if TYPE_CHECKING:
     from . import book as bk
@@ -261,27 +261,12 @@ def preset_day_config(cfg: RunConfig, day: int) -> sim.ZiConfig:
 
 
 def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
-    from . import sampling as sp
-    from . import seeds
     from . import simulate as sim
 
     res = sim._session(preset_day_config(cfg, day))  # no messages, no level-1 rows
     close_ns = min(res.end_ns, cfg.window.close_ns)
-    day_samples = sp.build_day_samples(
-        res.timeline,
-        res.first_event_ns,
-        close_ns,
-        cfg.sampling_mode,
-        seeds.rng_for(cfg.seed, seeds.SAMPLING, day),
-        instrument=cfg.instrument,
-        day=day,
-    )
-    sub, short = sp.subsample_day(
-        day_samples.points, cfg.subsample, seeds.rng_for(cfg.seed, seeds.SUBSAMPLE, day)
-    )
-    flags = _day_flags(day_samples, short)
-    flags["side_depleted"] = res.side_depleted
-    return DayOutcome(day, sub, res.stats, flags)
+    flags = {"side_depleted": res.side_depleted}
+    return _sampled_day(cfg, day, res.timeline, res.first_event_ns, close_ns, res.stats, flags)
 
 
 def read_lobster_day(
@@ -293,7 +278,8 @@ def read_lobster_day(
     each reconstructed row is checked against its next row as soon as replay
     makes it, and only the mismatches are kept. The book events go to the
     append target ``events``, if given. What the day keeps is the quote
-    timeline, one record per quote change.
+    timeline that replay makes, the last quote of each nanosecond at which
+    the quote changed.
 
     A file that cannot be read is a DataError naming it, and so is every
     fault found in one; of two faults, the first in reading order is raised.
@@ -318,43 +304,50 @@ def read_lobster_day(
 
 
 def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:
+    res, verification = read_lobster_day(cfg, day)
+    counters = res.counters
+    flags = {"messages": counters.messages, "hidden_volume": counters.hidden_volume,
+             "ignored_messages": counters.ignored_messages}
+    mismatches = None if verification is None else len(verification.mismatches)
+    return _sampled_day(cfg, day, res.timeline, res.first_session_event_ns,
+                        cfg.window.close_ns, res.stats, flags, mismatches)
+
+
+def _sampled_day(
+    cfg: RunConfig,
+    day: int,
+    timeline: list[bk.BestQuoteState],
+    first_ns: Optional[int],
+    close_ns: int,
+    stats: lb.DayStats,
+    flags: dict,
+    mismatches: Optional[int] = None,
+) -> DayOutcome:
+    """Sample and subsample a day's timeline from its first in-session event
+    ``first_ns`` (None: the day has none, so it has no points) up to
+    ``close_ns``, adding the sampling counts to the day's ``flags``."""
     from . import sampling as sp
     from . import seeds
 
-    res, verification = read_lobster_day(cfg, day)
-    mismatches = None if verification is None else len(verification.mismatches)
-    if res.first_session_event_ns is None:
+    if first_ns is None:
         day_samples = sp.DaySampleResult()
-        sub, short = [], True
     else:
         day_samples = sp.build_day_samples(
-            res.timeline,
-            res.first_session_event_ns,
-            cfg.window.close_ns,
-            cfg.sampling_mode,
-            seeds.rng_for(cfg.seed, seeds.SAMPLING, day),
-            instrument=cfg.instrument,
-            day=day,
+            timeline, first_ns, close_ns, cfg.sampling_mode,
+            seeds.rng_for(cfg.seed, seeds.SAMPLING, day), instrument=cfg.instrument, day=day,
         )
-        sub, short = sp.subsample_day(
-            day_samples.points, cfg.subsample, seeds.rng_for(cfg.seed, seeds.SUBSAMPLE, day)
-        )
-    flags = _day_flags(day_samples, short)
-    flags["messages"] = res.counters.messages
-    flags["hidden_volume"] = res.counters.hidden_volume
-    flags["ignored_messages"] = res.counters.ignored_messages
-    return DayOutcome(day, sub, res.stats, flags, mismatches)
-
-
-def _day_flags(day_samples: sp.DaySampleResult, short: bool) -> dict:
-    return {
-        "mid_changes": day_samples.n_changes,
-        "dropped_after_close": day_samples.dropped_after_close,
-        "skipped_one_sided": day_samples.skipped_one_sided,
-        "skipped_empty_interval": day_samples.skipped_empty_interval,
-        "fallback_points": day_samples.fallback_points,
-        "short_day": short,
-    }
+    sub, short = sp.subsample_day(
+        day_samples.points, cfg.subsample, seeds.rng_for(cfg.seed, seeds.SUBSAMPLE, day)
+    )
+    flags.update(
+        mid_changes=day_samples.n_changes,
+        dropped_after_close=day_samples.dropped_after_close,
+        skipped_one_sided=day_samples.skipped_one_sided,
+        skipped_empty_interval=day_samples.skipped_empty_interval,
+        fallback_points=day_samples.fallback_points,
+        short_day=short,
+    )
+    return DayOutcome(day, sub, stats, flags, mismatches)
 
 
 def _day_worker(args) -> DayOutcome:
@@ -651,24 +644,14 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """Execute sample -> fit -> evaluate -> report into a fresh directory.
 
     The output directory must not already contain files; on failure,
-    everything written by this run is removed and the failing stage is named
-    in the raised error.
+    everything written by this run is removed and the error is raised as the
+    failing stage raised it.
     """
     out = fresh_out_dir(cfg)
-    stagens = [
-        ("sample", stage_sample),
-        ("fit", stage_fit),
-        ("evaluate", stage_evaluate),
-        ("report", stage_report),
-    ]
     try:
         write_resolved_config(cfg, out)
-        for name, fn in stagens:
-            try:
-                fn(cfg, out)
-            except (ConfigError, DataError, NumericalError) as exc:
-                exc.stage = name
-                raise
+        for stage in (stage_sample, stage_fit, stage_evaluate, stage_report):
+            stage(cfg, out)
     except BaseException:
         for child in out.iterdir():
             if child.is_dir():

@@ -202,6 +202,8 @@ def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "")
             if header != ["grid", "fitted"]:
                 raise DataError(f"{path}: unexpected local curve header {header}")
             for row in reader:
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
                 g, v = float(row[0]), float(row[1])
                 if not (math.isfinite(g) and math.isfinite(v)):
                     raise DataError(
@@ -211,7 +213,7 @@ def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "")
                 fitted.append(v)
     except OSError as exc:  # missing, a directory, unreadable
         raise DataError(f"{path}: {exc.strerror}") from None
-    except (ValueError, IndexError, csv.Error) as exc:
+    except (ValueError, csv.Error) as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return LocalLogisticFit(np.array(grid), np.array(fitted), alpha, train_ref)
 

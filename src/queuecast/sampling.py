@@ -1,11 +1,12 @@
 """Estimation-dataset construction.
 
-From a day's best-quote timeline this module extracts the mid-price change
-times and their direction labels, draws one imbalance observation per
-change interval (uniformly in wall time, or uniformly over the discrete
-best-quote update times), subsamples each day to a fixed size, and splits
-the aggregated points into train and test sets. The fit and evaluate stages
-read samples.csv back as columns, not points.
+From a day's best-quote timeline, read as ``lobster.replay`` makes it (the
+last quote of each nanosecond at which it changed), this module extracts
+the mid-price change times and their direction labels, draws one imbalance
+observation per change interval (uniformly in wall time, or uniformly over
+the discrete best-quote update times), subsamples each day to a fixed size,
+and splits the aggregated rows into train and test indices. The fit and
+evaluate stages read samples.csv back as columns, not points.
 
 Mids are compared as exact half-tick integers (bid + ask), so change
 detection has no tolerance parameter. All timestamps are integer
@@ -43,13 +44,6 @@ class SamplePoint:
 
 
 @dataclass
-class SplitDataset:
-    train: list[SamplePoint]
-    test: list[SamplePoint]
-    seed: int
-
-
-@dataclass
 class SampleColumns:
     """The columns of samples.csv that fitting and scoring use, row-aligned."""
 
@@ -71,40 +65,13 @@ def queue_imbalance(nb: int, na: int) -> float:
 
 
 class QuoteTimeline:
-    """Nanosecond-coalesced best-quote history with bisect lookups.
+    """Bisect lookups over a quote timeline as ``lobster.replay`` makes it:
+    the last quote of each nanosecond at which the quote changed, so times
+    rise strictly and no record repeats the quote before it."""
 
-    When several updates share one timestamp only the final state at that
-    nanosecond is observable, so coalescing keeps the last record per tick.
-    """
-
-    def __init__(self, times: list[int], states: list[BestQuoteState]):
-        self.times = times
+    def __init__(self, states: Sequence[BestQuoteState]):
         self.states = states
-
-    @classmethod
-    def from_states(cls, raw: Sequence[BestQuoteState]) -> "QuoteTimeline":
-        times: list[int] = []
-        states: list[BestQuoteState] = []
-        for st in raw:
-            if times and times[-1] == st.t_ns:
-                if states[-1][1:] == st[1:]:
-                    continue
-                states[-1] = st
-            else:
-                # a same-nanosecond flicker can net out entirely
-                if states and states[-1][1:] == st[1:]:
-                    continue
-                times.append(st.t_ns)
-                states.append(st)
-        # drop entries made redundant by in-place overwrites above
-        dedup_t: list[int] = []
-        dedup_s: list[BestQuoteState] = []
-        for t, st in zip(times, states):
-            if dedup_s and dedup_s[-1][1:] == st[1:]:
-                continue
-            dedup_t.append(t)
-            dedup_s.append(st)
-        return cls(dedup_t, dedup_s)
+        self.times = [st[0] for st in states]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -229,11 +196,12 @@ def build_day_samples(
     instrument: str = "SIM",
     day: int = 0,
 ) -> DaySampleResult:
-    """One day's (I_i, y_i) sample: every in-session mid change yields at
-    most one point, sampled inside the preceding interval."""
+    """One day's (I_i, y_i) sample from replay's timeline ``states``: every
+    in-session mid change yields at most one point, sampled inside the
+    preceding interval."""
     if mode not in (UNIFORM, EVENT):
         raise ValueError(f"unknown sampling mode {mode!r}")
-    tl = QuoteTimeline.from_states(states)
+    tl = QuoteTimeline(states)
     res = DaySampleResult()
     changes = mid_change_times(tl, first_event_ns)
     in_session = [c for c in changes if c[0] < close_ns]
@@ -297,17 +265,6 @@ def split_indices(
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def train_test_split(
-    points: Sequence[SamplePoint],
-    frac: float = 0.8,
-    rng: Optional[np.random.Generator] = None,
-    seed: int = 0,
-) -> SplitDataset:
-    """The points of ``split_indices``' train and test parts."""
-    train, test = split_indices(len(points), frac, rng, seed)
-    return SplitDataset([points[i] for i in train], [points[i] for i in test], seed)
-
-
 # --- CSV interchange -----------------------------------------------------------
 
 SAMPLE_COLUMNS = ("instrument", "day", "t_sample_ns", "t_change_ns", "I", "y")
@@ -324,10 +281,10 @@ def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
 
 
 def read_samples_csv(path) -> SampleColumns:
-    """The I and y columns of samples.csv. A row whose day or times are not
-    integers, whose I is not a finite number in [-1, 1], or whose y is not 0
-    or 1 is a DataError naming the file and the line, and so is a file that
-    cannot be read."""
+    """The I and y columns of samples.csv. A row without exactly six fields,
+    whose day or times are not integers, whose I is not a finite number in
+    [-1, 1], or whose y is not 0 or 1 is a DataError naming the file and the
+    line, and so is a file that cannot be read."""
     imbalance: list[float] = []
     label: list[int] = []
     try:
@@ -337,6 +294,8 @@ def read_samples_csv(path) -> SampleColumns:
             if header != list(SAMPLE_COLUMNS):
                 raise DataError(f"{path}: unexpected samples.csv header {header}")
             for row in reader:
+                if len(row) != len(SAMPLE_COLUMNS):
+                    raise ValueError(f"expected {len(SAMPLE_COLUMNS)} fields, got {len(row)}")
                 int(row[1]), int(row[2]), int(row[3])  # day and times: checked, not kept
                 i, y = float(row[4]), int(row[5])
                 if not -1.0 <= i <= 1.0:  # false for nan too
@@ -347,6 +306,6 @@ def read_samples_csv(path) -> SampleColumns:
                 label.append(y)
     except OSError as exc:  # missing, a directory, unreadable
         raise DataError(f"{path}: {exc.strerror}") from None
-    except (ValueError, IndexError, csv.Error) as exc:
+    except (ValueError, csv.Error) as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return SampleColumns(np.array(imbalance), np.array(label))

@@ -98,3 +98,28 @@ def survivor_by_counting(lengths):
     x = np.asarray(lengths)
     values = np.unique(x)
     return values, np.array([np.mean(x > v) for v in values])
+
+
+def coalesced_timeline(raw):
+    """The last quote of each nanosecond, with records that repeat the quote
+    before them dropped, from quotes ``(t_ns, bid, ask, nb, na)`` read in
+    time order (one after every message, say). Two passes: keep the last
+    quote per timestamp, then drop the repeats that overwriting left."""
+    times, states = [], []
+    for st in raw:
+        if times and times[-1] == st[0]:
+            if states[-1][1:] == st[1:]:
+                continue
+            states[-1] = st
+        else:
+            # a same-nanosecond flicker can net out entirely
+            if states and states[-1][1:] == st[1:]:
+                continue
+            times.append(st[0])
+            states.append(st)
+    out = []
+    for st in states:
+        if out and out[-1][1:] == st[1:]:
+            continue
+        out.append(st)
+    return out

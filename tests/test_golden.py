@@ -36,6 +36,12 @@ PIPELINE_DIGESTS = {
     "report.json": "72738279083bf094cbc1b396842c11c21abb6ff2cacf0371b56d6cf1edd35e4a",
 }
 
+# small-tick days sampled in event time: every draw reads the quote timeline
+EVENT_PIPELINE_DIGESTS = {
+    "samples.csv": "6ec15dabccc753f8789c51af01947a76d3d57da62316bf812dabf14f8e4b500d",
+    "sampling_flags.json": "7b77360b7f7cd18135adccbef6fea66b9b945bcbbce2006ccfd2f0f04cf683d5",
+}
+
 
 def digests(root, names):
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
@@ -49,9 +55,20 @@ def test_simulate_output_pinned(tmp_path, preset):
     assert digests(out, SIMULATE_DIGESTS[preset]) == SIMULATE_DIGESTS[preset]
 
 
-def test_pipeline_output_pinned(tmp_path):
+def run_pipeline(tmp_path, config):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("days = 3\nmodels = logistic,null\n")
+    cfgfile.write_text(config)
     out = tmp_path / "run"
     assert cli_main(["pipeline", "--config", str(cfgfile), "--out", str(out)]) == 0
+    return out
+
+
+def test_pipeline_output_pinned(tmp_path):
+    out = run_pipeline(tmp_path, "days = 3\nmodels = logistic,null\n")
     assert digests(out, PIPELINE_DIGESTS) == PIPELINE_DIGESTS
+
+
+def test_event_pipeline_output_pinned(tmp_path):
+    config = "preset = small-tick\ndays = 2\nsampling_mode = event\nmodels = logistic,null\n"
+    out = run_pipeline(tmp_path, config)
+    assert digests(out, EVENT_PIPELINE_DIGESTS) == EVENT_PIPELINE_DIGESTS

@@ -18,6 +18,9 @@ from queuecast.errors import (
     UnknownOrderId,
     UnknownTypeCode,
 )
+from queuecast.sampling import QuoteTimeline, mid_change_times
+
+from oracles import coalesced_timeline
 
 
 class TestParse:
@@ -248,6 +251,52 @@ class TestMessageTranslation:
         assert lb.replay(msgs).timeline[-1] == (101 * lb.NS, 99, None, 5, 0)
 
 
+def l1_row(q):
+    """The level-1 row of quote ``q`` at a 0.01 tick."""
+    ask = q.ask * 100 if q.ask is not None else lb.EMPTY_ASK_PRICE
+    bid = q.bid * 100 if q.bid is not None else lb.EMPTY_BID_PRICE
+    return (ask, q.na, bid, q.nb)
+
+
+@st.composite
+def bursty_messages(draw):
+    """Valid messages in bursts of one nanosecond: submissions on both sides
+    that never cross (bids at 98-100, asks at 101-103 ticks), deletes,
+    partial cancels and executions of live orders, hidden executions, and
+    flickers: a one-lot submission at the innermost bid or ask price (which
+    changes the quote), deleted in the same nanosecond."""
+    msgs, live, t_ns, next_id = [], {}, 36000 * lb.NS, 1
+    for _ in range(draw(st.integers(1, 40))):
+        t_ns += draw(st.sampled_from([0, 0, 0, 1, 2]))
+        kind = draw(st.integers(0, 7))
+        if kind <= 2 or not live:  # submission
+            side = draw(st.sampled_from([1, -1]))
+            price = draw(st.integers(98, 100) if side == 1 else st.integers(101, 103)) * 100
+            size = draw(st.integers(1, 4))
+            msgs.append(lb.LobsterMessage(t_ns, 1, next_id, size, price, side))
+            live[next_id] = [side, price, size]
+            next_id += 1
+        elif kind == 3:  # flicker
+            side = draw(st.sampled_from([1, -1]))
+            price = 100 * (100 if side == 1 else 101)
+            msgs.append(lb.LobsterMessage(t_ns, 1, next_id, 1, price, side))
+            msgs.append(lb.LobsterMessage(t_ns, 3, next_id, 1, price, side))
+            next_id += 1
+        elif kind == 7:
+            msgs.append(lb.LobsterMessage(t_ns, 5, 0, 3, 10000, 1))
+        else:
+            oid = draw(st.sampled_from(sorted(live)))
+            side, price, size = live[oid]
+            if kind == 4 or size == 1:
+                msgs.append(lb.LobsterMessage(t_ns, 3, oid, size, price, side))
+                del live[oid]
+            else:
+                cut = draw(st.integers(1, size - 1))
+                msgs.append(lb.LobsterMessage(t_ns, 2 if kind == 5 else 4, oid, cut, price, side))
+                live[oid][2] -= cut
+    return msgs
+
+
 class TestReplayReadsQuoteOnChange:
     MSGS = [
         "100.0,1,1,10,10000,1",  # one-sided bid
@@ -270,9 +319,10 @@ class TestReplayReadsQuoteOnChange:
 
     @staticmethod
     def reference(msgs):
-        """Replay one message at a time on one book, reading the quote after each."""
+        """Replay one message at a time on one book, reading the quote after
+        each; the timeline is those quotes coalesced by the oracle."""
         ob = bk.OrderBook()
-        timeline, l1_rows, events = [], [], []
+        quotes, l1_rows, events = [], [], []
         counters = lb.ReplayCounters()
         seq = 0
         for msg in msgs:
@@ -287,12 +337,9 @@ class TestReplayReadsQuoteOnChange:
             for name in vars(counters):
                 setattr(counters, name, getattr(counters, name) + getattr(step.counters, name))
             st_ = ob.state(msg.t_ns)
-            if not timeline or timeline[-1][1:] != st_[1:]:
-                timeline.append(st_)
-            ask = st_.ask * 100 if st_.ask is not None else lb.EMPTY_ASK_PRICE
-            bid = st_.bid * 100 if st_.bid is not None else lb.EMPTY_BID_PRICE
-            l1_rows.append((ask, st_.na, bid, st_.nb))
-        return timeline, l1_rows, events, counters
+            quotes.append(st_)
+            l1_rows.append(l1_row(st_))
+        return coalesced_timeline(quotes), l1_rows, events, counters
 
     def test_matches_reading_the_quote_after_every_message(self):
         msgs = msg_rows(self.MSGS)
@@ -303,7 +350,33 @@ class TestReplayReadsQuoteOnChange:
         assert res.events == events
         assert res.counters == counters
         assert counters.crossing_submits == 1 and counters.ignored_messages == 2
-        assert [st_.t_ns for st_ in timeline].count(102_500_000_000) == 2
+        # the bid at 102.5 s comes and goes within the nanosecond: no record
+        assert [st_.t_ns for st_ in timeline].count(102_500_000_000) == 0
+
+    def test_same_nanosecond_flicker_coalesced(self):
+        msgs = msg_rows([
+            "1.0,1,1,5,10000,1",
+            "1.0,1,2,5,10200,-1",  # two-sided at the end of the first nanosecond
+            "7.0,1,3,5,10100,1",  # mid up...
+            "7.0,3,3,5,10100,1",  # ...and back within the same ns
+            "9.0,1,4,5,10100,1",
+        ])
+        timeline = lb.replay(msgs).timeline
+        assert timeline == [(lb.NS, 100, 102, 5, 5), (9 * lb.NS, 101, 102, 5, 5)]
+        assert mid_change_times(QuoteTimeline(timeline), lb.NS) == [(9 * lb.NS, 1)]
+
+    @settings(deadline=None)
+    @given(msgs=bursty_messages())
+    def test_timeline_is_the_last_quote_of_each_nanosecond(self, msgs):
+        res = lb.replay(msgs, record_l1=True)
+        ob = bk.OrderBook()
+        quotes = []
+        for msg in msgs:
+            lb.replay([msg], ob=ob)
+            quotes.append(ob.state(msg.t_ns))
+        assert res.timeline == coalesced_timeline(quotes)
+        assert res.l1_rows == [l1_row(q) for q in quotes]
+
 
 
 # per field, values that a row must be rejected for, in one context or another

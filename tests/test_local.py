@@ -89,6 +89,29 @@ class TestFitLocal:
         assert fit.fitted[0] == pytest.approx(1e-6)
         assert fit.fitted[1] == pytest.approx(1 - 1e-6)
 
+    def test_separated_window_gets_its_weighted_mean_label(self):
+        # labels 0 at -0.5, mixed at 0, 1 at 0.5: a window holding two of the
+        # values has no finite slope, and takes its weighted mean label
+        I = np.repeat([-0.5, 0.0, 0.5], 20)
+        y = np.concatenate([np.zeros(20), np.tile([0, 1], 10), np.ones(20)])
+        alpha = 0.9  # the window holds the two values nearest a grid point
+        grid = default_grid(101)
+        fit = fit_local_logistic(I, y, alpha=alpha, grid=grid)
+        k = int(np.ceil(alpha * len(I)))
+        separated = 0
+        for g, value, flagged in zip(grid, fit.fitted, fit.degenerate):
+            d = np.abs(I - g)
+            h = np.partition(d, k - 1)[k - 1]
+            w = np.where(d < h, (1 - (d / h) ** 3) ** 3, 0.0)
+            inside = w > 0
+            if len(np.unique(I[inside])) < 2 or len(np.unique(y[inside])) < 2:
+                continue  # one value, or labels that agree
+            separated += 1
+            assert flagged
+            mean = min(max(w @ y / w.sum(), 1e-6), 1 - 1e-6)
+            assert value == pytest.approx(mean, rel=1e-12), g
+        assert separated > 50
+
     def test_fitted_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(9)
         I, y = sigmoid_data(rng, 400, x0=0.0, x1=3.0)

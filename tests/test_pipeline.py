@@ -443,8 +443,9 @@ class TestCli:
         [("nan,1", "I = nan is not a finite number in [-1, 1]"),
          ("-inf,1", "I = -inf is not a finite number in [-1, 1]"),
          ("1.5,0", "I = 1.5 is not a finite number in [-1, 1]"),
-         ("0.25,2", "y = 2 is not 0 or 1")],
-        ids=["nan", "inf", "out-of-range", "bad-label"],
+         ("0.25,2", "y = 2 is not 0 or 1"),
+         ("0.25,1,9", "expected 6 fields, got 7")],
+        ids=["nan", "inf", "out-of-range", "bad-label", "extra-field"],
     )
     def test_bad_sample_value_exit_3(self, tmp_path, stage, value, text):
         out = tmp_path / "stage_out"
@@ -671,8 +672,10 @@ class TestCli:
             ("evaluate", "fits/local_meta.json", "drop:alpha", ": missing key 'alpha'"),
             ("evaluate", "fits/local_meta.json", "list", ": top level: expected a JSON object"),
             ("report", "eval/report_null.json", "drop:auc_out", ": missing key 'auc_out'"),
-            ("evaluate", "fits/local_curve.csv", "nan-line-3",
+            ("evaluate", "fits/local_curve.csv", "line-3:-0.98,nan",
              ", line 3: grid,fitted = -0.98,nan is not finite"),
+            ("evaluate", "fits/local_curve.csv", "line-3:-0.98,0.5,0",
+             ", line 3: expected 2 fields, got 3"),
             ("evaluate", "fits/logistic.json", "dir", ": Is a directory"),
             ("evaluate", "fits/local_curve.csv", "dir", ": Is a directory"),
             ("fit", "samples.csv", "dir", ": Is a directory"),
@@ -689,7 +692,8 @@ class TestCli:
              ": 40 grid points, where local_meta.json has 41"),
         ],
         ids=["fit-no-x0", "fit-list", "fit-x1-string", "fit-x1-nan", "meta-no-alpha",
-             "meta-list", "report-no-auc-out", "curve-nan", "fit-dir", "curve-dir",
+             "meta-list", "report-no-auc-out", "curve-nan", "curve-extra-field", "fit-dir",
+             "curve-dir",
              "samples-dir-fit", "samples-dir-evaluate", "split-dir", "split-short",
              "split-twice", "split-bad-subset", "split-negative", "split-past-end",
              "curve-short"],
@@ -708,9 +712,9 @@ class TestCli:
             key, _, value = arg.partition(":")
             text = text.replace(f'"{key}": {json.dumps(json.loads(text)[key])}',
                                 f'"{key}": {value}')
-        elif kind == "nan-line-3":
+        elif kind == "line-3":
             lines = text.splitlines()
-            lines[2] = "-0.98,nan"
+            lines[2] = arg
             text = "\n".join(lines) + "\n"
         elif kind == "drop-last-line":
             text = "".join(text.splitlines(keepends=True)[:-1])
@@ -889,8 +893,8 @@ EXPORTED = """
     CvResult LocalLogisticFit cv_bandwidth fit_local_logistic predict_local
     LogisticFit TestResult chi2_sf_1df fit_intercept_only fit_logistic lr_test
     predict_logistic wald_test
-    SamplePoint SplitDataset build_day_samples mid_change_times sample_event_time
-    sample_uniform_time subsample_day train_test_split
+    SamplePoint build_day_samples mid_change_times sample_event_time
+    sample_uniform_time subsample_day
     SimResult ZiConfig regime_preset
 """
 

@@ -14,8 +14,8 @@ from queuecast.sampling import (
     read_samples_csv,
     sample_event_time,
     sample_uniform_time,
+    split_indices,
     subsample_day,
-    train_test_split,
     write_samples_csv,
 )
 from queuecast.simulate import regime_preset, simulate
@@ -29,7 +29,7 @@ def states(*rows):
 class TestMidChangeTimes:
     def test_hand_traced_path(self):
         # mid path 100.5, 100.5, 101, 100.5 at t=1,2,3,4
-        tl = QuoteTimeline.from_states(
+        tl = QuoteTimeline(
             states(
                 (1, 100, 101, 5, 5),
                 (2, 100, 101, 9, 5),  # queue change, same mid
@@ -41,39 +41,28 @@ class TestMidChangeTimes:
         assert out == [(3, 1), (4, 0)]
 
     def test_constant_mid_empty(self):
-        tl = QuoteTimeline.from_states(
+        tl = QuoteTimeline(
             states((1, 100, 101, 5, 5), (2, 100, 101, 1, 9))
         )
         assert mid_change_times(tl, 1) == []
 
     def test_single_upward_change(self):
-        tl = QuoteTimeline.from_states(
+        tl = QuoteTimeline(
             states((1, 100, 101, 5, 5), (9, 101, 102, 5, 5))
         )
         assert mid_change_times(tl, 1) == [(9, 1)]
 
     def test_change_at_t0_not_counted(self):
-        tl = QuoteTimeline.from_states(
+        tl = QuoteTimeline(
             states((1, 100, 101, 5, 5), (5, 101, 102, 5, 5), (9, 100, 101, 2, 2))
         )
         out = mid_change_times(tl, t0_ns=5)
         assert out == [(9, 0)]
 
-    def test_same_nanosecond_flicker_coalesced(self):
-        tl = QuoteTimeline.from_states(
-            states(
-                (1, 100, 101, 5, 5),
-                (7, 101, 102, 5, 5),  # up...
-                (7, 100, 101, 5, 5),  # ...and back within the same ns
-                (9, 101, 102, 5, 5),
-            )
-        )
-        assert mid_change_times(tl, 1) == [(9, 1)]
-
 
 class TestUniformTimeSampling:
     def test_draw_strictly_inside(self):
-        tl = QuoteTimeline.from_states(states((0, 100, 101, 3, 7)))
+        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
         rng = np.random.default_rng(0)
         for _ in range(200):
             t, imb, nb, na = sample_uniform_time(tl, 10, 20, rng)
@@ -81,13 +70,13 @@ class TestUniformTimeSampling:
             assert imb == pytest.approx((3 - 7) / 10)
 
     def test_reproducible_given_seed(self):
-        tl = QuoteTimeline.from_states(states((0, 100, 101, 3, 7)))
+        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
         a = sample_uniform_time(tl, 0, 10**9, np.random.default_rng(7))
         b = sample_uniform_time(tl, 0, 10**9, np.random.default_rng(7))
         assert a == b
 
     def test_uniformity_ks_99(self):
-        tl = QuoteTimeline.from_states(states((0, 100, 101, 3, 7)))
+        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
         rng = np.random.default_rng(12345)
         width = 10**9
         draws = np.array(
@@ -98,12 +87,12 @@ class TestUniformTimeSampling:
         assert stat > 0.01
 
     def test_one_sided_skipped(self):
-        tl = QuoteTimeline.from_states(states((0, 100, None, 3, 0)))
+        tl = QuoteTimeline(states((0, 100, None, 3, 0)))
         with pytest.raises(OneSidedBook):
             sample_uniform_time(tl, 10, 20, np.random.default_rng(0))
 
     def test_empty_interior(self):
-        tl = QuoteTimeline.from_states(states((0, 100, 101, 3, 7)))
+        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
         with pytest.raises(EmptyInterior):
             sample_uniform_time(tl, 10, 11, np.random.default_rng(0))
 
@@ -113,10 +102,10 @@ class TestEventTimeSampling:
         rows = [(0, 100, 101, 5, 5)]
         for i, t in enumerate(range(10, 80, 10)):  # updates at 10..70
             rows.append((t, 100, 101, 5 + i + 1, 5))
-        return QuoteTimeline.from_states(states(*rows))
+        return QuoteTimeline(states(*rows))
 
     def test_single_update_chosen_surely(self):
-        tl = QuoteTimeline.from_states(
+        tl = QuoteTimeline(
             states((0, 100, 101, 5, 5), (50, 100, 101, 9, 5))
         )
         rng = np.random.default_rng(0)
@@ -136,13 +125,13 @@ class TestEventTimeSampling:
         assert stat > 0.001
 
     def test_fallback_to_interval_start(self):
-        tl = QuoteTimeline.from_states(states((5, 100, 101, 3, 7)))
+        tl = QuoteTimeline(states((5, 100, 101, 3, 7)))
         t, imb, nb, na, fb = sample_event_time(tl, 5, 50, np.random.default_rng(1))
         assert fb and t == 5
         assert imb == pytest.approx(-0.4)
 
     def test_endpoints_excluded(self):
-        tl = QuoteTimeline.from_states(
+        tl = QuoteTimeline(
             states((0, 100, 101, 5, 5), (10, 100, 101, 6, 5), (50, 100, 101, 7, 5))
         )
         rng = np.random.default_rng(3)
@@ -174,28 +163,22 @@ class TestSubsample:
 
 class TestSplit:
     def test_80_20_sizes_at_25200(self):
-        pts = [SamplePoint("X", 0, i, i + 1, 0.0, i % 2) for i in range(25200)]
-        ds = train_test_split(pts, 0.8, np.random.default_rng(0))
-        assert len(ds.train) == 20160
-        assert len(ds.test) == 5040
+        train, test = split_indices(25200, 0.8, np.random.default_rng(0))
+        assert len(train) == 20160
+        assert len(test) == 5040
 
     def test_small_arithmetic(self):
-        pts = [SamplePoint("X", 0, i, i + 1, 0.0, i % 2) for i in range(10)]
-        ds = train_test_split(pts, 0.8, np.random.default_rng(0))
-        assert (len(ds.train), len(ds.test)) == (8, 2)
+        train, test = split_indices(10, 0.8, np.random.default_rng(0))
+        assert (len(train), len(test)) == (8, 2)
 
     def test_partition_property(self):
-        pts = [SamplePoint("X", 0, i, i + 1, float(i), i % 2) for i in range(137)]
-        ds = train_test_split(pts, 0.8, np.random.default_rng(5))
-        joined = sorted(ds.train + ds.test, key=lambda p: p.t_sample_ns)
-        assert joined == pts
-        assert not set(p.t_sample_ns for p in ds.train) & set(
-            p.t_sample_ns for p in ds.test
-        )
+        train, test = split_indices(137, 0.8, np.random.default_rng(5))
+        assert sorted(train.tolist() + test.tolist()) == list(range(137))
+        assert not set(train.tolist()) & set(test.tolist())
 
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
-            train_test_split([SamplePoint("X", 0, 1, 2, 0.0, 1)] * 4, 0.8)
+            split_indices(4, 0.8)
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +192,7 @@ class TestDayPipeline:
         ds = build_day_samples(
             sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, UNIFORM, rng
         )
-        tl = QuoteTimeline.from_states(sim_day.timeline)
+        tl = QuoteTimeline(sim_day.timeline)
         changes = dict(mid_change_times(tl, sim_day.first_event_ns))
         assert len(ds.points) > 50
         for p in ds.points:
@@ -246,7 +229,7 @@ class TestDayPipeline:
             sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, EVENT,
             np.random.default_rng(9),
         )
-        tl = QuoteTimeline.from_states(sim_day.timeline)
+        tl = QuoteTimeline(sim_day.timeline)
         changes = [t for t, _ in mid_change_times(tl, sim_day.first_event_ns)]
         prev = {t: p for t, p in zip(changes, [sim_day.first_event_ns] + changes[:-1])}
         for p in ds.points:
