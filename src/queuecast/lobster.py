@@ -15,21 +15,25 @@ columns are ask price x 10000, ask size, bid price x 10000, bid size, which
 is what ``L1Verifier`` checks the reconstruction against.
 
 A day is one pass with no per-message list: ``replay`` pulls messages from
-``parse_messages`` one at a time, and sends each level-1 row and book event
-to an append target as it makes them, a list, a file writer
-(``l1_writer``) or an ``L1Verifier``, which compares the row with the next
-row of a lazily parsed orderbook file and keeps only the mismatches. What
-grows with the day is the quote timeline, one record per nanosecond at which
-the quote changed.
+``parse_messages`` one at a time, applies each to the book in its own loop,
+and sends the book events and the level-1 rows to append targets as it makes
+them. A level-1 row changes with the quote only, so the level-1 target gets
+one ``(message ordinal, row)`` record per change of the row and an end record
+``(n, None)``: a file writer (``l1_writer``) writes each row once per run,
+and an ``L1Verifier`` checks them against the orderbook file a block at a
+time, keeping only the mismatches. What grows with the day is the quote
+timeline, one record per nanosecond at which the quote changed.
 
-``parse_messages`` reads the message file in blocks of ``BLOCK_LINES``
-lines, and holds one block at a time. A block whose every line is a
-canonical row (nine-decimal stamp, ASCII digits, LF ending; see
-``_CANONICAL_ROW``) and whose times never go back is converted in one numpy
-call. Every other block (fewer decimals, spaces, CRLF, ``+`` signs, long
-fields, blank lines, a fault) goes through the per-line parser from its
-first line, so it parses, or fails with the same error at the same line,
-as if the file were read line by line.
+Both files are read a block of ``BLOCK_LINES`` lines at a time, one block
+held at a time. A message block whose every line is a canonical row
+(nine-decimal stamp, ASCII digits, LF ending; see ``_CANONICAL_ROW``) and
+whose times never go back is converted in one numpy call; an orderbook block
+whose text equals the rows forward-filled from the records is checked with
+one string comparison. Every other block (fewer decimals, spaces, CRLF,
+``+`` signs, leading zeros, long fields, more columns, blank lines, a
+mismatch, a fault) goes through the per-line parser from its first line, so
+it parses, or fails with the same error at the same line, as if the file
+were read line by line.
 
 Times are parsed to integer nanoseconds; no float time arithmetic anywhere.
 """
@@ -40,7 +44,10 @@ import contextlib
 import io
 import re
 from dataclasses import dataclass, field, replace
-from itertools import islice, repeat
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice, repeat
+from math import inf
+from operator import itemgetter
 from typing import (
     Callable, ContextManager, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence,
     TextIO,
@@ -71,8 +78,9 @@ AUCTION = 6
 HALT = 7
 
 _VALID_CODES = frozenset((1, 2, 3, 4, 5, 6, 7))
+_ORDINAL = itemgetter(0)
 
-# Lines that parse_messages reads and converts at a time.
+# Lines that parse_messages, and rows that L1Verifier, read at a time.
 BLOCK_LINES = 1024
 # A canonical message row: a nine-decimal stamp, type 1-7, direction +1 or -1,
 # ASCII digits, at most 18 of them a field (so every value fits an int64),
@@ -257,54 +265,59 @@ def write_messages(path, msgs: Iterable[LobsterMessage]) -> None:
             append(m)
 
 
-def parse_l1_rows(source) -> Iterator[tuple[int, int, int, int]]:
-    """Parse the first four columns of a LOBSTER orderbook file, row by row
-    as they are pulled."""
+def _l1_rows(lines: Iterable[str], start: int) -> Iterator[tuple[int, tuple[int, int, int, int]]]:
+    """The ``(file line, first four columns)`` of each row of ``lines``, the
+    lines after the first ``start`` of a LOBSTER orderbook file, parsed row
+    by row as they are pulled."""
     last_line = l1 = None
-    with _open_lines(source) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            if line != last_line:  # a row repeats while the quote is unchanged
-                row = line.strip()
-                if not row:
-                    continue
-                parts = row.split(",", 4)
-                if len(parts) < 4:
-                    raise MalformedRow(line_no, f"expected >= 4 fields, got {len(parts)}")
-                try:
-                    l1 = (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
-                except ValueError as exc:
-                    raise MalformedRow(line_no, str(exc)) from None
-                last_line = line
-            yield l1
+    for line_no, line in enumerate(lines, start=start + 1):
+        if line != last_line:  # a row repeats while the quote is unchanged
+            row = line.strip()
+            if not row:
+                continue
+            parts = row.split(",", 4)
+            if len(parts) < 4:
+                raise MalformedRow(line_no, f"expected >= 4 fields, got {len(parts)}")
+            try:
+                l1 = (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
+            except ValueError as exc:
+                raise MalformedRow(line_no, str(exc)) from None
+            last_line = line
+        yield line_no, l1
 
 
 def parse_l1_file(source) -> list[tuple[int, int, int, int]]:
-    """Every row of ``parse_l1_rows``, as a list."""
-    return list(parse_l1_rows(source))
+    """The first four columns of each row of a LOBSTER orderbook file."""
+    with _open_lines(source) as lines:
+        return [row for _, row in _l1_rows(lines, 0)]
 
 
-def l1_writer(fh: TextIO) -> Callable[[tuple[int, int, int, int]], None]:
-    """Append target that writes each level-1 row to ``fh`` as an orderbook-file row."""
+def _l1_text(row: tuple[int, int, int, int]) -> str:
+    """A level-1 row as an orderbook-file line."""
+    return "%d,%d,%d,%d\n" % row
+
+
+def l1_writer(fh: TextIO) -> Callable[[tuple[int, Optional[tuple]]], None]:
+    """Append target for replay's level-1 records that writes the orderbook
+    file to ``fh``, one row per message: each row once per run."""
     write = fh.write
-    last = text = None
+    start, text = 0, ""
 
-    def append(row: tuple[int, int, int, int]) -> None:
-        nonlocal last, text
-        if row is not last:  # replay repeats the row object while the quote is unchanged
-            last, text = row, f"{row[0]},{row[1]},{row[2]},{row[3]}\n"
-        write(text)
+    def append(record: tuple[int, Optional[tuple]]) -> None:
+        nonlocal start, text
+        i, row = record
+        write(text * (i - start))
+        start, text = i, "" if row is None else _l1_text(row)
 
     return append
 
 
 def write_l1_file(path, rows: Iterable[tuple[int, int, int, int]]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        append = l1_writer(fh)
-        for r in rows:
-            append(r)
+        fh.writelines(map(_l1_text, rows))
 
 
-# --- message -> event translation ---------------------------------------------
+# --- replay -------------------------------------------------------------------
 
 @dataclass
 class ReplayCounters:
@@ -314,111 +327,6 @@ class ReplayCounters:
     ignored_messages: int = 0  # auction / halt codes
     crossing_submits: int = 0
 
-
-def apply_message(
-    ob: bk.OrderBook,
-    msg: LobsterMessage,
-    seq: int,
-    tick_i4: int,
-    counters: ReplayCounters,
-    emit: Optional[Callable[[bk.BookEvent], None]] = None,
-) -> tuple[bool, int, Sequence[tuple[int, int]], Optional[tuple[int, int]]]:
-    """Translate one message into book mutations and apply them in order.
-
-    Returns ``(changed, n_events, trades, submit)``: whether the best quote
-    changed, how many book events the message became (numbered from
-    ``seq``), the executed ``(price_ticks, size)`` pairs, and the
-    ``(price_ticks, size)`` of a submission that rests at its side's best,
-    else None. The ``BookEvent``s are built only when an ``emit`` append
-    target is given, and go to it in order. A fault in the message is raised
-    without a line; ``replay`` positions it.
-
-    Submissions, the commonest message, are checked here once (size, tick
-    lattice, live id, crossing) and rested with the book's unchecked insert.
-    Crossing submissions are decomposed into executions against the opposite
-    queue in priority order plus a residual submission; LOBSTER streams
-    report executions explicitly, so this path only fires on synthetic or
-    foreign data.
-    """
-    t_ns, code, order_id, size, price_i4, direction = msg
-    if code == SUBMISSION:
-        price = price_i4 // tick_i4
-        if size < 1 or price < 1 or price * tick_i4 != price_i4 or order_id in ob._orders:
-            raise _submission_fault(ob, order_id, size, price_i4, tick_i4)
-        side = bk.BUY if direction == 1 else bk.SELL
-        best = ob._best
-        opp = best[-side]
-        changed, n, trades = False, 0, ()
-        if opp is not None and (price >= opp if side == bk.BUY else price <= opp):
-            counters.crossing_submits += 1
-            trades = []
-            while opp is not None and (price >= opp if side == bk.BUY else price <= opp):
-                head = ob.first_at_best(-side)
-                fill = min(size, head.size)
-                trades.append((head.price, fill))
-                changed |= ob.reduce(head.id, fill)
-                if emit is not None:
-                    emit(bk.BookEvent.execute(t_ns, seq + n, head.id, fill))
-                n += 1
-                size -= fill
-                if size == 0:
-                    return changed, n, trades, None
-                opp = best[-side]
-        order = bk.Order(order_id, side, price, size, seq + n)
-        if emit is not None:  # the book shrinks its order in place; the event keeps a copy
-            emit(bk.BookEvent.submit(t_ns, seq + n, replace(order)))
-        at_best = ob._rest(order)
-        return changed or at_best, n + 1, trades, (price, size) if at_best else None
-    if code == FULL_DELETE:
-        changed = ob.delete(order_id)
-        if emit is not None:
-            emit(bk.BookEvent.delete(t_ns, seq, order_id))
-        return changed, 1, (), None
-    if code == EXECUTION:
-        if size < 1:
-            raise MalformedRow(None, "execution with size 0")
-        price = ob.get_order(order_id).price
-        changed = ob.reduce(order_id, size)
-        if emit is not None:
-            emit(bk.BookEvent.execute(t_ns, seq, order_id, size))
-        return changed, 1, ((price, size),), None
-    if code == PARTIAL_CANCEL:
-        if size < 1:
-            raise MalformedRow(None, "partial cancel with size 0")
-        changed = ob.reduce(order_id, size)
-        if emit is not None:
-            emit(bk.BookEvent.reduce(t_ns, seq, order_id, size))
-        return changed, 1, (), None
-    if code == HIDDEN_EXECUTION:
-        counters.hidden_volume += size
-    elif code == AUCTION or code == HALT:
-        counters.ignored_messages += 1
-    else:
-        raise UnknownTypeCode(None, code)
-    return False, 0, (), None
-
-
-def _submission_fault(
-    ob: bk.OrderBook, order_id: int, size: int, price_i4: int, tick_i4: int
-) -> MalformedRow:
-    """The error of a submission that failed apply_message's check."""
-    if size < 1:
-        reason = "submission with size 0"
-    elif ob.has_order(order_id):
-        reason = f"submission reuses live order id {order_id}"
-    elif price_i4 % tick_i4:
-        reason = f"price {price_i4} not on the {tick_i4} tick lattice"
-    else:
-        reason = f"price {price_i4} below one tick"
-    return MalformedRow(None, reason)
-
-
-def messages_to_events(msgs: Iterable[LobsterMessage], tick_size: float = 0.01) -> list[bk.BookEvent]:
-    """Convert a message stream into the normalized book-event stream."""
-    return replay(msgs, tick_size=tick_size, keep_events=True).events
-
-
-# --- replay -------------------------------------------------------------------
 
 @dataclass
 class DayStats:
@@ -444,11 +352,16 @@ class ReplayResult:
     first_session_event_ns: Optional[int] = None
 
 
+def messages_to_events(msgs: Iterable[LobsterMessage], tick_size: float = 0.01) -> list[bk.BookEvent]:
+    """Convert a message stream into the normalized book-event stream."""
+    return replay(msgs, tick_size=tick_size, keep_events=True).events
+
+
 def replay(
     msgs: Iterable[LobsterMessage],
     tick_size: float = 0.01,
     window: Optional[SessionWindow] = None,
-    record_l1: bool | Optional[Callable[[tuple[int, int, int, int]], None]] = False,
+    record_l1: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = False,
     keep_events: bool | Optional[Callable[[bk.BookEvent], None]] = False,
     ob: Optional[bk.OrderBook] = None,
 ) -> ReplayResult:
@@ -462,16 +375,21 @@ def replay(
     outside the window still evolve the book (warm start); the window only
     scopes the stats and marks the first in-session event time for sampling.
 
-    ``record_l1`` and ``keep_events`` say where the per-message level-1 rows
-    and the book events go: nowhere (False or None), to the result's ``l1_rows`` or
-    ``events`` list (True), or to an append target, a callable that takes
-    each one as it is made (a file writer, an ``L1Verifier.check``). Neither
-    is built when it goes nowhere.
+    The loop applies each message with the book's mutators. A submission is
+    checked here once (size, tick lattice, live id, crossing) and rested
+    unchecked; one that crosses (synthetic or foreign data: LOBSTER reports
+    executions) becomes executions against the opposite queue in priority
+    order plus a residual submission. The quote is read (``ob.state``) only
+    after a message that changed it, and after the first message.
 
-    The quote is read (``ob.state``) only after a message that changed it,
-    and after the first message; otherwise it equals the last timeline
-    record, so a level-1 row repeats the previous row object. A level-1 row
-    is the quote after its own message, whatever the timeline keeps.
+    ``keep_events`` says where the book events go: nowhere (False or None),
+    to the result's ``events`` list (True), or to an append target, a
+    callable that takes each one as it is made. ``record_l1`` says where the
+    level-1 rows go, one per message, the quote after its own message: to
+    ``l1_rows`` (True), or to an append target, which gets a record
+    ``(i, row)`` when the row of message ``i`` (from 0) differs from the row
+    before, and ``(n, None)`` once the first ``n`` rows are final: at the
+    end, or before a fault in message ``n + 1`` is raised.
 
     A message is a LobsterMessage or a plain tuple in its field order; both
     are read by position. Messages are pulled one at a time, so a generator
@@ -484,35 +402,76 @@ def replay(
         ob = bk.OrderBook(tick_size=tick_size)
     tick_i4 = round(tick_size * 10000)
     res = ReplayResult()
-    counters = res.counters
-    stats = res.stats
     timeline = res.timeline
-    l1 = _append_target(record_l1, res.l1_rows)
-    emit = _append_target(keep_events, res.events)
-    open_ns = window.open_ns if window is not None else None
-    close_ns = window.close_ns if window is not None else None
-    first_session_ns = None
-    row = None
-    seq = n_messages = n_events = 0
+    kept: list[tuple[int, Optional[tuple]]] = []
+    l1 = kept.append if record_l1 is True else record_l1 or None
+    emit = res.events.append if keep_events is True else keep_events or None
+    open_ns, close_ns = (window.open_ns, window.close_ns) if window is not None else (-inf, inf)
+    orders, best, rest, reduce, delete = ob._orders, ob._best, ob._rest, ob.reduce, ob.delete
+    Order, BUY, SELL = bk.Order, bk.BUY, bk.SELL
+    first_session_ns = pmin = pmax = None
+    n = seq = silent = volume = limit_volume = hidden = ignored = crossing = 0
     try:
-        for n_messages, msg in enumerate(msgs, start=1):
-            t = msg[0]
-            in_session = window is None or (open_ns <= t < close_ns)
-            if in_session and first_session_ns is None:
+        for n, (t, code, order_id, size, price_i4, direction) in enumerate(msgs, start=1):
+            in_session = open_ns <= t < close_ns
+            if first_session_ns is None and in_session:
                 first_session_ns = t
-            changed, n, trades, submit = apply_message(ob, msg, seq, tick_i4, counters, emit)
-            n_events += n
-            seq += n or 1
-            if in_session:
-                for price_ticks, size in trades:
-                    price_i4 = price_ticks * tick_i4
-                    stats.executed_volume_i4 += size * price_i4
-                    if stats.trade_price_min_i4 is None or price_i4 < stats.trade_price_min_i4:
-                        stats.trade_price_min_i4 = price_i4
-                    if stats.trade_price_max_i4 is None or price_i4 > stats.trade_price_max_i4:
-                        stats.trade_price_max_i4 = price_i4
-                if submit is not None:
-                    stats.best_quote_limit_volume_i4 += submit[1] * submit[0] * tick_i4
+            if code == SUBMISSION:
+                price = price_i4 // tick_i4
+                if size < 1 or price < 1 or price * tick_i4 != price_i4 or order_id in orders:
+                    raise _submission_fault(ob, order_id, size, price_i4, tick_i4)
+                side = BUY if direction == 1 else SELL
+                opp = best[-side]
+                changed = False
+                if opp is not None and (price >= opp if side == BUY else price <= opp):
+                    crossing += 1
+                    changed, size, trades = _cross(ob, t, seq, side, price, size, emit)
+                    seq += len(trades) - (not size)  # the advance below: the residual's
+                    for p, fill in trades if in_session else ():
+                        p *= tick_i4
+                        volume += fill * p
+                        pmin = p if pmin is None or p < pmin else pmin
+                        pmax = p if pmax is None or p > pmax else pmax
+                if size:
+                    order = Order(order_id, side, price, size, seq)
+                    if emit is not None:  # the book shrinks its order; the event keeps a copy
+                        emit(bk.BookEvent.submit(t, seq, replace(order)))
+                    if rest(order):
+                        changed = True
+                        if in_session:
+                            limit_volume += size * price_i4
+            elif code == FULL_DELETE:
+                changed = delete(order_id)
+                if emit is not None:
+                    emit(bk.BookEvent.delete(t, seq, order_id))
+            elif code == EXECUTION:
+                if size < 1:
+                    raise MalformedRow(None, "execution with size 0")
+                order = orders.get(order_id)  # None: reduce raises UnknownOrderId
+                changed = reduce(order_id, size)
+                if emit is not None:
+                    emit(bk.BookEvent.execute(t, seq, order_id, size))
+                if in_session:
+                    p = order.price * tick_i4
+                    volume += size * p
+                    pmin = p if pmin is None or p < pmin else pmin
+                    pmax = p if pmax is None or p > pmax else pmax
+            elif code == PARTIAL_CANCEL:
+                if size < 1:
+                    raise MalformedRow(None, "partial cancel with size 0")
+                changed = reduce(order_id, size)
+                if emit is not None:
+                    emit(bk.BookEvent.reduce(t, seq, order_id, size))
+            else:
+                if code == HIDDEN_EXECUTION:
+                    hidden += size
+                elif code == AUCTION or code == HALT:
+                    ignored += 1
+                else:
+                    raise UnknownTypeCode(None, code)
+                silent += 1
+                changed = False
+            seq += 1
             if changed or not timeline:
                 st = ob.state(t)
                 # a changed message may net out to the last record (intra-message flicker)
@@ -524,15 +483,22 @@ def replay(
                     if not timeline or timeline[-1][1:] != st[1:]:
                         timeline.append(st)
                     if l1 is not None:
-                        row = (st.ask * tick_i4 if st.ask is not None else EMPTY_ASK_PRICE, st.na,
-                               st.bid * tick_i4 if st.bid is not None else EMPTY_BID_PRICE, st.nb)
-            if l1 is not None:
-                l1(row)
+                        ask = EMPTY_ASK_PRICE if st.ask is None else st.ask * tick_i4
+                        bid = EMPTY_BID_PRICE if st.bid is None else st.bid * tick_i4
+                        l1((n - 1, (ask, st.na, bid, st.nb)))
     except DataError as exc:
-        if exc.line_no is not None:  # a fault in reading, positioned by its reader
-            raise
-        raise _at_message(msgs, exc, n_messages) from None
-    counters.messages, counters.events = n_messages, n_events
+        if exc.line_no is None:  # a fault in message n
+            n -= 1
+            exc = _at_message(msgs, exc, n + 1)
+        if l1 is not None:  # the rows before the fault are checked first
+            l1((n, None))
+        raise exc from None
+    if l1 is not None:
+        l1((n, None))
+    runs = zip(kept, kept[1:])
+    res.l1_rows = list(chain.from_iterable(repeat(row, j - i) for (i, row), (j, _) in runs))
+    res.counters = ReplayCounters(n, seq - silent, hidden, ignored, crossing)
+    res.stats = stats = DayStats(volume, limit_volume, pmin, pmax)
     res.first_session_event_ns = first_session_ns
     if window is not None:
         (stats.nb_time_integral, stats.na_time_integral, stats.spread_time_integral,
@@ -540,11 +506,44 @@ def replay(
     return res
 
 
-def _append_target(spec, kept: list) -> Optional[Callable]:
-    """Where a ``record_l1`` / ``keep_events`` argument sends its items."""
-    if spec is True:
-        return kept.append
-    return spec or None
+def _cross(
+    ob: bk.OrderBook, t_ns: int, seq: int, side: int, price: int, size: int,
+    emit: Optional[Callable[[bk.BookEvent], None]],
+) -> tuple[bool, int, list[tuple[int, int]]]:
+    """Execute a submission of ``size`` at ``price`` against the opposite
+    queue in priority order while it crosses, numbering the execution
+    events from ``seq``. Returns whether the quote changed, the size left to
+    rest, and the executed ``(price_ticks, size)`` pairs."""
+    best = ob._best
+    changed, trades = False, []
+    opp = best[-side]
+    while opp is not None and (price >= opp if side == bk.BUY else price <= opp):
+        head = ob.first_at_best(-side)
+        fill = min(size, head.size)
+        trades.append((head.price, fill))
+        changed |= ob.reduce(head.id, fill)
+        if emit is not None:
+            emit(bk.BookEvent.execute(t_ns, seq + len(trades) - 1, head.id, fill))
+        size -= fill
+        if size == 0:
+            break
+        opp = best[-side]
+    return changed, size, trades
+
+
+def _submission_fault(
+    ob: bk.OrderBook, order_id: int, size: int, price_i4: int, tick_i4: int
+) -> MalformedRow:
+    """The error of a submission that failed replay's check."""
+    if size < 1:
+        reason = "submission with size 0"
+    elif ob.has_order(order_id):
+        reason = f"submission reuses live order id {order_id}"
+    elif price_i4 % tick_i4:
+        reason = f"price {price_i4} not on the {tick_i4} tick lattice"
+    else:
+        reason = f"price {price_i4} below one tick"
+    return MalformedRow(None, reason)
 
 
 def _at_message(msgs: Iterable, exc: DataError, ordinal: int) -> DataError:
@@ -608,45 +607,111 @@ class VerificationReport:
 
 
 class L1Verifier:
-    """Append target for replay's level-1 rows: ``check`` compares each row
-    with the next reference row as it comes, keeping only the mismatches.
+    """Append target for replay's level-1 records that checks the rows they
+    stand for against a LOBSTER orderbook file (a path, bytes or a text file
+    read with LF line ends), keeping only the mismatches.
 
-    The reference is pulled lazily, so a parsed orderbook file is read in
-    step with the message file. A DataError from reading it names ``source``.
+    Each ``BLOCK_LINES`` rows that the records cover are checked with one
+    comparison: the file's next characters against those rows as canonical
+    lines (``_l1_text``). A block that differs is parsed and compared row by
+    row from its first line, so every mismatch and fault is the one that
+    reading the file row by row finds, at its line. A DataError from reading
+    the file names ``source``.
     """
 
-    def __init__(self, reference: Iterable[tuple[int, int, int, int]], source=None):
-        self._reference = enumerate(reference)
+    def __init__(self, reference, source=None):
+        self._read = _reader(reference)
+        next(self._read)
         self._source = source
-        self._unmatched = 0  # rows checked after the reference ran out
+        self._lines: list[str] = []  # lines read and not yet checked
+        self._line_no = 0  # lines before them
+        self._rows = 0  # reference rows checked
+        self._records: list[tuple[int, tuple]] = []  # from the one that holds row _rows on
         self.mismatches: list[Mismatch] = []
 
-    def check(self, row: tuple[int, int, int, int]) -> None:
-        try:
-            for i, ref in self._reference:  # one step
-                if ref != row:
-                    self.mismatches.append(Mismatch(i, row, ref))
+    def check(self, record: tuple[int, Optional[tuple]]) -> None:
+        i, row = record
+        if row is not None:
+            self._records.append(record)
+            if i - self._rows < BLOCK_LINES:
                 return
+            i -= (i - self._rows) % BLOCK_LINES  # whole blocks until the end
+        try:
+            self._check_rows(i)
         except DataError as exc:
+            self._rows = inf  # a failed check checks no more rows
+            self._read.close()
             raise self._named(exc) from None
-        self._unmatched += 1
+
+    def _check_rows(self, end: int) -> None:
+        """Check the reference rows before ``end``."""
+        while (lo := self._rows) < end:
+            if not self._lines:
+                n = min(end - lo, BLOCK_LINES)
+                expected = "".join([_l1_text(row) * count for row, count in self._runs(lo, lo + n)])
+                text = self._read.send(len(expected))
+                if text == expected:
+                    self._rows += n
+                    self._line_no += n
+                    continue
+                if not (lines := self._whole_lines(text)):
+                    return  # the reference ran out
+                self._lines = lines
+            lines = self._lines
+            runs = self._runs(lo, min(end, lo + len(lines)))
+            expected = chain.from_iterable(repeat(row, count) for row, count in runs)
+            # expected first: no line after row end - 1 is parsed
+            for row, (line_no, ref) in zip(expected, _l1_rows(lines, self._line_no)):
+                if ref != row:
+                    self.mismatches.append(Mismatch(self._rows, row, ref))
+                self._rows += 1
+            self._lines = lines[line_no - self._line_no:] if self._rows == end else []
+            self._line_no += len(lines) - len(self._lines)
+
+    def _whole_lines(self, text: str) -> list[str]:
+        """The lines of ``text``, the last one read to its end."""
+        if text and not text.endswith("\n"):
+            text += self._read.send(None)
+        lines = text.split("\n")
+        return lines[:-1] if not lines[-1] else lines
+
+    def _runs(self, lo: int, hi: int) -> list[tuple[tuple, int]]:
+        """Rows ``lo`` to ``hi`` as runs ``(row, count)``; drops the records
+        of rows before ``lo``."""
+        records = self._records
+        del records[:bisect_right(records, lo, key=_ORDINAL) - 1]
+        runs = records[:bisect_left(records, hi, key=_ORDINAL)]
+        bounds = [lo, *[i for i, _ in runs[1:]], hi]
+        return [(row, end - start) for (_, row), start, end in zip(runs, bounds, bounds[1:])]
 
     def report(self, checked: int) -> VerificationReport:
-        """End the check after ``checked`` rows (replay's message count).
-
-        Reads the reference rows left over; LengthMismatch if the reference
-        does not have exactly ``checked`` rows, whichever is longer."""
+        """End the check after ``checked`` rows (replay's message count):
+        LengthMismatch if the reference has another number of rows."""
+        left_over, lines = 0, self._lines
         try:
-            left_over = sum(1 for _ in self._reference)
+            while lines or (lines := self._whole_lines(self._read.send(64 * BLOCK_LINES))):
+                left_over += sum(1 for _ in _l1_rows(lines, self._line_no))
+                self._line_no += len(lines)
+                lines = []
         except DataError as exc:
             raise self._named(exc) from None
-        n_reference = checked - self._unmatched + left_over
-        if n_reference != checked:
-            raise self._named(LengthMismatch(checked, n_reference))
+        finally:
+            self._read.close()
+        if self._rows + left_over != checked:
+            raise self._named(LengthMismatch(checked, self._rows + left_over))
         return VerificationReport(checked, self.mismatches)
 
     def _named(self, exc: DataError) -> DataError:
         return exc if self._source is None else exc.in_file(self._source)
+
+
+def _reader(source) -> Generator[str, Optional[int], None]:
+    """The text of ``source``, opened on the first read: send a character
+    count for that many characters, or None for the rest of a line."""
+    size = yield ""
+    with _open_lines(source) as fh:
+        while True:
+            size = yield fh.readline() if size is None else fh.read(size)
 
 
 def verify_against_l1(
@@ -654,10 +719,13 @@ def verify_against_l1(
     reference: Sequence[tuple[int, int, int, int]],
 ) -> VerificationReport:
     """Compare per-message level-1 rows against a reference orderbook file's rows."""
-    verifier = L1Verifier(map(tuple, reference))
-    for row in reconstructed:
-        verifier.check(tuple(row))
-    return verifier.report(len(reconstructed))
+    verifier = L1Verifier(io.StringIO("".join(map(_l1_text, reference))))
+    rows = list(map(tuple, reconstructed))
+    for i, row in enumerate(rows):
+        if not i or row != rows[i - 1]:
+            verifier.check((i, row))
+    verifier.check((len(rows), None))
+    return verifier.report(len(rows))
 
 
 @dataclass

@@ -290,7 +290,7 @@ def read_lobster_day(
     verifier = None
     if cfg.orderbook_files:
         l1_path = cfg.orderbook_files[day]
-        verifier = lb.L1Verifier(lb.parse_l1_rows(l1_path), source=l1_path)
+        verifier = lb.L1Verifier(l1_path, source=l1_path)
     try:
         res = lb.replay(
             lb.parse_messages(path), tick_size=cfg.tick_size, window=cfg.window,
@@ -418,32 +418,22 @@ def _read_split(path: Path, n: int):
     must list each of the ``n`` rows of samples.csv once, as train or test."""
     import numpy as np
 
-    try:
-        rows = path.read_text(encoding="ascii").splitlines()
-    except OSError as exc:  # missing, a directory, unreadable
-        raise DataError(f"{path}: {exc.strerror}") from None
-    except ValueError as exc:  # not ASCII
-        raise DataError(f"{path}: {exc}") from None
-    if not rows or rows[0] != "index,subset":
-        raise DataError(f"{path}: unexpected header {rows[:1]}")
     parts = {"train": [], "test": []}
     listed = bytearray(n)
-    for line_no, row in enumerate(rows[1:], start=2):
-        idx, _, subset = row.partition(",")
-        try:
-            i = int(idx)
-        except ValueError as exc:
-            raise DataError(f"{path}, line {line_no}: {exc}") from None
+
+    def entry(row: list[str]) -> None:
+        i, subset = int(row[0]), row[1]
         if not 0 <= i < n:
-            raise DataError(f"{path}, line {line_no}: list index out of range")
+            raise ValueError("list index out of range")
         if subset not in parts:
-            raise DataError(f"{path}, line {line_no}: subset {subset!r} is not train or test")
+            raise ValueError(f"subset {subset!r} is not train or test")
         if listed[i]:
-            raise DataError(f"{path}, line {line_no}: row {i} is listed twice")
+            raise ValueError(f"row {i} is listed twice")
         listed[i] = 1
         parts[subset].append(i)
-    if len(rows) - 1 != n:
-        raise DataError(f"{path}: lists {len(rows) - 1} of the {n} rows of samples.csv")
+
+    if (rows := len(rp.read_csv(path, ("index", "subset"), entry))) != n:
+        raise DataError(f"{path}: lists {rows} of the {n} rows of samples.csv")
     return np.array(parts["train"], dtype=np.intp), np.array(parts["test"], dtype=np.intp)
 
 

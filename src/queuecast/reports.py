@@ -19,10 +19,11 @@ does not load it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, get_args, get_type_hints
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, get_args, get_type_hints
 
 from .errors import ConfigError, DataError, NumericalError
 
@@ -33,6 +34,7 @@ if TYPE_CHECKING:
     from .local import LocalLogisticFit
 
 SCHEMA_VERSION = 1
+T = TypeVar("T")
 
 CRIT_95 = 3.84  # chi-square(1) critical values
 CRIT_99 = 6.63
@@ -189,33 +191,58 @@ def write_local_curve_csv(path, fit: LocalLogisticFit) -> None:
 
 
 def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "") -> LocalLogisticFit:
+    """A local curve as ``write_local_curve_csv`` writes it: finite values,
+    a strictly rising grid and fitted values in (0, 1), or a DataError
+    naming the file and the line."""
     import numpy as np
 
     from .local import LocalLogisticFit
 
-    grid = []
-    fitted = []
+    last = -math.inf
+
+    def point(row: list[str]) -> tuple[float, float]:
+        nonlocal last
+        g, v = float(row[0]), float(row[1])
+        if not (math.isfinite(g) and math.isfinite(v)):
+            raise ValueError(f"grid,fitted = {g},{v} is not finite")
+        if not g > last:
+            raise ValueError(f"grid = {row[0]} does not rise from {last!r}")
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"fitted = {row[1]} is not in (0, 1)")
+        last = g
+        return g, v
+
+    points = read_csv(path, ("grid", "fitted"), point)
+    return LocalLogisticFit(np.array([g for g, _ in points]), np.array([v for _, v in points]),
+                            alpha, train_ref)
+
+
+def read_csv(path, header: Sequence[str], convert: Callable[[list[str]], T]) -> list[T]:
+    """``convert`` of each row after ``header`` of the CSV file at ``path``.
+    A file that cannot be read, another header, a row with a non-ASCII byte
+    (decoded as ``lobster._open_lines`` does, so it is found at its line) or
+    without one field a column, and a ValueError from ``convert`` are
+    DataErrors naming the file (and the line)."""
     try:
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["grid", "fitted"]:
-                raise DataError(f"{path}: unexpected local curve header {header}")
-            for row in reader:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(row)}")
-                g, v = float(row[0]), float(row[1])
-                if not (math.isfinite(g) and math.isfinite(v)):
-                    raise DataError(
-                        f"{path}, line {reader.line_num}: grid,fitted = {g},{v} is not finite"
-                    )
-                grid.append(g)
-                fitted.append(v)
+        with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
+            text = fh.read()
     except OSError as exc:  # missing, a directory, unreadable
         raise DataError(f"{path}: {exc.strerror}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    ascii_text = text.isascii()  # else each row is checked
+    try:
+        if (first := next(reader, None)) != list(header):
+            raise DataError(f"{path}: unexpected header {first}")
+        converted = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            if not ascii_text and not all(map(str.isascii, row)):
+                raise ValueError("non-ASCII byte")
+            converted.append(convert(row))
+        return converted
     except (ValueError, csv.Error) as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    return LocalLogisticFit(np.array(grid), np.array(fitted), alpha, train_ref)
 
 
 def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import BothQueuesEmpty, DataError, EmptyInterior, OneSidedBook, TooFewPoints
-from .reports import open_out
+from .errors import BothQueuesEmpty, EmptyInterior, OneSidedBook, TooFewPoints
+from .reports import open_out, read_csv
 
 if TYPE_CHECKING:
     from .book import BestQuoteState
@@ -281,31 +281,19 @@ def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
 
 
 def read_samples_csv(path) -> SampleColumns:
-    """The I and y columns of samples.csv. A row without exactly six fields,
-    whose day or times are not integers, whose I is not a finite number in
-    [-1, 1], or whose y is not 0 or 1 is a DataError naming the file and the
-    line, and so is a file that cannot be read."""
-    imbalance: list[float] = []
-    label: list[int] = []
-    try:
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(SAMPLE_COLUMNS):
-                raise DataError(f"{path}: unexpected samples.csv header {header}")
-            for row in reader:
-                if len(row) != len(SAMPLE_COLUMNS):
-                    raise ValueError(f"expected {len(SAMPLE_COLUMNS)} fields, got {len(row)}")
-                int(row[1]), int(row[2]), int(row[3])  # day and times: checked, not kept
-                i, y = float(row[4]), int(row[5])
-                if not -1.0 <= i <= 1.0:  # false for nan too
-                    raise ValueError(f"I = {row[4]} is not a finite number in [-1, 1]")
-                if y != 0 and y != 1:
-                    raise ValueError(f"y = {row[5]} is not 0 or 1")
-                imbalance.append(i)
-                label.append(y)
-    except OSError as exc:  # missing, a directory, unreadable
-        raise DataError(f"{path}: {exc.strerror}") from None
-    except (ValueError, csv.Error) as exc:
-        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    return SampleColumns(np.array(imbalance), np.array(label))
+    """The I and y columns of samples.csv, read by ``reports.read_csv``. A
+    row whose day or times are not integers, whose I is not a finite number
+    in [-1, 1], or whose y is not 0 or 1 is a DataError naming the file and
+    the line."""
+    rows = read_csv(path, SAMPLE_COLUMNS, _sample)
+    return SampleColumns(np.array([i for i, _ in rows]), np.array([y for _, y in rows]))
+
+
+def _sample(row: list[str]) -> tuple[float, int]:
+    int(row[1]), int(row[2]), int(row[3])  # day and times: checked, not kept
+    i, y = float(row[4]), int(row[5])
+    if not -1.0 <= i <= 1.0:  # false for nan too
+        raise ValueError(f"I = {row[4]} is not a finite number in [-1, 1]")
+    if y != 0 and y != 1:
+        raise ValueError(f"y = {row[5]} is not 0 or 1")
+    return i, y

@@ -92,28 +92,30 @@ def _uniforms(rng: np.random.Generator, block: int = 8192) -> Iterator[float]:
 def simulate(
     cfg: ZiConfig,
     messages: Optional[Callable[[lb.LobsterMessage], None]] = None,
-    l1_rows: Optional[Callable[[tuple[int, int, int, int]], None]] = None,
+    l1_rows: Optional[Callable[[tuple[int, Optional[tuple]]], None]] = None,
 ) -> SimResult:
     """Run the zero-intelligence flow for one simulated session.
 
     Each message and each level-1 row goes to its append target as it is
     generated (``lobster.message_writer`` and ``l1_writer`` write them to
-    files); without a target they are kept in ``messages`` and ``l1_rows``
-    of the result."""
-    kept_messages, kept_rows = [], []
-    res = _session(cfg, messages or kept_messages.append, l1_rows or kept_rows.append)
-    res.messages, res.l1_rows = kept_messages, kept_rows
+    files; the level-1 target gets ``lobster.replay``'s records, one per
+    change of the row); without a target they are kept in ``messages`` and
+    ``l1_rows`` of the result, one row per message."""
+    kept_messages = []
+    res = _session(cfg, messages or kept_messages.append, l1_rows or True)
+    res.messages = kept_messages
     return res
 
 
 def _session(
     cfg: ZiConfig,
     messages: Optional[Callable[[lb.LobsterMessage], None]] = None,
-    l1_rows: Optional[Callable[[tuple[int, int, int, int]], None]] = None,
+    l1_rows: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = None,
 ) -> SimResult:
-    """One simulated session, its messages and level-1 rows sent to the
-    append targets given. A pipeline day reads neither, so it runs without
-    them and gets the same timeline, stats and counts."""
+    """One simulated session, its messages and level-1 rows sent where
+    given (``l1_rows`` as ``lobster.replay``'s ``record_l1``). A pipeline day
+    reads neither, so it runs without them and gets the same timeline,
+    stats and counts."""
     cfg.validate()
     ob = bk.OrderBook(tick_size=cfg.tick_size)
     start_ns = cfg.start_time_s * NS
@@ -123,6 +125,7 @@ def _session(
         flow = _kept(flow, messages)
     rep = lb.replay(flow, tick_size=cfg.tick_size, record_l1=l1_rows, ob=ob)
     res.timeline, res.stats, res.counters = rep.timeline, rep.stats, rep.counters
+    res.l1_rows = rep.l1_rows
     # after a side depletion the last state is one-sided, so integrating
     # to the horizon adds nothing past the final message
     (res.stats.nb_time_integral, res.stats.na_time_integral, res.stats.spread_time_integral,

@@ -123,3 +123,30 @@ def coalesced_timeline(raw):
             continue
         out.append(st)
     return out
+
+
+def verify_row_by_row(rows, reference, checked=None):
+    """Level-1 verification one row at a time: each of the first ``checked``
+    of ``rows`` (all of them if None) against the next row of the parsed
+    ``reference`` (a text-file object), pulled only when it is compared.
+    With ``checked`` None the left-over reference rows are then counted and
+    a row count that differs is a LengthMismatch; otherwise the mismatches
+    found so far are returned. Uses only the per-line parser of the package."""
+    from queuecast import lobster as lb
+    from queuecast.errors import LengthMismatch
+
+    parsed = enumerate(row for _, row in lb._l1_rows(reference, 0))
+    mismatches, unmatched = [], 0
+    for row in rows[:checked]:
+        for i, ref in parsed:
+            if ref != row:
+                mismatches.append(lb.Mismatch(i, row, ref))
+            break
+        else:
+            unmatched += 1
+    if checked is not None:
+        return mismatches
+    n_reference = len(rows) - unmatched + sum(1 for _ in parsed)
+    if n_reference != len(rows):
+        raise LengthMismatch(len(rows), n_reference)
+    return lb.VerificationReport(len(rows), mismatches)

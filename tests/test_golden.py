@@ -72,3 +72,54 @@ def test_event_pipeline_output_pinned(tmp_path):
     config = "preset = small-tick\ndays = 2\nsampling_mode = event\nmodels = logistic,null\n"
     out = run_pipeline(tmp_path, config)
     assert digests(out, EVENT_PIPELINE_DIGESTS) == EVENT_PIPELINE_DIGESTS
+
+
+# two simulated small-tick days read back as LOBSTER files; a few level-1
+# rows of day 1 perturbed, so that verification.json holds mismatches
+INGEST_DIGESTS = {
+    "day000_events.csv": "14289b5867246779a267b4593ddcb11b4f373196a7ea57df5749175e49676aaa",
+    "day001_events.csv": "90cecf3e9303af22d2c7aa6a4b5199849f55a21abb6a4d18245cbd8182d132dd",
+    "verification.json": "94d350b8d91e72d3e3d6604646f5a96496b35a24f45cc5441540a4c523a06616",
+    "summary.json": "3b3b7f6fcda1157c0418f970ed2aba743fb4d0e5df9072f0589b1aabdd7bbb0d",
+}
+
+LOBSTER_PIPELINE_DIGESTS = {
+    "samples.csv": "1332ae48087f447f636e8b878e83e11a78ffc8f08bb1ef0c4b38d82864de3681",
+    "sampling_flags.json": "1f4e1be5ff94e22f7aa4db1d3fad9313f8e328d214b0465e995b6c71cd7bdfbe",
+}
+
+
+@pytest.fixture(scope="module")
+def lobster_days(tmp_path_factory):
+    data = tmp_path_factory.mktemp("lobster")
+    argv = ["simulate", "--preset", "small-tick", "--seed", "3", "--days", "2", "--out", str(data)]
+    assert cli_main(argv) == 0
+    path = data / "day001_orderbook.csv"
+    rows = path.read_text().splitlines(keepends=True)
+    for i in (3, 700, 701, 5000):
+        ask, na, bid, nb = map(int, rows[i].split(","))
+        rows[i] = f"{ask},{na},{bid},{nb + 1}\n"
+    path.write_text("".join(rows))
+    return data
+
+
+def lobster_config(data):
+    files = ("message", "orderbook")
+    return "source = lobster\n" + "".join(
+        f"{kind}_files = " + ",".join(str(data / f"day{d:03d}_{kind}.csv") for d in range(2)) + "\n"
+        for kind in files
+    )
+
+
+def test_ingest_output_pinned(tmp_path, lobster_days):
+    cfgfile = tmp_path / "ingest.cfg"
+    cfgfile.write_text(lobster_config(lobster_days))
+    out = tmp_path / "ingest"
+    assert cli_main(["ingest", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert digests(out, INGEST_DIGESTS) == INGEST_DIGESTS
+
+
+def test_lobster_pipeline_output_pinned(tmp_path, lobster_days):
+    config = lobster_config(lobster_days) + "sampling_mode = event\nmodels = logistic,null\n"
+    out = run_pipeline(tmp_path, config)
+    assert digests(out, LOBSTER_PIPELINE_DIGESTS) == LOBSTER_PIPELINE_DIGESTS

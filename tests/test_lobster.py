@@ -20,7 +20,7 @@ from queuecast.errors import (
 )
 from queuecast.sampling import QuoteTimeline, mid_change_times
 
-from oracles import coalesced_timeline
+from oracles import coalesced_timeline, verify_row_by_row
 
 
 class TestParse:
@@ -623,6 +623,112 @@ class TestVerification:
         res = lb.replay(msgs, record_l1=True)
         with pytest.raises(LengthMismatch):
             lb.verify_against_l1(res.l1_rows, res.l1_rows[:-1])
+
+
+@st.composite
+def orderbook_text(draw):
+    """Per-message level-1 rows, in runs that repeat a row, and an orderbook
+    text for them that mixes canonical lines with lines the block check must
+    leave to the per-row parse: CRLF, spaces, more than four columns, leading
+    zeros, blank lines, a changed value (a mismatch), a garbled field or a
+    short row (faults), a row dropped or added. The last line may lack its LF."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = (draw(st.sampled_from([10100, 10200, lb.EMPTY_ASK_PRICE])), draw(st.integers(0, 3)),
+               draw(st.sampled_from([10000, lb.EMPTY_BID_PRICE])), draw(st.integers(0, 3)))
+        rows += [row] * draw(st.integers(1, 4))
+    lines = []
+    for row in rows:
+        fields = [str(v) for v in row]
+        end = "\n"
+        kind = draw(st.integers(0, 24))
+        i = draw(st.integers(0, 3))
+        if kind == 1:
+            end = "\r\n"
+        elif kind == 2:
+            fields[i] = " " + fields[i]
+        elif kind == 3:
+            fields += ["10300", "4"]
+        elif kind == 4:
+            fields[i] = "0" + fields[i]
+        elif kind == 5:
+            lines.append(draw(st.sampled_from(["\n", "  \n", "\r\n"])))
+        elif kind == 6:
+            fields[i] = str(int(fields[i]) + 1)
+        elif kind == 7:
+            fields[i] = draw(st.sampled_from(["x", "", "1.5", "\xe9"]))
+        elif kind == 8:
+            fields = fields[:draw(st.integers(1, 3))]
+        elif kind == 9:
+            continue
+        lines.append(",".join(fields) + end)
+        if kind == 10:
+            lines.append(lines[-1])
+    text = "".join(lines)
+    return rows, text.rstrip("\n") if draw(st.booleans()) else text
+
+
+def verify_by_block(rows, text, checked=None):
+    """L1Verifier fed replay's records of ``rows``: ended after ``checked``
+    rows (as before a fault in the next message), or reported after all."""
+    verifier = lb.L1Verifier(io.StringIO(text))
+    n = len(rows) if checked is None else checked
+    for i, row in enumerate(rows[:n]):
+        if i == 0 or row != rows[i - 1]:
+            verifier.check((i, row))
+    verifier.check((n, None))
+    return verifier.mismatches if checked is not None else verifier.report(n)
+
+
+class TestBlockVerification:
+    """Blocks whose text is canonical are checked with one comparison; every
+    other block goes through the per-row parse and compare. The split must
+    not show."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=orderbook_text(), data=st.data())
+    def test_blocks_verify_as_rows(self, case, data):
+        rows, text = case
+        checked = data.draw(st.none() | st.integers(0, len(rows)))
+        expected = outcome(lambda: verify_row_by_row(rows, io.StringIO(text), checked))
+        for size in (1, 2, 3, lb.BLOCK_LINES):
+            with mock.patch.object(lb, "BLOCK_LINES", size):
+                assert outcome(lambda: verify_by_block(rows, text, checked)) == expected
+
+    def test_canonical_blocks_take_one_comparison(self, monkeypatch):
+        rows = [(10100, 1, 10000, 2)] * 5 + [(10200, 3, 10000, 2)] * 4
+        text = "".join("%d,%d,%d,%d\n" % row for row in rows)
+        monkeypatch.setattr(lb, "_l1_rows", None)  # the per-row parser is not called
+        monkeypatch.setattr(lb, "BLOCK_LINES", 2)
+        assert verify_by_block(rows, text) == lb.VerificationReport(9, [])
+
+    def test_no_line_after_the_rows_checked_is_parsed(self):
+        # the block read for row 0 runs into line 2, a fault: a fault in
+        # message 2 is checked against row 0 only, so line 2 is not parsed
+        rows = [(lb.EMPTY_ASK_PRICE, 0, 10000, 10), (10200, 1, 10000, 1)]
+        text = "10200,1,10000,1\nx\n"
+        mismatch = [lb.Mismatch(0, rows[0], (10200, 1, 10000, 1))]
+        assert verify_row_by_row(rows, io.StringIO(text), 1) == mismatch
+        assert verify_by_block(rows, text, 1) == mismatch
+
+    @pytest.mark.parametrize("block_lines", [2, 8])
+    def test_orderbook_fault_before_a_later_message_fault(self, monkeypatch, block_lines):
+        # the orderbook fault is on row 2 and message 6 is the message fault:
+        # the rows before message 6 are checked first, whether row 2's block
+        # is checked during replay (2 lines) or once message 6 faults (8)
+        msgs = ["36000.0,1,1,10,10000,1", "36001.0,1,2,10,10200,-1", "36002.0,2,1,3,10000,1",
+                "36003.0,1,3,5,10100,1", "36004.0,1,4,5,10300,-1", "36005.0,4,99,1,10000,1"]
+        monkeypatch.setattr(lb, "BLOCK_LINES", block_lines)
+        for line_2, error in [
+            ("10200,x,10000,10", "line 2: invalid literal for int() with base 10: 'x' (in o)"),
+            ("10200,10,10000,10", "line 6: unknown order id 99"),
+        ]:
+            lines = ["9999999999,0,10000,10", line_2, "10200,10,10000,7", "10200,10,10100,5",
+                     "10200,10,10100,5", "10200,10,10100,5"]
+            verifier = lb.L1Verifier(io.StringIO("".join(f"{r}\n" for r in lines)), source="o")
+            with pytest.raises(DataError) as ei:
+                lb.replay(lb.parse_messages(msgs), record_l1=verifier.check)
+            assert str(ei.value) == error
 
 
 class TestSummaryStats:

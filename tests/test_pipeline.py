@@ -690,13 +690,23 @@ class TestCli:
             ("evaluate", "split.csv", "lines:180,train", ", line 2: list index out of range"),
             ("evaluate", "fits/local_curve.csv", "drop-last-line",
              ": 40 grid points, where local_meta.json has 41"),
+            ("evaluate", "fits/local_curve.csv", "line-3:-0.95,7.5",
+             ", line 3: fitted = 7.5 is not in (0, 1)"),
+            ("evaluate", "fits/local_curve.csv", "line-6:-0.9,0.5",
+             ", line 6: grid = -0.9 does not rise from -0.85"),
+            ("evaluate", "fits/local_curve.csv", "reverse",
+             ", line 3: grid = 0.95 does not rise from 1.0"),
+            ("fit", "samples.csv", "e9-line-150", ", line 150: non-ASCII byte"),
+            ("evaluate", "split.csv", "e9-line-100", ", line 100: non-ASCII byte"),
+            ("evaluate", "fits/local_curve.csv", "e9-line-20", ", line 20: non-ASCII byte"),
         ],
         ids=["fit-no-x0", "fit-list", "fit-x1-string", "fit-x1-nan", "meta-no-alpha",
              "meta-list", "report-no-auc-out", "curve-nan", "curve-extra-field", "fit-dir",
              "curve-dir",
              "samples-dir-fit", "samples-dir-evaluate", "split-dir", "split-short",
              "split-twice", "split-bad-subset", "split-negative", "split-past-end",
-             "curve-short"],
+             "curve-short", "curve-fitted-7.5", "curve-grid-not-rising", "curve-reversed",
+             "samples-non-ascii", "split-non-ascii", "curve-non-ascii"],
     )
     def test_bad_artifact_exit_3(self, run_once, tmp_path, stage, rel, edit, message):
         out = tmp_path / "run"
@@ -712,10 +722,13 @@ class TestCli:
             key, _, value = arg.partition(":")
             text = text.replace(f'"{key}": {json.dumps(json.loads(text)[key])}',
                                 f'"{key}": {value}')
-        elif kind == "line-3":
+        elif kind.startswith("line-"):
             lines = text.splitlines()
-            lines[2] = arg
+            lines[int(kind[5:]) - 1] = arg
             text = "\n".join(lines) + "\n"
+        elif kind == "reverse":  # the data rows in reverse order
+            lines = text.splitlines(keepends=True)
+            text = lines[0] + "".join(reversed(lines[1:]))
         elif kind == "drop-last-line":
             text = "".join(text.splitlines(keepends=True)[:-1])
         elif kind == "lines":  # the first data lines replaced
@@ -726,6 +739,11 @@ class TestCli:
         path.unlink()
         if kind == "dir":
             path.mkdir()
+        elif kind.startswith("e9-line-"):  # a 0xe9 byte after the first character of the line
+            lines = text.encode().splitlines(keepends=True)
+            line = lines[int(kind[8:]) - 1]
+            lines[int(kind[8:]) - 1] = line[:1] + b"\xe9" + line[1:]
+            path.write_bytes(b"".join(lines))
         else:
             path.write_text(text)
         cfgfile = tmp_path / "run.cfg"
