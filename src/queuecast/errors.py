@@ -33,6 +33,12 @@ class DataError(QueuecastError):
     line_no = None  # the input line at fault, where one is known
     path = None  # the file at fault, where one is known
 
+    def __init__(self, message, line_no=None):
+        """``line_no`` None leaves the fault to be positioned later (``at_line``)."""
+        super().__init__(message)
+        if line_no is not None:
+            self.at_line(line_no)
+
     def at_line(self, line_no: int) -> "DataError":
         """Prefix the message with the input line at fault; returns self."""
         self.line_no = line_no
@@ -89,25 +95,18 @@ class BothQueuesEmpty(NumericalError):
 
 class MalformedRow(DataError):
     def __init__(self, line_no, reason):
-        """``line_no`` None leaves the row to be positioned later (``at_line``)."""
-        super().__init__(reason)
-        if line_no is not None:
-            self.at_line(line_no)
+        super().__init__(reason, line_no)
 
 
 class NonMonotoneTime(DataError):
     def __init__(self, line_no):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: timestamp decreases")
+        super().__init__("timestamp decreases", line_no)
 
 
 class UnknownTypeCode(DataError):
     def __init__(self, line_no, code):
-        """``line_no`` None leaves the row to be positioned later (``at_line``)."""
         self.code = code
-        super().__init__(f"unknown message type code {code}")
-        if line_no is not None:
-            self.at_line(line_no)
+        super().__init__(f"unknown message type code {code}", line_no)
 
 
 class LengthMismatch(DataError):

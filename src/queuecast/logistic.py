@@ -45,7 +45,7 @@ def _bernoulli_loglik(eta, y, w):
     return float(np.sum(w * (y * eta - softplus)))
 
 
-def weighted_logistic_mle(z, y, w, max_iter: int = MAX_ITER, start=(0.0, 0.0)):
+def weighted_logistic_mle(z, y, w, start=(0.0, 0.0)):
     """Weighted intercept-and-slope logistic MLE on regressor z.
 
     y may hold fractions: one row standing for tied observations carries
@@ -66,7 +66,7 @@ def weighted_logistic_mle(z, y, w, max_iter: int = MAX_ITER, start=(0.0, 0.0)):
     stalled = False
     iterations = 0
     h00 = h01 = h11 = det = 0.0
-    while iterations < max_iter and not (converged or stalled):
+    while iterations < MAX_ITER and not (converged or stalled):
         p = sigmoid(eta)
         r = w * (y - p)
         g0 = float(r.sum())

@@ -386,10 +386,9 @@ def stage_sample(cfg: RunConfig, out: Path) -> None:
     nb = np.array([p.nb for p in points])
     na = np.array([p.na for p in points])
     if len(points) and nb.max(initial=0) > 0 and na.max(initial=0) > 0:
-        rp.write_survivor_csv(
-            out / "queue_survivor.csv",
-            {"bid": ev.queue_survivor(nb), "ask": ev.queue_survivor(na)},
-        )
+        rows = [(side, v, surv) for side, lengths in (("ask", na), ("bid", nb))
+                for v, surv in zip(*(col.tolist() for col in ev.queue_survivor(lengths)))]
+        rp.write_csv(out / "queue_survivor.csv", ("side", "queue_length", "survivor"), rows)
     flags = {
         "schema_version": rp.SCHEMA_VERSION,
         "days": {str(oc.day): oc.flags for oc in outcomes},
@@ -488,7 +487,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
         lfit = lo.fit_local_logistic(
             I_tr, y_tr, cv.alpha, grid=grid, train_ref=f"samples.csv@seed{cfg.seed}"
         )
-        rp.write_local_curve_csv(fits_dir / "local_curve.csv", lfit)
+        rp.write_csv(fits_dir / "local_curve.csv", ("grid", "fitted"), zip(lfit.grid, lfit.fitted))
         meta = LocalMeta(
             alpha=cv.alpha,
             alpha_candidates=cfg.alphas,
@@ -520,7 +519,8 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     rp.make_dir(eval_dir)
 
     edges, counts = ev.imbalance_histogram(samples.imbalance)
-    rp.write_histogram_csv(eval_dir / "histogram.csv", edges, counts)
+    rp.write_csv(eval_dir / "histogram.csv", ("bin_left", "bin_right", "count"),
+                 zip(edges[:-1], edges[1:], counts.tolist()))
 
     if "logistic" in cfg.models:
         fit = rp.read_record(rp.LogisticFit, out / "fits" / "logistic.json")
@@ -567,7 +567,8 @@ def _write_eval(eval_dir: Path, model_id: str, s_tr, y_tr, s_te, y_te, **rest) -
         **rest,
     )
     rp.write_json(eval_dir / f"report_{model_id}.json", rp.record_to_dict(rep))
-    rp.write_roc_csv(eval_dir / f"roc_{model_id}_out.csv", ev.roc_curve(s_te, y_te))
+    roc = ev.roc_curve(s_te, y_te)
+    rp.write_csv(eval_dir / f"roc_{model_id}_out.csv", ("fpr", "tpr"), zip(roc.fpr, roc.tpr))
 
 
 def stage_report(cfg: RunConfig, out: Path) -> None:

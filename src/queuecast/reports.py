@@ -1,16 +1,16 @@
 """Artifact serialization: fit records and evaluation reports as JSON with a
 stable schema, plot-ready CSVs, and the aligned text table with significance
 stars. All writers are deterministic: canonical key order, shortest
-round-trip float rendering, no timestamps.
+round-trip floats in JSON and ``%.12g`` in CSV (``write_csv``), no timestamps.
 
 A JSON record's schema is its dataclass, and the records that ``report``
 reads are defined here: ``LogisticFit``, ``TestResult`` and ``EvalReport``.
 ``record_to_dict`` writes the fields beside ``schema_version``, and
 ``read_record`` reads them back, checking that the top level is an object
 whose ``schema_version`` is ``SCHEMA_VERSION``, that every field without a
-default is present, and that each value has a JSON type its annotation
-allows. Any other input, and a NaN or infinity in a JSON file, is a DataError
-that names the file (and the key); a NaN can never be written to one.
+default is present and no other key is, and that each value has a JSON type
+its annotation allows. Any other input, and a NaN or infinity in a JSON file,
+is a DataError naming the file (and the key); a NaN is never written to one.
 
 The module imports no numpy, so that a process which only tabulates reports
 does not load it.
@@ -23,14 +23,12 @@ import io
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, get_args, get_type_hints
+from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar, get_args,
+                    get_type_hints)
 
 from .errors import ConfigError, DataError, NumericalError
 
 if TYPE_CHECKING:
-    import numpy as np
-
-    from .evaluate import RocCurve
     from .local import LocalLogisticFit
 
 SCHEMA_VERSION = 1
@@ -152,13 +150,16 @@ def _record(cls, obj, path, where: str):
         what = f"key {where!r}" if where else "top level"
         raise DataError(f"{path}: {what}: expected a JSON object")
     hints = get_type_hints(cls)
+    prefix = f"{where}." if where else ""
     values = {}
     for f in fields(cls):
-        key = f"{where}.{f.name}" if where else f.name
         if f.name in obj:
-            values[f.name] = _value(hints[f.name], obj[f.name], path, key)
+            values[f.name] = _value(hints[f.name], obj[f.name], path, prefix + f.name)
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise DataError(f"{path}: missing key {key!r}")
+            raise DataError(f"{path}: missing key {prefix + f.name!r}")
+    for name in obj:
+        if name not in values and (where or name != "schema_version"):
+            raise DataError(f"{path}: unknown key {prefix + name!r}")
     return cls(**values)
 
 
@@ -174,24 +175,8 @@ def _value(tp, value, path, key: str):
     return value
 
 
-def write_roc_csv(path, curve: RocCurve) -> None:
-    with open_out(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("fpr", "tpr"))
-        for x, y in zip(curve.fpr, curve.tpr):
-            w.writerow((f"{x:.12g}", f"{y:.12g}"))
-
-
-def write_local_curve_csv(path, fit: LocalLogisticFit) -> None:
-    with open_out(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("grid", "fitted"))
-        for g, v in zip(fit.grid, fit.fitted):
-            w.writerow((f"{g:.12g}", f"{v:.12g}"))
-
-
 def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "") -> LocalLogisticFit:
-    """A local curve as ``write_local_curve_csv`` writes it: finite values,
+    """A local curve as ``stage_fit`` writes it: finite values,
     a strictly rising grid and fitted values in (0, 1), or a DataError
     naming the file and the line."""
     import numpy as np
@@ -215,6 +200,16 @@ def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "")
     points = read_csv(path, ("grid", "fitted"), point)
     return LocalLogisticFit(np.array([g for g, _ in points]), np.array([v for _, v in points]),
                             alpha, train_ref)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``header`` and then ``rows`` as the CSV file at ``path``, as ``read_csv``
+    reads it: comma-separated with CRLF row ends, a float rendered as
+    ``%.12g`` and any other value as ``str``."""
+    with open_out(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
 
 
 def read_csv(path, header: Sequence[str], convert: Callable[[list[str]], T]) -> list[T]:
@@ -243,25 +238,6 @@ def read_csv(path, header: Sequence[str], convert: Callable[[list[str]], T]) -> 
         return converted
     except (ValueError, csv.Error) as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-
-
-def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
-    with open_out(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("bin_left", "bin_right", "count"))
-        for left, right, c in zip(edges[:-1], edges[1:], counts):
-            w.writerow((f"{left:.12g}", f"{right:.12g}", int(c)))
-
-
-def write_survivor_csv(path, named_series: dict) -> None:
-    """named_series: {"bid": (values, survivor), "ask": (...)}."""
-    with open_out(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("side", "queue_length", "survivor"))
-        for name in sorted(named_series):
-            values, surv = named_series[name]
-            for v, s in zip(values, surv):
-                w.writerow((name, int(v), f"{s:.12g}"))
 
 
 def stars(statistic: Optional[float]) -> str:

@@ -16,7 +16,6 @@ lattice strictly inside both endpoints.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .errors import BothQueuesEmpty, EmptyInterior, OneSidedBook, TooFewPoints
-from .reports import open_out, read_csv
+from .reports import read_csv, write_csv
 
 if TYPE_CHECKING:
     from .book import BestQuoteState
@@ -250,7 +249,6 @@ def split_indices(
     n: int,
     frac: float = 0.8,
     rng: Optional[np.random.Generator] = None,
-    seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random partition of range(n) with |train| = floor(frac * n):
     the sorted train indices and the sorted test indices."""
@@ -259,7 +257,7 @@ def split_indices(
     if not 0.0 < frac < 1.0:
         raise ValueError("split fraction must lie in (0, 1)")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     perm = rng.permutation(n)
     n_train = int(frac * n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
@@ -271,13 +269,9 @@ SAMPLE_COLUMNS = ("instrument", "day", "t_sample_ns", "t_change_ns", "I", "y")
 
 
 def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
-    with open_out(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SAMPLE_COLUMNS)
-        for p in points:
-            w.writerow(
-                (p.instrument, p.day, p.t_sample_ns, p.t_change_ns, f"{p.imbalance:.12g}", p.label)
-            )
+    write_csv(path, SAMPLE_COLUMNS,
+              ((p.instrument, p.day, p.t_sample_ns, p.t_change_ns, p.imbalance, p.label)
+               for p in points))
 
 
 def read_samples_csv(path) -> SampleColumns:

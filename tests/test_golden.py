@@ -32,8 +32,17 @@ SIMULATE_DIGESTS = {
 PIPELINE_DIGESTS = {
     "summary.json": "7a1f24604cfc2fbe0cff307dde276d55b1120cf7aabda30d7bf6f2d507ca916b",
     "samples.csv": "283611d242e8978902f66e43e951d4caad51f2fb845dc68178f7c997834ccd5d",
+    "queue_survivor.csv": "cb63a57d7cbfd31013b756b9be6411279c1c8571a6b4315a622d883ff26e9017",
+    "eval/histogram.csv": "9b0a26e7c49276f4856dccb1bba835502a7339876325c7931d0bbd522421d502",
+    "eval/roc_logistic_out.csv": "9b9ed4681c279e41afd58f535278352c5ed668a493a14b5da12e4d88bb14a146",
     # embeds the provenance block: every config key except out_dir and jobs
     "report.json": "72738279083bf094cbc1b396842c11c21abb6ff2cacf0371b56d6cf1edd35e4a",
+}
+
+# the local-logistic curve and its ROC, on a coarse grid
+LOCAL_PIPELINE_DIGESTS = {
+    "fits/local_curve.csv": "39088ae70420b53bbfd5ea2f0274e8b9a47af04729a67473374a021ba363ae78",
+    "eval/roc_local_out.csv": "9b9ed4681c279e41afd58f535278352c5ed668a493a14b5da12e4d88bb14a146",
 }
 
 # small-tick days sampled in event time: every draw reads the quote timeline
@@ -66,6 +75,11 @@ def run_pipeline(tmp_path, config):
 def test_pipeline_output_pinned(tmp_path):
     out = run_pipeline(tmp_path, "days = 3\nmodels = logistic,null\n")
     assert digests(out, PIPELINE_DIGESTS) == PIPELINE_DIGESTS
+
+
+def test_local_pipeline_output_pinned(tmp_path):
+    out = run_pipeline(tmp_path, "days = 3\nmodels = logistic,local,null\ngrid_points = 41\n")
+    assert digests(out, LOCAL_PIPELINE_DIGESTS) == LOCAL_PIPELINE_DIGESTS
 
 
 def test_event_pipeline_output_pinned(tmp_path):

@@ -711,6 +711,19 @@ class TestBlockVerification:
         assert verify_row_by_row(rows, io.StringIO(text), 1) == mismatch
         assert verify_by_block(rows, text, 1) == mismatch
 
+    @pytest.mark.parametrize("block_lines", [1, 2, 1024])
+    @pytest.mark.parametrize("second", ["10100,1,10000,2", "10100,1,10000,3"],
+                             ids=["canonical", "mismatch"])
+    def test_length_mismatch_counts_every_left_over_row(self, monkeypatch, block_lines, second):
+        # 3 rows checked against 5 lines: both lines after the last checked
+        # row are counted, whether the checked rows' text matched or not
+        rows = [(10100, 1, 10000, 2)] * 3
+        text = "10100,1,10000,2\n" + f"{second}\n" + "10100,1,10000,2\n" * 3
+        monkeypatch.setattr(lb, "BLOCK_LINES", block_lines)
+        with pytest.raises(LengthMismatch) as ei:
+            verify_by_block(rows, text)
+        assert str(ei.value) == "row count mismatch: 3 reconstructed vs 5 reference"
+
     @pytest.mark.parametrize("block_lines", [2, 8])
     def test_orderbook_fault_before_a_later_message_fault(self, monkeypatch, block_lines):
         # the orderbook fault is on row 2 and message 6 is the message fault:

@@ -665,6 +665,7 @@ class TestCli:
         "stage, rel, edit, message",
         [
             ("evaluate", "fits/logistic.json", "drop:x0", ": missing key 'x0'"),
+            ("evaluate", "fits/logistic.json", "add:x2:1", ": unknown key 'x2'"),
             ("evaluate", "fits/logistic.json", "list", ": top level: expected a JSON object"),
             ("evaluate", "fits/logistic.json", 'set:x1:"abc"',
              ": key 'x1': expected float, got 'abc'"),
@@ -700,7 +701,7 @@ class TestCli:
             ("evaluate", "split.csv", "e9-line-100", ", line 100: non-ASCII byte"),
             ("evaluate", "fits/local_curve.csv", "e9-line-20", ", line 20: non-ASCII byte"),
         ],
-        ids=["fit-no-x0", "fit-list", "fit-x1-string", "fit-x1-nan", "meta-no-alpha",
+        ids=["fit-no-x0", "fit-unknown-key", "fit-list", "fit-x1-string", "fit-x1-nan", "meta-no-alpha",
              "meta-list", "report-no-auc-out", "curve-nan", "curve-extra-field", "fit-dir",
              "curve-dir",
              "samples-dir-fit", "samples-dir-evaluate", "split-dir", "split-short",
@@ -716,6 +717,9 @@ class TestCli:
         kind, _, arg = edit.partition(":")
         if kind == "drop":
             text = json.dumps({k: v for k, v in json.loads(text).items() if k != arg})
+        elif kind == "add":
+            key, _, value = arg.partition(":")
+            text = json.dumps({**json.loads(text), key: json.loads(value)})
         elif kind == "list":
             text = f"[{text}]"
         elif kind == "set":
@@ -1074,6 +1078,12 @@ class TestRecordRoundTrip:
         d["lr_full"] = [12.5]
         path.write_text(json.dumps(d))
         with pytest.raises(DataError, match="key 'lr_full': expected a JSON object"):
+            read_record(EvalReport, path)
+        # schema_version is a key of the top level only
+        d = record_to_dict(RECORDS["report-with-tests"])
+        d["lr_full"]["schema_version"] = 1
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataError, match=r"report.json: unknown key 'lr_full.schema_version'$"):
             read_record(EvalReport, path)
 
     def test_no_nan_in_json(self, tmp_path):
