@@ -134,18 +134,6 @@ class UnknownPreset(ConfigError):
 
 # --- sampling --------------------------------------------------------------
 
-class PointSkipped(NumericalError):
-    """A sample point could not be drawn; day drivers count these."""
-
-
-class OneSidedBook(PointSkipped):
-    """The prevailing book state has an empty side; imbalance undefined."""
-
-
-class EmptyInterior(PointSkipped):
-    """Interval too narrow to contain a strictly interior nanosecond."""
-
-
 class TooFewPoints(NumericalError):
     def __init__(self, n, minimum):
         super().__init__(f"need at least {minimum} points, got {n}")

@@ -737,17 +737,16 @@ class SummaryRecord:
     best_quote_limit_volume: float  # currency
     trade_price_min: Optional[float]
     trade_price_max: Optional[float]
-    mean_nb: float  # time-weighted shares
-    mean_na: float
-    mean_spread: float  # currency
+    # time-weighted over two-sided session time; None if the book never had both sides
+    mean_nb: Optional[float]  # shares
+    mean_na: Optional[float]
+    mean_spread: Optional[float]  # currency
 
 
 def summary_stats(day_stats: Sequence[DayStats], tick_size: float = 0.01) -> SummaryRecord:
     if not day_stats:
         raise NoData("no instrument-days to summarize")
     total_ns = sum(d.two_sided_ns for d in day_stats)
-    if total_ns == 0:
-        raise NoData("no two-sided session time observed")
     pmins = [d.trade_price_min_i4 for d in day_stats if d.trade_price_min_i4 is not None]
     pmaxs = [d.trade_price_max_i4 for d in day_stats if d.trade_price_max_i4 is not None]
     return SummaryRecord(
@@ -756,7 +755,8 @@ def summary_stats(day_stats: Sequence[DayStats], tick_size: float = 0.01) -> Sum
         best_quote_limit_volume=sum(d.best_quote_limit_volume_i4 for d in day_stats) / 10000.0,
         trade_price_min=min(pmins) / 10000.0 if pmins else None,
         trade_price_max=max(pmaxs) / 10000.0 if pmaxs else None,
-        mean_nb=sum(d.nb_time_integral for d in day_stats) / total_ns,
-        mean_na=sum(d.na_time_integral for d in day_stats) / total_ns,
-        mean_spread=sum(d.spread_time_integral for d in day_stats) / total_ns * tick_size,
+        mean_nb=sum(d.nb_time_integral for d in day_stats) / total_ns if total_ns else None,
+        mean_na=sum(d.na_time_integral for d in day_stats) / total_ns if total_ns else None,
+        mean_spread=(sum(d.spread_time_integral for d in day_stats) / total_ns * tick_size
+                     if total_ns else None),
     )

@@ -102,7 +102,7 @@ class RunConfig:
         lambda v: round(v * 10000) >= 1,
     ))
     instrument: str = _key("SIM", str)
-    session_open: int = _key("36000", _parser(int, "expected integer seconds"))
+    session_open: int = _key("36000", _at_least(0))  # seconds after midnight
     session_close: int = _key("55800", _parser(int, "expected integer seconds"))
     sampling_mode: str = _key(SAMPLING_MODES[0], _choice(*SAMPLING_MODES))
     subsample: int = _key("100", _at_least(1))
@@ -263,8 +263,9 @@ def preset_day_config(cfg: RunConfig, day: int) -> sim.ZiConfig:
 def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
     from . import simulate as sim
 
-    res = sim._session(preset_day_config(cfg, day))  # no messages, no level-1 rows
-    close_ns = min(res.end_ns, cfg.window.close_ns)
+    window = cfg.window
+    res = sim._session(preset_day_config(cfg, day), window=window)  # no messages, no level-1 rows
+    close_ns = min(res.end_ns, window.close_ns)
     flags = {"side_depleted": res.side_depleted}
     return _sampled_day(cfg, day, res.timeline, res.first_event_ns, close_ns, res.stats, flags)
 
@@ -399,14 +400,11 @@ def stage_sample(cfg: RunConfig, out: Path) -> None:
             str(oc.day): oc.verification_mismatches for oc in outcomes
         }
     rp.write_json(out / "sampling_flags.json", flags)
-    try:
-        write_summary(out / "summary.json", [oc.stats for oc in outcomes], cfg.tick_size)
-    except DataError:
-        rp.write_json(out / "summary.json", {"schema_version": rp.SCHEMA_VERSION, "days": 0})
+    write_summary(out / "summary.json", [oc.stats for oc in outcomes], cfg.tick_size)
 
 
 def write_summary(path: Path, day_stats: list[lb.DayStats], tick_size: float) -> None:
-    """The summary-statistics record over all days; NoData if none is two-sided."""
+    """The summary-statistics record over all days (at least one)."""
     from . import lobster as lb
 
     rp.write_json(path, rp.record_to_dict(lb.summary_stats(day_stats, tick_size=tick_size)))

@@ -1,12 +1,13 @@
 """Estimation-dataset construction.
 
-From a day's best-quote timeline, read as ``lobster.replay`` makes it (the
-last quote of each nanosecond at which it changed), this module extracts
-the mid-price change times and their direction labels, draws one imbalance
-observation per change interval (uniformly in wall time, or uniformly over
-the discrete best-quote update times), subsamples each day to a fixed size,
-and splits the aggregated rows into train and test indices. The fit and
-evaluate stages read samples.csv back as columns, not points.
+A day's best-quote timeline, read as ``lobster.replay`` makes it (the last
+quote of each nanosecond at which it changed), is sampled in one pass
+(``build_day_samples``): each mid-price change gets its direction label and
+one imbalance observation drawn inside the interval before it (uniformly in
+wall time, or uniformly over the discrete best-quote update times). This
+module also subsamples each day to a fixed size and splits the aggregated
+rows into train and test indices. The fit and evaluate stages read
+samples.csv back as columns, not points.
 
 Mids are compared as exact half-tick integers (bid + ask), so change
 detection has no tolerance parameter. All timestamps are integer
@@ -16,13 +17,12 @@ lattice strictly inside both endpoints.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import BothQueuesEmpty, EmptyInterior, OneSidedBook, TooFewPoints
+from .errors import BothQueuesEmpty, TooFewPoints
 from .reports import read_csv, write_csv
 
 if TYPE_CHECKING:
@@ -63,115 +63,6 @@ def queue_imbalance(nb: int, na: int) -> float:
     return (nb - na) / total
 
 
-class QuoteTimeline:
-    """Bisect lookups over a quote timeline as ``lobster.replay`` makes it:
-    the last quote of each nanosecond at which the quote changed, so times
-    rise strictly and no record repeats the quote before it."""
-
-    def __init__(self, states: Sequence[BestQuoteState]):
-        self.states = states
-        self.times = [st[0] for st in states]
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def state_at(self, t_ns: int) -> Optional[BestQuoteState]:
-        """Prevailing state at t_ns (last update with time <= t_ns)."""
-        i = bisect_right(self.times, t_ns)
-        return self.states[i - 1] if i else None
-
-    def indices_between(self, lo_ns: int, hi_ns: int) -> range:
-        """Indices of updates strictly inside the open interval (lo, hi)."""
-        a = bisect_right(self.times, lo_ns)
-        b = bisect_right(self.times, hi_ns - 1)
-        return range(a, b)
-
-
-def mid_change_times(
-    timeline: QuoteTimeline,
-    t0_ns: Optional[int] = None,
-) -> list[tuple[int, int]]:
-    """Ordered (t_i, y_i) pairs at which the half-tick mid changed.
-
-    The baseline mid is the one prevailing at t0 (the first event of the
-    session); changes at t0 itself are not counted. y_i is 1 for an upward
-    move. One-sided stretches leave the reference mid untouched. Callers
-    drop changes at or after the session close (those have no sampleable
-    interval inside the session).
-    """
-    if len(timeline) == 0:
-        return []
-    if t0_ns is None:
-        t0_ns = timeline.times[0]
-    base = timeline.state_at(t0_ns)
-    prev_mid = base.mid2 if base is not None else None
-    out: list[tuple[int, int]] = []
-    start = bisect_right(timeline.times, t0_ns)
-    for i in range(start, len(timeline)):
-        st = timeline.states[i]
-        mid = st.mid2
-        if mid is None:
-            continue
-        if prev_mid is not None and mid != prev_mid:
-            out.append((st.t_ns, 1 if mid > prev_mid else 0))
-        prev_mid = mid
-    return out
-
-
-def _imbalance_from(st: BestQuoteState) -> tuple[float, int, int]:
-    if not st.two_sided or st.nb + st.na == 0:
-        raise OneSidedBook("book one-sided at sampling instant")
-    return queue_imbalance(st.nb, st.na), st.nb, st.na
-
-
-def sample_uniform_time(
-    timeline: QuoteTimeline,
-    t_prev_ns: int,
-    t_next_ns: int,
-    rng: np.random.Generator,
-) -> tuple[int, float, int, int]:
-    """Draw t uniformly on the open interval and read the prevailing I.
-
-    Returns (t_sample_ns, imbalance, nb, na). Raises OneSidedBook when the
-    prevailing state has an empty side, EmptyInterior when the interval has
-    no interior nanosecond.
-    """
-    if t_next_ns - t_prev_ns < 2:
-        raise EmptyInterior(f"interval ({t_prev_ns}, {t_next_ns}) has no interior")
-    t = int(rng.integers(t_prev_ns + 1, t_next_ns))
-    st = timeline.state_at(t)
-    if st is None:
-        raise OneSidedBook("no book state before sampling instant")
-    imb, nb, na = _imbalance_from(st)
-    return t, imb, nb, na
-
-
-def sample_event_time(
-    timeline: QuoteTimeline,
-    t_prev_ns: int,
-    t_next_ns: int,
-    rng: np.random.Generator,
-) -> tuple[int, float, int, int, bool]:
-    """Draw one best-quote update uniformly from inside the interval.
-
-    Reads I immediately after the chosen update. When the interval contains
-    no usable update, falls back to the state just after t_prev (flagged in
-    the last return slot).
-    """
-    idx = timeline.indices_between(t_prev_ns, t_next_ns)
-    candidates = [i for i in idx if timeline.states[i].two_sided]
-    if candidates:
-        k = int(rng.integers(len(candidates)))
-        st = timeline.states[candidates[k]]
-        imb, nb, na = _imbalance_from(st)
-        return st.t_ns, imb, nb, na, False
-    st = timeline.state_at(t_prev_ns)
-    if st is None:
-        raise OneSidedBook("no book state at interval start")
-    imb, nb, na = _imbalance_from(st)
-    return t_prev_ns, imb, nb, na, True
-
-
 UNIFORM = "uniform"
 EVENT = "event"
 
@@ -195,35 +86,71 @@ def build_day_samples(
     instrument: str = "SIM",
     day: int = 0,
 ) -> DaySampleResult:
-    """One day's (I_i, y_i) sample from replay's timeline ``states``: every
-    in-session mid change yields at most one point, sampled inside the
-    preceding interval."""
+    """One day's (I_i, y_i) sample from replay's timeline ``states``, in one
+    pass over it.
+
+    The reference mid is the one prevailing at ``first_event_ns`` (None if
+    the book is one-sided there); a later two-sided record with another mid
+    is a change, labelled 1 for an upward move, and one-sided records leave
+    the reference as it is. A change at or after ``close_ns`` is dropped.
+    Every other change yields at most one point, drawn inside the interval
+    since the change before it (or since ``first_event_ns``):
+
+    - uniform: one draw of a nanosecond strictly inside, reading the record
+      that prevails there; an interval with no interior nanosecond is
+      skipped, undrawn.
+    - event: one draw among the two-sided records strictly inside, reading
+      that record; without one, no draw, and the point falls back to the
+      record prevailing at the interval's start, stamped there.
+
+    A point whose record is one-sided or has both queues empty is skipped.
+    """
     if mode not in (UNIFORM, EVENT):
         raise ValueError(f"unknown sampling mode {mode!r}")
-    tl = QuoteTimeline(states)
+    uniform = mode == UNIFORM
     res = DaySampleResult()
-    changes = mid_change_times(tl, first_event_ns)
-    in_session = [c for c in changes if c[0] < close_ns]
-    res.dropped_after_close = len(changes) - len(in_session)
-    res.n_changes = len(in_session)
     t_prev = first_event_ns
-    for t_change, label in in_session:
-        try:
-            if mode == UNIFORM:
-                t_s, imb, nb, na = sample_uniform_time(tl, t_prev, t_change, rng)
-                fallback = False
+    lo = 0  # the first record after t_prev; the one before it prevails at t_prev
+    mid = None
+    for i, (t, bid, ask, _, _) in enumerate(states):
+        if t <= first_event_ns:
+            mid, lo = None if bid is None or ask is None else bid + ask, i + 1
+            continue
+        if bid is None or ask is None:
+            continue
+        prev_mid, mid = mid, bid + ask
+        if prev_mid is None or mid == prev_mid:
+            continue
+        if t >= close_ns:
+            res.dropped_after_close += 1
+            continue
+        res.n_changes += 1
+        t_start, start = t_prev, lo  # the interval (t_start, t) holds states[start:i]
+        t_prev, lo = t, i + 1
+        if uniform:
+            if t - t_start < 2:
+                res.skipped_empty_interval += 1
+                continue
+            t_s, fallback = int(rng.integers(t_start + 1, t)), False
+            j = i - 1
+            while j >= start and states[j][0] > t_s:
+                j -= 1
+        else:
+            inside = [j for j in range(start, i)
+                      if states[j][1] is not None and states[j][2] is not None]
+            fallback = not inside
+            if inside:
+                j = inside[int(rng.integers(len(inside)))]
+                t_s = states[j][0]
             else:
-                t_s, imb, nb, na, fallback = sample_event_time(tl, t_prev, t_change, rng)
-                if fallback:
-                    res.fallback_points += 1
-            res.points.append(
-                SamplePoint(instrument, day, t_s, t_change, imb, label, nb, na, fallback)
-            )
-        except OneSidedBook:
+                j, t_s = start - 1, t_start
+        st = states[j] if j >= 0 else None
+        if st is None or st.bid is None or st.ask is None or st.nb + st.na == 0:
             res.skipped_one_sided += 1
-        except EmptyInterior:
-            res.skipped_empty_interval += 1
-        t_prev = t_change
+            continue
+        res.fallback_points += fallback
+        res.points.append(SamplePoint(instrument, day, t_s, t, queue_imbalance(st.nb, st.na),
+                                      1 if mid > prev_mid else 0, st.nb, st.na, fallback))
     return res
 
 

@@ -111,11 +111,15 @@ def _session(
     cfg: ZiConfig,
     messages: Optional[Callable[[lb.LobsterMessage], None]] = None,
     l1_rows: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = None,
+    window: Optional[lb.SessionWindow] = None,
 ) -> SimResult:
     """One simulated session, its messages and level-1 rows sent where
     given (``l1_rows`` as ``lobster.replay``'s ``record_l1``). A pipeline day
     reads neither, so it runs without them and gets the same timeline,
-    stats and counts."""
+    stats and counts.
+
+    The stats count the trades and the quote time of the flow, or only those
+    before the close of ``window``, a session that opens as the flow starts."""
     cfg.validate()
     ob = bk.OrderBook(tick_size=cfg.tick_size)
     start_ns = cfg.start_time_s * NS
@@ -123,13 +127,16 @@ def _session(
     flow = _order_flow(cfg, ob, res)
     if messages is not None:
         flow = _kept(flow, messages)
-    rep = lb.replay(flow, tick_size=cfg.tick_size, record_l1=l1_rows, ob=ob)
+    if window is not None and res.end_ns <= window.close_ns:
+        window = None  # the flow ends by the close: nothing to leave out
+    rep = lb.replay(flow, tick_size=cfg.tick_size, window=window, record_l1=l1_rows, ob=ob)
     res.timeline, res.stats, res.counters = rep.timeline, rep.stats, rep.counters
     res.l1_rows = rep.l1_rows
-    # after a side depletion the last state is one-sided, so integrating
-    # to the horizon adds nothing past the final message
-    (res.stats.nb_time_integral, res.stats.na_time_integral, res.stats.spread_time_integral,
-     res.stats.two_sided_ns) = lb.integrate_timeline(res.timeline, start_ns, res.end_ns)
+    if window is None:  # replay integrates up to the close itself
+        # after a side depletion the last state is one-sided, so integrating
+        # to the horizon adds nothing past the final message
+        (res.stats.nb_time_integral, res.stats.na_time_integral, res.stats.spread_time_integral,
+         res.stats.two_sided_ns) = lb.integrate_timeline(res.timeline, start_ns, res.end_ns)
     return res
 
 

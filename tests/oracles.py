@@ -150,3 +150,74 @@ def verify_row_by_row(rows, reference, checked=None):
     if n_reference != len(rows):
         raise LengthMismatch(len(rows), n_reference)
     return lb.VerificationReport(len(rows), mismatches)
+
+
+def _at(states, t_ns):
+    """The last record at or before t_ns, by a full scan; None if there is none."""
+    before = [st for st in states if st[0] <= t_ns]
+    return before[-1] if before else None
+
+
+def _two_sided(st):
+    return st is not None and st[1] is not None and st[2] is not None
+
+
+def mid_changes(states, t0_ns):
+    """(t, y) at each change of the half-tick mid after t0: the reference mid
+    is the one at t0 (None if the book there is one-sided), one-sided records
+    leave it as it is, and y is 1 for an upward move."""
+    base = _at(states, t0_ns)
+    prev = base[1] + base[2] if _two_sided(base) else None
+    out = []
+    for st in states:
+        if st[0] <= t0_ns or not _two_sided(st):
+            continue
+        mid = st[1] + st[2]
+        if prev is not None and mid != prev:
+            out.append((st[0], 1 if mid > prev else 0))
+        prev = mid
+    return out
+
+
+def reference_day_sample(states, first_event_ns, close_ns, mode, rng):
+    """One imbalance point per in-session mid change, drawn inside the
+    interval since the change before (or since first_event_ns), from
+    records ``(t_ns, bid, ask, nb, na)`` with times rising strictly.
+
+    Uniform mode draws a nanosecond strictly inside the interval and reads
+    the record prevailing there; an interval with no interior nanosecond is
+    skipped unsampled. Event mode draws one two-sided record strictly inside
+    the interval; without one it falls back, undrawn, to the record
+    prevailing at the interval's start. A point whose record is one-sided or
+    has both queues empty is skipped. Returns the points as tuples
+    ``(t_sample, t_change, I, y, nb, na, fallback)`` and the counts."""
+    changes = mid_changes(states, first_event_ns)
+    in_session = [c for c in changes if c[0] < close_ns]
+    counts = {"n_changes": len(in_session), "dropped_after_close": len(changes) - len(in_session),
+              "skipped_one_sided": 0, "skipped_empty_interval": 0, "fallback_points": 0}
+    points = []
+    t_prev = first_event_ns
+    for t_change, label in in_session:
+        fallback = False
+        if mode == "uniform" and t_change - t_prev < 2:
+            counts["skipped_empty_interval"] += 1
+            t_prev = t_change
+            continue
+        if mode == "uniform":
+            t_sample = int(rng.integers(t_prev + 1, t_change))
+            st = _at(states, t_sample)
+        else:
+            inside = [st for st in states if t_prev < st[0] < t_change and _two_sided(st)]
+            if inside:
+                st = inside[int(rng.integers(len(inside)))]
+                t_sample = st[0]
+            else:
+                st, t_sample, fallback = _at(states, t_prev), t_prev, True
+        if not _two_sided(st) or st[3] + st[4] == 0:
+            counts["skipped_one_sided"] += 1
+        else:
+            counts["fallback_points"] += fallback
+            imbalance = (st[3] - st[4]) / (st[3] + st[4])
+            points.append((t_sample, t_change, imbalance, label, st[3], st[4], fallback))
+        t_prev = t_change
+    return points, counts

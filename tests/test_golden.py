@@ -32,6 +32,7 @@ SIMULATE_DIGESTS = {
 PIPELINE_DIGESTS = {
     "summary.json": "7a1f24604cfc2fbe0cff307dde276d55b1120cf7aabda30d7bf6f2d507ca916b",
     "samples.csv": "283611d242e8978902f66e43e951d4caad51f2fb845dc68178f7c997834ccd5d",
+    "sampling_flags.json": "bf76b672804c6c02f37773dd8879074613f81cedb484f9391a4a2cbae09f2e9a",
     "queue_survivor.csv": "cb63a57d7cbfd31013b756b9be6411279c1c8571a6b4315a622d883ff26e9017",
     "eval/histogram.csv": "9b0a26e7c49276f4856dccb1bba835502a7339876325c7931d0bbd522421d502",
     "eval/roc_logistic_out.csv": "9b9ed4681c279e41afd58f535278352c5ed668a493a14b5da12e4d88bb14a146",
@@ -49,6 +50,15 @@ LOCAL_PIPELINE_DIGESTS = {
 EVENT_PIPELINE_DIGESTS = {
     "samples.csv": "6ec15dabccc753f8789c51af01947a76d3d57da62316bf812dabf14f8e4b500d",
     "sampling_flags.json": "7b77360b7f7cd18135adccbef6fea66b9b945bcbbce2006ccfd2f0f04cf683d5",
+}
+
+
+# preset days whose session closes 100 s after the open, inside the 300 s of
+# simulated flow: the mid changes after the close are dropped, not sampled
+WINDOWED_SAMPLE_CONFIG = "days = 2\nseed = 5\nsession_open = 36000\nsession_close = 36100\n"
+WINDOWED_SAMPLE_DIGESTS = {
+    "samples.csv": "8929d1b2bba9a248d52abcfc6f6162847904a96994e8e64c0f44620f23abeec5",
+    "sampling_flags.json": "57de8b6734e8c8c3ae8381e3867f6ffc7c65e2647991603e75140d4a34c85fdf",
 }
 
 
@@ -80,6 +90,14 @@ def test_pipeline_output_pinned(tmp_path):
 def test_local_pipeline_output_pinned(tmp_path):
     out = run_pipeline(tmp_path, "days = 3\nmodels = logistic,local,null\ngrid_points = 41\n")
     assert digests(out, LOCAL_PIPELINE_DIGESTS) == LOCAL_PIPELINE_DIGESTS
+
+
+def test_windowed_sample_output_pinned(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(WINDOWED_SAMPLE_CONFIG)
+    out = tmp_path / "run"
+    assert cli_main(["sample", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert digests(out, WINDOWED_SAMPLE_DIGESTS) == WINDOWED_SAMPLE_DIGESTS
 
 
 def test_event_pipeline_output_pinned(tmp_path):

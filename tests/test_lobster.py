@@ -18,7 +18,7 @@ from queuecast.errors import (
     UnknownOrderId,
     UnknownTypeCode,
 )
-from queuecast.sampling import QuoteTimeline, mid_change_times
+from queuecast.sampling import EVENT, build_day_samples
 
 from oracles import coalesced_timeline, verify_row_by_row
 
@@ -363,7 +363,9 @@ class TestReplayReadsQuoteOnChange:
         ])
         timeline = lb.replay(msgs).timeline
         assert timeline == [(lb.NS, 100, 102, 5, 5), (9 * lb.NS, 101, 102, 5, 5)]
-        assert mid_change_times(QuoteTimeline(timeline), lb.NS) == [(9 * lb.NS, 1)]
+        # so the mid moves once: up, at 9 s
+        day = build_day_samples(timeline, lb.NS, 10 * lb.NS, EVENT, np.random.default_rng(0))
+        assert [(p.t_change_ns, p.label) for p in day.points] == [(9 * lb.NS, 1)]
 
     @settings(deadline=None)
     @given(msgs=bursty_messages())
@@ -772,6 +774,12 @@ class TestSummaryStats:
     def test_no_data(self):
         with pytest.raises(NoData):
             lb.summary_stats([])
+
+    def test_one_sided_session_has_no_means(self):
+        msgs = msg_rows(["36000.0,1,1,10,200000,1", "36001.0,1,2,5,200100,1"])
+        rec = lb.summary_stats([lb.replay(msgs, window=lb.SessionWindow()).stats])
+        assert (rec.days, rec.best_quote_limit_volume) == (1, 300.05)
+        assert (rec.mean_nb, rec.mean_na, rec.mean_spread) == (None, None, None)
 
     def test_matches_single_pass_accumulation_oracle(self):
         # random valid stream; oracle reimplements the accumulation directly

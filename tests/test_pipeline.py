@@ -258,10 +258,10 @@ class TestDayLoop:
         lean = [pl._simulated_day(cfg, day) for day in range(2)]
         session, recorded = sim._session, []
 
-        def recorded_session(zi):  # the session sim.simulate runs, its lists kept
+        def recorded_session(zi, window=None):  # the session sim.simulate runs, its lists kept
             messages, l1_rows = [], []
             recorded.append((messages, l1_rows))
-            return session(zi, messages.append, l1_rows.append)
+            return session(zi, messages.append, l1_rows.append, window)
 
         monkeypatch.setattr(sim, "_session", recorded_session)
         full = [pl._simulated_day(cfg, day) for day in range(2)]
@@ -378,8 +378,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "line",
         [b"horizon = nan", b"horizon = inf", b"tick_size = inf", b"tick_size = 1e-9",
-         b"instrument = caf\xe9"],
-        ids=["horizon-nan", "horizon-inf", "tick-inf", "tick-below-price-unit", "non-ascii"],
+         b"instrument = caf\xe9", b"session_open = -100"],
+        ids=["horizon-nan", "horizon-inf", "tick-inf", "tick-below-price-unit", "non-ascii",
+             "open-before-midnight"],
     )
     def test_config_value_exit_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -562,6 +563,25 @@ class TestCli:
         assert proc.stderr == f"data error: {error}\n"
         # the day failed: neither its events file nor its partial one is left
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["resolved_config.txt"]
+
+    def test_one_sided_day_summary(self, tmp_path):
+        """A book that never has both sides in the session has no mean queues
+        or spread: sample and ingest both write the record with them null."""
+        (tmp_path / "m.csv").write_text(
+            "36000.0,1,1,10,10000,1\n36001.0,1,2,10,10100,1\n36002.0,3,1,10,10000,1\n")
+        (tmp_path / "run.cfg").write_text("source = lobster\nmessage_files = m.csv\n")
+        summaries = []
+        for command in ("sample", "ingest"):
+            proc = run_cli(command, "--config", "run.cfg", "--out", command, cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            summaries.append(json.loads((tmp_path / command / "summary.json").read_text()))
+        assert summaries[0] == summaries[1] == {
+            "schema_version": 1, "days": 1, "executed_volume": 0.0,
+            "best_quote_limit_volume": 20.1, "trade_price_min": None, "trade_price_max": None,
+            "mean_nb": None, "mean_na": None, "mean_spread": None,
+        }
+        assert (tmp_path / "sample" / "samples.csv").read_bytes() == (
+            b"instrument,day,t_sample_ns,t_change_ns,I,y\r\n")
 
     def test_ingest_writes_events_once_the_day_verified(self, tmp_path):
         for name, rows in self.DAY.items():
@@ -755,6 +775,27 @@ class TestCli:
         proc = run_cli(stage, "--config", str(cfgfile))
         assert (proc.returncode, proc.stderr) == (3, f"data error: {path}{message}\n")
 
+    def test_preset_summary_is_the_session_of_its_files(self, tmp_path):
+        """A preset day's summary counts only what happens before the session
+        closes, as the same day written by simulate and read back does."""
+        window = "days = 2\nseed = 5\nsession_open = 36000\nsession_close = 36100\n"
+        (tmp_path / "preset.cfg").write_text(window)
+        assert cli_main(["simulate", "--config", str(tmp_path / "preset.cfg"),
+                         "--out", str(tmp_path / "sim")]) == 0
+        (tmp_path / "files.cfg").write_text(window + "source = lobster\n" + "".join(
+            f"{kind}_files = " + ",".join(str(tmp_path / "sim" / f"day{d:03d}_{kind}.csv")
+                                          for d in range(2)) + "\n"
+            for kind in ("message", "orderbook")))
+        runs = {}
+        for name in ("preset", "files"):
+            out = tmp_path / name
+            assert cli_main(["sample", "--config", str(tmp_path / f"{name}.cfg"),
+                             "--out", str(out)]) == 0
+            runs[name] = {f: (out / f).read_bytes() for f in ("samples.csv", "summary.json")}
+        assert runs["preset"] == runs["files"]
+        flags = json.loads((tmp_path / "preset" / "sampling_flags.json").read_text())
+        assert all(day["dropped_after_close"] > 0 for day in flags["days"].values())
+
     def test_simulate_then_sample_from_files(self, tmp_path):
         simdir = tmp_path / "simdata"
         assert (
@@ -915,8 +956,7 @@ EXPORTED = """
     CvResult LocalLogisticFit cv_bandwidth fit_local_logistic predict_local
     LogisticFit TestResult chi2_sf_1df fit_intercept_only fit_logistic lr_test
     predict_logistic wald_test
-    SamplePoint build_day_samples mid_change_times sample_event_time
-    sample_uniform_time subsample_day
+    SamplePoint build_day_samples subsample_day
     SimResult ZiConfig regime_preset
 """
 

@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from queuecast.book import BestQuoteState
-from queuecast.errors import EmptyInterior, OneSidedBook, TooFewPoints
+from queuecast.errors import TooFewPoints
 from queuecast.sampling import (
     EVENT,
     UNIFORM,
-    QuoteTimeline,
     SamplePoint,
     build_day_samples,
-    mid_change_times,
     read_samples_csv,
-    sample_event_time,
-    sample_uniform_time,
     split_indices,
     subsample_day,
     write_samples_csv,
 )
 from queuecast.simulate import regime_preset, simulate
+
+from oracles import mid_changes, reference_day_sample
+
+NEVER = 10**18  # a session close after every record
 
 
 def states(*rows):
@@ -26,120 +28,200 @@ def states(*rows):
     return [BestQuoteState(*r) for r in rows]
 
 
+def changes_seen(tl, t0, close=NEVER):
+    """(t_change, y) of every point event mode draws from ``tl``: one per
+    in-session mid change while the book stays two-sided."""
+    res = build_day_samples(tl, t0, close, EVENT, np.random.default_rng(0))
+    return [(p.t_change_ns, p.label) for p in res.points]
+
+
 class TestMidChangeTimes:
     def test_hand_traced_path(self):
         # mid path 100.5, 100.5, 101, 100.5 at t=1,2,3,4
-        tl = QuoteTimeline(
-            states(
-                (1, 100, 101, 5, 5),
-                (2, 100, 101, 9, 5),  # queue change, same mid
-                (3, 100, 102, 9, 4),  # mid up to 101
-                (4, 100, 101, 9, 2),  # mid back down to 100.5
-            )
+        tl = states(
+            (1, 100, 101, 5, 5),
+            (2, 100, 101, 9, 5),  # queue change, same mid
+            (3, 100, 102, 9, 4),  # mid up to 101
+            (4, 100, 101, 9, 2),  # mid back down to 100.5
         )
-        out = mid_change_times(tl, t0_ns=1)
-        assert out == [(3, 1), (4, 0)]
+        assert changes_seen(tl, 1) == [(3, 1), (4, 0)]
 
     def test_constant_mid_empty(self):
-        tl = QuoteTimeline(
-            states((1, 100, 101, 5, 5), (2, 100, 101, 1, 9))
-        )
-        assert mid_change_times(tl, 1) == []
+        tl = states((1, 100, 101, 5, 5), (2, 100, 101, 1, 9))
+        res = build_day_samples(tl, 1, NEVER, UNIFORM, np.random.default_rng(0))
+        assert (res.points, res.n_changes) == ([], 0)
 
     def test_single_upward_change(self):
-        tl = QuoteTimeline(
-            states((1, 100, 101, 5, 5), (9, 101, 102, 5, 5))
-        )
-        assert mid_change_times(tl, 1) == [(9, 1)]
+        tl = states((1, 100, 101, 5, 5), (9, 101, 102, 5, 5))
+        assert changes_seen(tl, 1) == [(9, 1)]
 
     def test_change_at_t0_not_counted(self):
-        tl = QuoteTimeline(
-            states((1, 100, 101, 5, 5), (5, 101, 102, 5, 5), (9, 100, 101, 2, 2))
-        )
-        out = mid_change_times(tl, t0_ns=5)
-        assert out == [(9, 0)]
+        tl = states((1, 100, 101, 5, 5), (5, 101, 102, 5, 5), (9, 100, 101, 2, 2))
+        assert changes_seen(tl, 5) == [(9, 0)]
+
+
+def alternating(n, width, inside=()):
+    """A timeline whose mid moves up and down again at every multiple of
+    ``width`` up to n * width, queues (3, 7); between the moves, one queue
+    change at each offset in ``inside``, nb rising from 6."""
+    rows = []
+    for k in range(n + 1):
+        mid = 100 + k % 2
+        rows.append((k * width, mid, mid + 1, 3, 7))
+        if k < n:
+            rows.extend((k * width + dt, mid, mid + 1, 6 + i, 7) for i, dt in enumerate(inside))
+    return states(*rows)
 
 
 class TestUniformTimeSampling:
     def test_draw_strictly_inside(self):
-        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            t, imb, nb, na = sample_uniform_time(tl, 10, 20, rng)
-            assert 10 < t < 20
-            assert imb == pytest.approx((3 - 7) / 10)
+        tl = alternating(200, 10)
+        res = build_day_samples(tl, 0, NEVER, UNIFORM, np.random.default_rng(0))
+        assert len(res.points) == 200
+        for p in res.points:
+            assert p.t_change_ns - 10 < p.t_sample_ns < p.t_change_ns
+            assert p.imbalance == pytest.approx((3 - 7) / 10)
 
     def test_reproducible_given_seed(self):
-        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
-        a = sample_uniform_time(tl, 0, 10**9, np.random.default_rng(7))
-        b = sample_uniform_time(tl, 0, 10**9, np.random.default_rng(7))
+        tl = alternating(3, 10**9)
+        a = build_day_samples(tl, 0, NEVER, UNIFORM, np.random.default_rng(7))
+        b = build_day_samples(tl, 0, NEVER, UNIFORM, np.random.default_rng(7))
         assert a == b
 
     def test_uniformity_ks_99(self):
-        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
-        rng = np.random.default_rng(12345)
         width = 10**9
-        draws = np.array(
-            [sample_uniform_time(tl, 0, width, rng)[0] for _ in range(100_000)],
-            dtype=float,
+        res = build_day_samples(
+            alternating(100_000, width), 0, NEVER, UNIFORM, np.random.default_rng(12345)
         )
+        draws = np.array([p.t_sample_ns - (p.t_change_ns - width) for p in res.points],
+                         dtype=float)
+        assert len(draws) == 100_000
         stat = sps.kstest(draws / width, "uniform").pvalue
         assert stat > 0.01
 
     def test_one_sided_skipped(self):
-        tl = QuoteTimeline(states((0, 100, None, 3, 0)))
-        with pytest.raises(OneSidedBook):
-            sample_uniform_time(tl, 10, 20, np.random.default_rng(0))
+        # the ask empties 1 ns after the open and returns with the mid moved:
+        # every instant strictly inside the interval is one-sided
+        tl = states((0, 100, 101, 3, 7), (1, 100, None, 3, 0), (20, 101, 102, 3, 7))
+        res = build_day_samples(tl, 0, NEVER, UNIFORM, np.random.default_rng(0))
+        assert (res.points, res.n_changes, res.skipped_one_sided) == ([], 1, 1)
 
     def test_empty_interior(self):
-        tl = QuoteTimeline(states((0, 100, 101, 3, 7)))
-        with pytest.raises(EmptyInterior):
-            sample_uniform_time(tl, 10, 11, np.random.default_rng(0))
+        tl = states((0, 100, 101, 3, 7), (10, 101, 102, 3, 7), (11, 100, 101, 3, 7))
+        rng = np.random.default_rng(0)
+        res = build_day_samples(tl, 0, NEVER, UNIFORM, rng)
+        assert [p.t_change_ns for p in res.points] == [10]
+        assert (res.n_changes, res.skipped_empty_interval) == (2, 1)
+        # the skipped interval draws nothing: one draw was made, for (0, 10)
+        again = np.random.default_rng(0)
+        again.integers(1, 10)
+        assert rng.integers(2**62) == again.integers(2**62)
 
 
 class TestEventTimeSampling:
-    def _timeline(self):
-        rows = [(0, 100, 101, 5, 5)]
-        for i, t in enumerate(range(10, 80, 10)):  # updates at 10..70
-            rows.append((t, 100, 101, 5 + i + 1, 5))
-        return QuoteTimeline(states(*rows))
-
     def test_single_update_chosen_surely(self):
-        tl = QuoteTimeline(
-            states((0, 100, 101, 5, 5), (50, 100, 101, 9, 5))
-        )
-        rng = np.random.default_rng(0)
-        t, imb, nb, na, fb = sample_event_time(tl, 0, 100, rng)
-        assert t == 50 and not fb
-        assert nb == 9
+        tl = states((0, 100, 101, 5, 5), (50, 100, 101, 9, 5), (100, 101, 102, 5, 5))
+        (p,) = build_day_samples(tl, 0, NEVER, EVENT, np.random.default_rng(0)).points
+        assert (p.t_sample_ns, p.nb, p.fallback) == (50, 9, False)
 
     def test_chi_square_uniform_over_updates(self):
-        tl = self._timeline()
-        rng = np.random.default_rng(99)
-        counts = {t: 0 for t in range(10, 80, 10)}
         n = 21_000
-        for _ in range(n):
-            t, *_ = sample_event_time(tl, 0, 100, rng)
-            counts[t] += 1
-        stat = sps.chisquare(list(counts.values())).pvalue
+        tl = alternating(n, 100, inside=range(10, 80, 10))  # updates at 10..70
+        res = build_day_samples(tl, 0, NEVER, EVENT, np.random.default_rng(99))
+        offsets = [p.t_sample_ns % 100 for p in res.points]
+        assert len(offsets) == n and res.fallback_points == 0
+        counts = np.bincount(offsets, minlength=100)[10:80:10]
+        assert counts.sum() == n
+        stat = sps.chisquare(counts).pvalue
         assert stat > 0.001
 
     def test_fallback_to_interval_start(self):
-        tl = QuoteTimeline(states((5, 100, 101, 3, 7)))
-        t, imb, nb, na, fb = sample_event_time(tl, 5, 50, np.random.default_rng(1))
-        assert fb and t == 5
-        assert imb == pytest.approx(-0.4)
+        tl = states((5, 100, 101, 3, 7), (50, 101, 102, 3, 7))
+        res = build_day_samples(tl, 5, NEVER, EVENT, np.random.default_rng(1))
+        (p,) = res.points
+        assert p.fallback and p.t_sample_ns == 5 and res.fallback_points == 1
+        assert p.imbalance == pytest.approx(-0.4)
 
     def test_endpoints_excluded(self):
-        tl = QuoteTimeline(
-            states((0, 100, 101, 5, 5), (10, 100, 101, 6, 5), (50, 100, 101, 7, 5))
-        )
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            t, *_rest, fb = sample_event_time(tl, 10, 50, rng)
-            assert fb is False or t == 10
-            if not fb:
-                assert 10 < t < 50
+        # the only updates sit on the interval ends: neither is drawn
+        tl = states((0, 100, 101, 5, 5), (10, 101, 102, 6, 5), (50, 100, 101, 7, 5))
+        for seed in range(20):
+            res = build_day_samples(tl, 0, NEVER, EVENT, np.random.default_rng(seed))
+            assert [(p.t_sample_ns, p.nb, p.fallback) for p in res.points] == [
+                (0, 5, True), (10, 6, True)]
+
+
+class TestHandTracedDay:
+    """One timeline that makes every kind of point and every skip, traced by hand."""
+
+    TL = states(
+        (0, 100, 101, 4, 2),  # the open: mid 201
+        (10, 101, 102, 3, 3),  # up: (0, 10) has no record inside
+        (11, 100, 101, 2, 5),  # down: (10, 11) has no interior nanosecond
+        (12, None, 101, 0, 5),  # the bid empties: (11, 16) is one-sided throughout
+        (16, 100, 102, 2, 5),  # up
+        (20, 100, 102, 6, 5),  # a queue change inside (16, 30)
+        (30, 101, 102, 6, 1),  # up
+        (40, 100, 102, 6, 1),  # down, at the close: dropped
+        (50, 100, 101, 6, 1),  # down, after the close: dropped
+    )
+
+    def counts(self, res):
+        return (res.n_changes, res.dropped_after_close, res.skipped_one_sided,
+                res.skipped_empty_interval, res.fallback_points)
+
+    def test_uniform(self):
+        res = build_day_samples(self.TL, 0, 40, UNIFORM, np.random.default_rng(3))
+        assert self.counts(res) == (4, 2, 1, 1, 0)
+        first, last = res.points
+        assert (first.t_change_ns, first.label, first.nb, first.na) == (10, 1, 4, 2)
+        assert 0 < first.t_sample_ns < 10 and first.imbalance == pytest.approx(1 / 3)
+        assert (last.t_change_ns, last.label) == (30, 1) and 16 < last.t_sample_ns < 30
+        assert (last.nb, last.na) == ((2, 5) if last.t_sample_ns < 20 else (6, 5))
+
+    def test_event(self):
+        res = build_day_samples(self.TL, 0, 40, EVENT, np.random.default_rng(3))
+        assert self.counts(res) == (4, 2, 0, 0, 3)
+        assert res.points == [
+            SamplePoint("SIM", 0, 0, 10, 1 / 3, 1, 4, 2, True),
+            SamplePoint("SIM", 0, 10, 11, 0.0, 0, 3, 3, True),
+            SamplePoint("SIM", 0, 11, 16, -3 / 7, 1, 2, 5, True),
+            SamplePoint("SIM", 0, 20, 30, 1 / 11, 1, 6, 5, False),
+        ]
+
+
+@st.composite
+def sampled_days(draw):
+    """A timeline as replay makes it, times rising strictly, with 1 ns gaps,
+    one-sided records, repeated mids and empty queues; a first event before,
+    on or between its records; and a close anywhere."""
+    rows, t = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 25))):
+        t += draw(st.sampled_from([1, 1, 2, 3, 5, 40]))
+        bid = draw(st.sampled_from([None, 99, 100, 100, 101]))
+        ask = draw(st.sampled_from([None, 1, 2])) if bid is not None else draw(
+            st.sampled_from([None, 101]))
+        if bid is not None and ask is not None:
+            ask += bid
+        rows.append((t, bid, ask, draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+    t0 = draw(st.integers(0, t + 2))
+    close = draw(st.integers(0, t + 45))
+    return states(*rows), t0, close
+
+
+class TestAgainstReference:
+    @settings(deadline=None, max_examples=300)
+    @given(day=sampled_days(), mode=st.sampled_from([UNIFORM, EVENT]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_sampler_draw_for_draw(self, day, mode, seed):
+        tl, t0, close = day
+        res = build_day_samples(tl, t0, close, mode, np.random.default_rng(seed),
+                                instrument="X", day=4)
+        points, counts = reference_day_sample(tl, t0, close, mode, np.random.default_rng(seed))
+        assert [(p.t_sample_ns, p.t_change_ns, p.imbalance, p.label, p.nb, p.na, p.fallback)
+                for p in res.points] == points
+        assert all((p.instrument, p.day) == ("X", 4) for p in res.points)
+        assert {name: getattr(res, name) for name in counts} == counts
 
 
 class TestSubsample:
@@ -192,8 +274,7 @@ class TestDayPipeline:
         ds = build_day_samples(
             sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, UNIFORM, rng
         )
-        tl = QuoteTimeline(sim_day.timeline)
-        changes = dict(mid_change_times(tl, sim_day.first_event_ns))
+        changes = dict(mid_changes(sim_day.timeline, sim_day.first_event_ns))
         assert len(ds.points) > 50
         for p in ds.points:
             assert p.label == changes[p.t_change_ns]
@@ -224,13 +305,26 @@ class TestDayPipeline:
         )
         assert a.points == b.points
 
+    @pytest.mark.parametrize("mode", [UNIFORM, EVENT])
+    def test_matches_naive_sampler(self, sim_day, mode):
+        res = build_day_samples(
+            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, mode,
+            np.random.default_rng(5),
+        )
+        points, counts = reference_day_sample(
+            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, mode,
+            np.random.default_rng(5),
+        )
+        assert [(p.t_sample_ns, p.t_change_ns, p.imbalance, p.label, p.nb, p.na, p.fallback)
+                for p in res.points] == points
+        assert {name: getattr(res, name) for name in counts} == counts
+
     def test_strict_interior_for_non_fallback(self, sim_day):
         ds = build_day_samples(
             sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, EVENT,
             np.random.default_rng(9),
         )
-        tl = QuoteTimeline(sim_day.timeline)
-        changes = [t for t, _ in mid_change_times(tl, sim_day.first_event_ns)]
+        changes = [t for t, _ in mid_changes(sim_day.timeline, sim_day.first_event_ns)]
         prev = {t: p for t, p in zip(changes, [sim_day.first_event_ns] + changes[:-1])}
         for p in ds.points:
             if not p.fallback:
