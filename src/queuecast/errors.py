@@ -61,10 +61,9 @@ class NumericalError(QueuecastError):
 # --- order book ------------------------------------------------------------
 
 class UnknownOrderId(DataError):
-    def __init__(self, order_id, context=""):
+    def __init__(self, order_id):
         self.order_id = order_id
-        suffix = f" ({context})" if context else ""
-        super().__init__(f"unknown order id {order_id}{suffix}")
+        super().__init__(f"unknown order id {order_id}")
 
 
 class OverReduce(DataError):

@@ -31,9 +31,9 @@ whose times never go back is converted in one numpy call; an orderbook block
 whose text equals the rows forward-filled from the records is checked with
 one string comparison. Every other block (fewer decimals, spaces, CRLF,
 ``+`` signs, leading zeros, long fields, more columns, blank lines, a
-mismatch, a fault) goes through the per-line parser from its first line, so
-it parses, or fails with the same error at the same line, as if the file
-were read line by line.
+mismatch, a fault) goes through the per-line parser from its first line (an
+orderbook block is read again from there), so it parses, or fails with the
+same error at the same line, as if the file were read line by line.
 
 Times are parsed to integer nanoseconds; no float time arithmetic anywhere.
 """
@@ -608,23 +608,22 @@ class VerificationReport:
 
 class L1Verifier:
     """Append target for replay's level-1 records that checks the rows they
-    stand for against a LOBSTER orderbook file (a path, bytes or a text file
-    read with LF line ends), keeping only the mismatches.
+    stand for against a LOBSTER orderbook file (a path, bytes or a seekable
+    text file read with LF line ends), keeping only the mismatches.
 
     Each ``BLOCK_LINES`` rows that the records cover are checked with one
     comparison: the file's next characters against those rows as canonical
-    lines (``_l1_text``). A block that differs is parsed and compared row by
-    row from its first line, so every mismatch and fault is the one that
-    reading the file row by row finds, at its line. A DataError from reading
-    the file names ``source``.
+    lines (``_l1_text``). A block that differs is read again from its start
+    and parsed and compared row by row, so every mismatch and fault is the one
+    that reading the file row by row finds, at its line; no line after its
+    last row is read. A file that cannot seek (a FIFO) raises the OSError of
+    ``tell``. A DataError from reading the file names ``source``.
     """
 
     def __init__(self, reference, source=None):
-        self._read = _reader(reference)
-        next(self._read)
+        self._file = _opened(reference)
         self._source = source
-        self._lines: list[str] = []  # lines read and not yet checked
-        self._line_no = 0  # lines before them
+        self._line_no = 0  # lines read
         self._rows = 0  # reference rows checked
         self._records: list[tuple[int, tuple]] = []  # from the one that holds row _rows on
         self.mismatches: list[Mismatch] = []
@@ -640,40 +639,32 @@ class L1Verifier:
             self._check_rows(i)
         except DataError as exc:
             self._rows = inf  # a failed check checks no more rows
-            self._read.close()
+            self._file.close()
             raise self._named(exc) from None
 
     def _check_rows(self, end: int) -> None:
         """Check the reference rows before ``end``."""
         while (lo := self._rows) < end:
-            if not self._lines:
-                n = min(end - lo, BLOCK_LINES)
-                expected = "".join([_l1_text(row) * count for row, count in self._runs(lo, lo + n)])
-                text = self._read.send(len(expected))
-                if text == expected:
-                    self._rows += n
-                    self._line_no += n
-                    continue
-                if not (lines := self._whole_lines(text)):
-                    return  # the reference ran out
-                self._lines = lines
-            lines = self._lines
-            runs = self._runs(lo, min(end, lo + len(lines)))
-            expected = chain.from_iterable(repeat(row, count) for row, count in runs)
-            # expected first: no line after row end - 1 is parsed
-            for row, (line_no, ref) in zip(expected, _l1_rows(lines, self._line_no)):
+            fh = next(self._file)
+            n = min(end - lo, BLOCK_LINES)
+            runs = self._runs(lo, lo + n)
+            expected = "".join([_l1_text(row) * count for row, count in runs])
+            at = fh.tell()
+            if fh.read(len(expected)) == expected:
+                self._rows += n
+                self._line_no += n
+                continue
+            fh.seek(at)
+            rows = chain.from_iterable(repeat(row, count) for row, count in runs)
+            line_no = self._line_no
+            # rows first: no line after the block's last row is read
+            for row, (line_no, ref) in zip(rows, _l1_rows(iter(fh.readline, ""), line_no)):
                 if ref != row:
                     self.mismatches.append(Mismatch(self._rows, row, ref))
                 self._rows += 1
-            self._lines = lines[line_no - self._line_no:] if self._rows == end else []
-            self._line_no += len(lines) - len(self._lines)
-
-    def _whole_lines(self, text: str) -> list[str]:
-        """The lines of ``text``, the last one read to its end."""
-        if text and not text.endswith("\n"):
-            text += self._read.send(None)
-        lines = text.split("\n")
-        return lines[:-1] if not lines[-1] else lines
+            self._line_no = line_no
+            if self._rows < lo + n:
+                return  # the reference ran out
 
     def _runs(self, lo: int, hi: int) -> list[tuple[tuple, int]]:
         """Rows ``lo`` to ``hi`` as runs ``(row, count)``; drops the records
@@ -687,16 +678,15 @@ class L1Verifier:
     def report(self, checked: int) -> VerificationReport:
         """End the check after ``checked`` rows (replay's message count):
         LengthMismatch if the reference has another number of rows."""
-        left_over, lines = 0, self._lines
+        left_over = 0
         try:
-            while lines or (lines := self._whole_lines(self._read.send(64 * BLOCK_LINES))):
-                left_over += sum(1 for _ in _l1_rows(lines, self._line_no))
-                self._line_no += len(lines)
-                lines = []
+            fh = next(self._file)
+            if line := fh.readline():  # rows may be left over; at the end none are parsed
+                left_over = sum(1 for _ in _l1_rows(chain([line], fh), self._line_no))
         except DataError as exc:
             raise self._named(exc) from None
         finally:
-            self._read.close()
+            self._file.close()
         if self._rows + left_over != checked:
             raise self._named(LengthMismatch(checked, self._rows + left_over))
         return VerificationReport(checked, self.mismatches)
@@ -705,13 +695,12 @@ class L1Verifier:
         return exc if self._source is None else exc.in_file(self._source)
 
 
-def _reader(source) -> Generator[str, Optional[int], None]:
-    """The text of ``source``, opened on the first read: send a character
-    count for that many characters, or None for the rest of a line."""
-    size = yield ""
+def _opened(source) -> Iterator[TextIO]:
+    """The text file of ``source``, opened at the first ``next`` and returned
+    by every one after it; ``close`` closes a file it opened."""
     with _open_lines(source) as fh:
         while True:
-            size = yield fh.readline() if size is None else fh.read(size)
+            yield fh
 
 
 def verify_against_l1(

@@ -44,7 +44,6 @@ class LocalLogisticFit:
     grid: np.ndarray  # strictly increasing I values on [-1, 1]
     fitted: np.ndarray  # estimated p(up) at each grid point, in (0, 1)
     alpha: float  # nearest-neighbour bandwidth fraction
-    train_ref: str = ""
     degenerate: np.ndarray = None  # bool mask of clamped grid points
     nonconverged: np.ndarray = None  # bool mask of grid points whose Newton fit did not converge
 
@@ -71,7 +70,6 @@ def fit_local_logistic(
     alpha: float,
     grid: Optional[np.ndarray] = None,
     all_weights_one: bool = False,
-    train_ref: str = "",
 ) -> LocalLogisticFit:
     """Fit the locally weighted curve over a grid of imbalance values.
 
@@ -143,7 +141,7 @@ def fit_local_logistic(
         if converged:
             line = (b0 - b1 * g, b1)
         fitted[j] = float(sigmoid(b0))
-    return LocalLogisticFit(grid, fitted, alpha, train_ref, degenerate, nonconverged)
+    return LocalLogisticFit(grid, fitted, alpha, degenerate, nonconverged)
 
 
 def predict_local(fit: LocalLogisticFit, imbalance):

@@ -482,9 +482,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
             I_tr, y_tr, cfg.alphas, k=cfg.cv_folds,
             rng=seeds.rng_for(cfg.seed, seeds.CV), grid=grid,
         )
-        lfit = lo.fit_local_logistic(
-            I_tr, y_tr, cv.alpha, grid=grid, train_ref=f"samples.csv@seed{cfg.seed}"
-        )
+        lfit = lo.fit_local_logistic(I_tr, y_tr, cv.alpha, grid=grid)
         rp.write_csv(fits_dir / "local_curve.csv", ("grid", "fitted"), zip(lfit.grid, lfit.fitted))
         meta = LocalMeta(
             alpha=cv.alpha,
@@ -492,7 +490,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
             cv_msr={repr(k): v for k, v in cv.msr_by_alpha.items()},
             cv_folds=cfg.cv_folds,
             grid_points=cfg.grid_points,
-            train_ref=lfit.train_ref,
+            train_ref=f"samples.csv@seed{cfg.seed}",
             degenerate_grid_points=int(lfit.degenerate.sum()),
             nonconverged_grid_points=int(lfit.nonconverged.sum()),
         )
@@ -533,12 +531,14 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
     if "local" in cfg.models:
         meta = rp.read_record(LocalMeta, out / "fits" / "local_meta.json")
         curve = out / "fits" / "local_curve.csv"
-        lfit = rp.read_local_curve_csv(curve, alpha=meta.alpha, train_ref=meta.train_ref)
+        lfit = rp.read_local_curve_csv(curve, alpha=meta.alpha)
         if len(lfit.grid) != meta.grid_points:
             raise DataError(
                 f"{curve}: {len(lfit.grid)} grid points, where local_meta.json has "
                 f"{meta.grid_points}"
             )
+        if (lfit.grid[0], lfit.grid[-1]) != (-1.0, 1.0):
+            raise DataError(f"{curve}: grid spans [{lfit.grid[0]}, {lfit.grid[-1]}], not [-1, 1]")
         _write_eval(
             eval_dir, "local",
             lo.predict_local(lfit, I_tr), y_tr, lo.predict_local(lfit, I_te), y_te,

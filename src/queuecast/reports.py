@@ -175,7 +175,7 @@ def _value(tp, value, path, key: str):
     return value
 
 
-def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "") -> LocalLogisticFit:
+def read_local_curve_csv(path, alpha: float = float("nan")) -> LocalLogisticFit:
     """A local curve as ``stage_fit`` writes it: finite values,
     a strictly rising grid and fitted values in (0, 1), or a DataError
     naming the file and the line."""
@@ -198,8 +198,8 @@ def read_local_curve_csv(path, alpha: float = float("nan"), train_ref: str = "")
         return g, v
 
     points = read_csv(path, ("grid", "fitted"), point)
-    return LocalLogisticFit(np.array([g for g, _ in points]), np.array([v for _, v in points]),
-                            alpha, train_ref)
+    return LocalLogisticFit(np.array([g for g, _ in points]),
+                            np.array([v for _, v in points]), alpha)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -631,9 +631,10 @@ class TestVerification:
 def orderbook_text(draw):
     """Per-message level-1 rows, in runs that repeat a row, and an orderbook
     text for them that mixes canonical lines with lines the block check must
-    leave to the per-row parse: CRLF, spaces, more than four columns, leading
-    zeros, blank lines, a changed value (a mismatch), a garbled field or a
-    short row (faults), a row dropped or added. The last line may lack its LF."""
+    leave to the per-row parse: CRLF or lone-CR ends, spaces, more than four
+    columns, leading zeros, blank lines, a changed value (a mismatch), a
+    garbled field or a short row (faults), a row dropped or added. The last
+    line may lack its LF."""
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         row = (draw(st.sampled_from([10100, 10200, lb.EMPTY_ASK_PRICE])), draw(st.integers(0, 3)),
@@ -666,14 +667,17 @@ def orderbook_text(draw):
         lines.append(",".join(fields) + end)
         if kind == 10:
             lines.append(lines[-1])
+        elif kind == 11:
+            lines[-1] = lines[-1][:-1] + "\r"
     text = "".join(lines)
     return rows, text.rstrip("\n") if draw(st.booleans()) else text
 
 
-def verify_by_block(rows, text, checked=None):
-    """L1Verifier fed replay's records of ``rows``: ended after ``checked``
-    rows (as before a fault in the next message), or reported after all."""
-    verifier = lb.L1Verifier(io.StringIO(text))
+def verify_by_block(rows, reference, checked=None):
+    """L1Verifier on ``reference`` fed replay's records of ``rows``: ended
+    after ``checked`` rows (as before a fault in the next message), or
+    reported after all."""
+    verifier = lb.L1Verifier(reference)
     n = len(rows) if checked is None else checked
     for i, row in enumerate(rows[:n]):
         if i == 0 or row != rows[i - 1]:
@@ -689,20 +693,27 @@ class TestBlockVerification:
 
     @settings(deadline=None, max_examples=300)
     @given(case=orderbook_text(), data=st.data())
-    def test_blocks_verify_as_rows(self, case, data):
+    def test_blocks_verify_as_rows(self, tmp_path_factory, case, data):
+        # a path source is read through the newline decoder that tell and
+        # seek must restore; the oracle reads the same bytes, decoded alike
         rows, text = case
         checked = data.draw(st.none() | st.integers(0, len(rows)))
+        path = tmp_path_factory.getbasetemp() / "blocks_verify_as_rows.csv"
+        path.write_bytes(text.encode("latin-1"))
         expected = outcome(lambda: verify_row_by_row(rows, io.StringIO(text), checked))
+        with lb._open_lines(str(path)) as fh:
+            expected_path = outcome(lambda: verify_row_by_row(rows, fh, checked))
         for size in (1, 2, 3, lb.BLOCK_LINES):
             with mock.patch.object(lb, "BLOCK_LINES", size):
-                assert outcome(lambda: verify_by_block(rows, text, checked)) == expected
+                assert outcome(lambda: verify_by_block(rows, io.StringIO(text), checked)) == expected
+                assert outcome(lambda: verify_by_block(rows, str(path), checked)) == expected_path
 
     def test_canonical_blocks_take_one_comparison(self, monkeypatch):
         rows = [(10100, 1, 10000, 2)] * 5 + [(10200, 3, 10000, 2)] * 4
         text = "".join("%d,%d,%d,%d\n" % row for row in rows)
         monkeypatch.setattr(lb, "_l1_rows", None)  # the per-row parser is not called
         monkeypatch.setattr(lb, "BLOCK_LINES", 2)
-        assert verify_by_block(rows, text) == lb.VerificationReport(9, [])
+        assert verify_by_block(rows, io.StringIO(text)) == lb.VerificationReport(9, [])
 
     def test_no_line_after_the_rows_checked_is_parsed(self):
         # the block read for row 0 runs into line 2, a fault: a fault in
@@ -711,7 +722,46 @@ class TestBlockVerification:
         text = "10200,1,10000,1\nx\n"
         mismatch = [lb.Mismatch(0, rows[0], (10200, 1, 10000, 1))]
         assert verify_row_by_row(rows, io.StringIO(text), 1) == mismatch
-        assert verify_by_block(rows, text, 1) == mismatch
+        assert verify_by_block(rows, io.StringIO(text), 1) == mismatch
+
+    @pytest.mark.parametrize("source", ["path", "text"])
+    @pytest.mark.parametrize("row_10, parsed_to", [("10200,3,10000,9", 13),
+                                                   ("10200,x,10000,2", 12)],
+                             ids=["mismatch", "fault"])
+    def test_only_differing_blocks_are_parsed(self, monkeypatch, tmp_path, source, row_10,
+                                              parsed_to):
+        # blocks of 3 rows: block 0 differs (a blank line, a mismatch on row
+        # 1), blocks 1 and 2 are canonical, block 3 differs on row 10 (line
+        # 12) and is parsed to its last row or to the fault; each canonical
+        # block takes one read and none of its lines is parsed, and what is
+        # found, and at which line, is the oracle's
+        rows = [(10100, 1, 10000, 2)] * 4 + [(10200, 3, 10000, 2)] * 8
+        lines = ["%d,%d,%d,%d\n" % row for row in rows]
+        lines[1] = "10100,1,10000,3\n"
+        lines[10] = f"{row_10}\n"
+        lines.insert(1, "\n")
+        text = "".join(lines)
+        expected = outcome(lambda: verify_row_by_row(rows, io.StringIO(text)))
+
+        class CountedReads(io.StringIO):
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                return super().read(size)
+
+        reference = CountedReads(text)
+        if source == "path":
+            (tmp_path / "o.csv").write_text(text)
+            reference = str(tmp_path / "o.csv")
+        parsed, l1_rows = [], lb._l1_rows
+        monkeypatch.setattr(lb, "_l1_rows", lambda lines, start: l1_rows(
+            (parsed.append(line) or line for line in lines), start))
+        monkeypatch.setattr(lb, "BLOCK_LINES", 3)
+        assert outcome(lambda: verify_by_block(rows, reference)) == expected
+        assert parsed == lines[:4] + lines[10:parsed_to]
+        if source == "text":
+            assert reference.reads == 4
 
     @pytest.mark.parametrize("block_lines", [1, 2, 1024])
     @pytest.mark.parametrize("second", ["10100,1,10000,2", "10100,1,10000,3"],
@@ -723,7 +773,7 @@ class TestBlockVerification:
         text = "10100,1,10000,2\n" + f"{second}\n" + "10100,1,10000,2\n" * 3
         monkeypatch.setattr(lb, "BLOCK_LINES", block_lines)
         with pytest.raises(LengthMismatch) as ei:
-            verify_by_block(rows, text)
+            verify_by_block(rows, io.StringIO(text))
         assert str(ei.value) == "row count mismatch: 3 reconstructed vs 5 reference"
 
     @pytest.mark.parametrize("block_lines", [2, 8])

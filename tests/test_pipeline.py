@@ -711,6 +711,10 @@ class TestCli:
             ("evaluate", "split.csv", "lines:180,train", ", line 2: list index out of range"),
             ("evaluate", "fits/local_curve.csv", "drop-last-line",
              ": 40 grid points, where local_meta.json has 41"),
+            ("evaluate", "fits/local_curve.csv", "line-2:-0.98,0.5",
+             ": grid spans [-0.98, 1.0], not [-1, 1]"),
+            ("evaluate", "fits/local_curve.csv", "line-42:0.999,0.5",
+             ": grid spans [-1.0, 0.999], not [-1, 1]"),
             ("evaluate", "fits/local_curve.csv", "line-3:-0.95,7.5",
              ", line 3: fitted = 7.5 is not in (0, 1)"),
             ("evaluate", "fits/local_curve.csv", "line-6:-0.9,0.5",
@@ -726,7 +730,8 @@ class TestCli:
              "curve-dir",
              "samples-dir-fit", "samples-dir-evaluate", "split-dir", "split-short",
              "split-twice", "split-bad-subset", "split-negative", "split-past-end",
-             "curve-short", "curve-fitted-7.5", "curve-grid-not-rising", "curve-reversed",
+             "curve-short", "curve-starts-inside", "curve-ends-inside", "curve-fitted-7.5",
+             "curve-grid-not-rising", "curve-reversed",
              "samples-non-ascii", "split-non-ascii", "curve-non-ascii"],
     )
     def test_bad_artifact_exit_3(self, run_once, tmp_path, stage, rel, edit, message):
