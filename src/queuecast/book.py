@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import (
-    CrossedSubmit,
-    EmptySide,
-    OverReduce,
-    UnknownOrderId,
-)
+from .errors import DataError
 
 BUY = 1
 SELL = -1
@@ -122,7 +117,7 @@ class OrderBook:
         try:
             return self._orders[order_id]
         except KeyError:
-            raise UnknownOrderId(order_id) from None
+            raise DataError(f"unknown order id {order_id}") from None
 
     def has_order(self, order_id: int) -> bool:
         return order_id in self._orders
@@ -131,7 +126,7 @@ class OrderBook:
         """Highest-priority resting order on a side (FIFO head at the best)."""
         best = self._best[side]
         if best is None:
-            raise EmptySide(f"no resting orders on side {side}")
+            raise DataError(f"no resting orders on side {side}")
         return next(iter(self._levels[side][best].values()))
 
     def state(self, t_ns: Optional[int] = None) -> BestQuoteState:
@@ -181,7 +176,7 @@ class OrderBook:
             raise ValueError(f"order id {order_id} already active")
         opposite = self._best[-side]
         if opposite is not None and (price >= opposite if side == BUY else price <= opposite):
-            raise CrossedSubmit(order_id, price, opposite)
+            raise DataError(f"submit {order_id} at price {price} crosses opposite best {opposite}")
         return self._rest(order)
 
     def _rest(self, order: Order) -> bool:
@@ -212,7 +207,9 @@ class OrderBook:
             raise ValueError("reduce delta must be >= 1")
         order = self.get_order(order_id)
         if delta > order.size:
-            raise OverReduce(order_id, delta, order.size)
+            raise DataError(
+                f"reduce of {delta} exceeds resting size {order.size} for order {order_id}"
+            )
         if delta == order.size:
             return self.delete(order_id)
         order.size -= delta
@@ -223,7 +220,7 @@ class OrderBook:
         """Remove an order; returns whether the quote changed: iff it rested at the best."""
         order = self._orders.pop(order_id, None)
         if order is None:
-            raise UnknownOrderId(order_id)
+            raise DataError(f"unknown order id {order_id}")
         side, price = order.side, order.price
         levels = self._levels[side]
         lvl = levels[price]

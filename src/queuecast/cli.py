@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import pipeline as pl
 from . import reports as rp
-from .errors import ConfigError, DataError, NumericalError, QueuecastError
+from .errors import ConfigError, DataError, NumericalError
 
 if TYPE_CHECKING:
     from .book import BookEvent
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, QueuecastError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, OneClassOnly
+from .errors import NumericalError
 from .reports import EvalReport
 
 
@@ -31,7 +31,7 @@ def _check_two_classes(labels: np.ndarray) -> tuple[int, int]:
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise OneClassOnly("ROC analysis needs both labels present")
+        raise NumericalError("ROC analysis needs both labels present")
     return n_pos, n_neg
 
 
@@ -75,7 +75,7 @@ def mean_squared_residual(scores, labels) -> float:
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
     if len(s) == 0:
-        raise EmptyInput("mean squared residual of an empty set")
+        raise NumericalError("mean squared residual of an empty set")
     return float(np.mean((s - y) ** 2))
 
 
@@ -93,10 +93,7 @@ def null_model_report(labels_train, labels_test=None) -> EvalReport:
     y_out = np.asarray(labels_test) if labels_test is not None else y_in
 
     def _auc_or_none(y):
-        try:
-            return auc(null_scores(len(y)), y)
-        except OneClassOnly:
-            return None
+        return auc(null_scores(len(y)), y) if 0 < int(y.sum()) < len(y) else None
 
     return EvalReport(
         model_id="null",
@@ -129,7 +126,7 @@ def queue_survivor(lengths) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(lengths)
     if len(x) == 0:
-        raise EmptyInput("survivor function of an empty sample")
+        raise NumericalError("survivor function of an empty sample")
     if np.any(x < 0):
         raise ValueError("queue lengths must be nonnegative")
     values, counts = np.unique(x, return_counts=True)

@@ -54,14 +54,7 @@ from typing import (
 )
 
 from . import book as bk
-from .errors import (
-    DataError,
-    LengthMismatch,
-    MalformedRow,
-    NoData,
-    NonMonotoneTime,
-    UnknownTypeCode,
-)
+from .errors import DataError
 
 NS = 1_000_000_000
 
@@ -146,12 +139,13 @@ def format_message(msg: LobsterMessage) -> str:
 def _open_lines(source) -> ContextManager[Iterable[str]]:
     """The lines of ``source``, as a context that closes a file it opened.
 
-    A non-ASCII byte decodes to a lone surrogate, which no field parser
-    accepts, so it is reported as a MalformedRow on its own line."""
+    Bytes and paths split lines alike, at LF, CRLF or a lone CR. A non-ASCII
+    byte decodes to a lone surrogate, which no field parser accepts, so it is
+    reported as a DataError on its own line."""
     if isinstance(source, str):
         return open(source, "r", encoding="ascii", errors="surrogateescape")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("ascii", errors="surrogateescape"))
+        return io.StringIO(source.decode("ascii", errors="surrogateescape"), newline=None)
     return contextlib.nullcontext(source)
 
 
@@ -217,7 +211,7 @@ def _parse_lines(
             continue
         parts = row.split(",")
         if len(parts) != 6:
-            raise MalformedRow(line_no, f"expected 6 fields, got {len(parts)}")
+            raise DataError(f"expected 6 fields, got {len(parts)}", line_no)
         stamp, code, order_id, size, price, direction = parts
         whole, dot, frac = stamp.partition(".")
         try:
@@ -231,15 +225,15 @@ def _parse_lines(
             price = int(price)
             direction = int(direction)
         except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
+            raise DataError(str(exc), line_no) from None
         if code not in _VALID_CODES:
-            raise UnknownTypeCode(line_no, code)
+            raise DataError(f"unknown message type code {code}", line_no)
         if direction not in (1, -1):
-            raise MalformedRow(line_no, f"direction must be +1 or -1, got {direction}")
+            raise DataError(f"direction must be +1 or -1, got {direction}", line_no)
         if size < 0:
-            raise MalformedRow(line_no, f"negative size {size}")
+            raise DataError(f"negative size {size}", line_no)
         if t_ns < prev_t:
-            raise NonMonotoneTime(line_no)
+            raise DataError("timestamp decreases", line_no)
         prev_t = t_ns
         try:
             yield new(message, (t_ns, code, order_id, size, price, direction))
@@ -277,11 +271,11 @@ def _l1_rows(lines: Iterable[str], start: int) -> Iterator[tuple[int, tuple[int,
                 continue
             parts = row.split(",", 4)
             if len(parts) < 4:
-                raise MalformedRow(line_no, f"expected >= 4 fields, got {len(parts)}")
+                raise DataError(f"expected >= 4 fields, got {len(parts)}", line_no)
             try:
                 l1 = (int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
             except ValueError as exc:
-                raise MalformedRow(line_no, str(exc)) from None
+                raise DataError(str(exc), line_no) from None
             last_line = line
         yield line_no, l1
 
@@ -446,8 +440,8 @@ def replay(
                     emit(bk.BookEvent.delete(t, seq, order_id))
             elif code == EXECUTION:
                 if size < 1:
-                    raise MalformedRow(None, "execution with size 0")
-                order = orders.get(order_id)  # None: reduce raises UnknownOrderId
+                    raise DataError("execution with size 0")
+                order = orders.get(order_id)  # None: reduce raises on an unknown id
                 changed = reduce(order_id, size)
                 if emit is not None:
                     emit(bk.BookEvent.execute(t, seq, order_id, size))
@@ -458,7 +452,7 @@ def replay(
                     pmax = p if pmax is None or p > pmax else pmax
             elif code == PARTIAL_CANCEL:
                 if size < 1:
-                    raise MalformedRow(None, "partial cancel with size 0")
+                    raise DataError("partial cancel with size 0")
                 changed = reduce(order_id, size)
                 if emit is not None:
                     emit(bk.BookEvent.reduce(t, seq, order_id, size))
@@ -468,7 +462,7 @@ def replay(
                 elif code == AUCTION or code == HALT:
                     ignored += 1
                 else:
-                    raise UnknownTypeCode(None, code)
+                    raise DataError(f"unknown message type code {code}")
                 silent += 1
                 changed = False
             seq += 1
@@ -533,7 +527,7 @@ def _cross(
 
 def _submission_fault(
     ob: bk.OrderBook, order_id: int, size: int, price_i4: int, tick_i4: int
-) -> MalformedRow:
+) -> DataError:
     """The error of a submission that failed replay's check."""
     if size < 1:
         reason = "submission with size 0"
@@ -543,7 +537,7 @@ def _submission_fault(
         reason = f"price {price_i4} not on the {tick_i4} tick lattice"
     else:
         reason = f"price {price_i4} below one tick"
-    return MalformedRow(None, reason)
+    return DataError(reason)
 
 
 def _at_message(msgs: Iterable, exc: DataError, ordinal: int) -> DataError:
@@ -677,7 +671,7 @@ class L1Verifier:
 
     def report(self, checked: int) -> VerificationReport:
         """End the check after ``checked`` rows (replay's message count):
-        LengthMismatch if the reference has another number of rows."""
+        a DataError if the reference has another number of rows."""
         left_over = 0
         try:
             fh = next(self._file)
@@ -688,7 +682,8 @@ class L1Verifier:
         finally:
             self._file.close()
         if self._rows + left_over != checked:
-            raise self._named(LengthMismatch(checked, self._rows + left_over))
+            raise self._named(DataError(f"row count mismatch: {checked} reconstructed vs "
+                                        f"{self._rows + left_over} reference"))
         return VerificationReport(checked, self.mismatches)
 
     def _named(self, exc: DataError) -> DataError:
@@ -734,7 +729,7 @@ class SummaryRecord:
 
 def summary_stats(day_stats: Sequence[DayStats], tick_size: float = 0.01) -> SummaryRecord:
     if not day_stats:
-        raise NoData("no instrument-days to summarize")
+        raise DataError("no instrument-days to summarize")
     total_ns = sum(d.two_sided_ns for d in day_stats)
     pmins = [d.trade_price_min_i4 for d in day_stats if d.trade_price_min_i4 is not None]
     pmaxs = [d.trade_price_max_i4 for d in day_stats if d.trade_price_max_i4 is not None]

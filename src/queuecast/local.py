@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfDomain, TooFewPoints
+from .errors import NumericalError
 from .logistic import sigmoid, weighted_logistic_mle
 
 FITTED_FLOOR = 1e-6
@@ -90,7 +90,7 @@ def fit_local_logistic(
         raise ValueError("bandwidth fraction alpha must lie in (0, 1]")
     k = _neighbour_count(alpha, n)
     if k < 10:
-        raise TooFewPoints(k, 10)
+        raise NumericalError(f"need at least 10 points, got {k}")
     # sufficient statistics: distinct values (sorted), their counts and label sums
     values, inverse, counts = np.unique(I, return_inverse=True, return_counts=True)
     ones = np.bincount(inverse, weights=y, minlength=len(values))
@@ -149,7 +149,7 @@ def predict_local(fit: LocalLogisticFit, imbalance):
     I = np.asarray(imbalance, dtype=float)
     if np.any(I < fit.grid[0]) or np.any(I > fit.grid[-1]):
         bad = I[(I < fit.grid[0]) | (I > fit.grid[-1])]
-        raise OutOfDomain(float(np.ravel(bad)[0]))
+        raise NumericalError(f"imbalance {float(np.ravel(bad)[0])} outside [-1, 1]")
     out = np.interp(I, fit.grid, fit.fitted)
     return out if out.ndim else float(out)
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import AllOneLabel, NotConverged, NotNested, TooFewPoints
+from .errors import NumericalError
 from .reports import CRIT_95, CRIT_99, LogisticFit, TestResult
 
 DECREMENT_TOL = 1e-12  # per unit of total weight
@@ -118,9 +118,9 @@ def fit_logistic(imbalance, labels) -> LogisticFit:
     y = np.asarray(labels, dtype=float)
     n = len(I)
     if n < 10:
-        raise TooFewPoints(n, 10)
+        raise NumericalError(f"need at least 10 points, got {n}")
     if y.min() == y.max():
-        raise AllOneLabel("all labels identical; logistic fit undefined")
+        raise NumericalError("all labels identical; logistic fit undefined")
     w = np.ones(n)
     b0, b1, ll, iters, converged, separated, cov = weighted_logistic_mle(I, y, w)
     se0 = se1 = None
@@ -135,10 +135,10 @@ def fit_intercept_only(labels) -> LogisticFit:
     y = np.asarray(labels, dtype=float)
     n = len(y)
     if n < 1:
-        raise TooFewPoints(n, 1)
+        raise NumericalError(f"need at least 1 points, got {n}")
     pbar = float(y.mean())
     if pbar in (0.0, 1.0):
-        raise AllOneLabel("all labels identical; intercept MLE diverges")
+        raise NumericalError("all labels identical; intercept MLE diverges")
     x0 = math.log(pbar / (1.0 - pbar))
     ll = n * (pbar * math.log(pbar) + (1.0 - pbar) * math.log(1.0 - pbar))
     se0 = 1.0 / math.sqrt(n * pbar * (1.0 - pbar))
@@ -177,7 +177,7 @@ def _test_result(statistic: float) -> TestResult:
 def wald_test(fit: LogisticFit, which: str) -> TestResult:
     """Wald test of a single coefficient against zero."""
     if not fit.converged or fit.separated:
-        raise NotConverged("Wald test requires a converged, non-separated fit")
+        raise NumericalError("Wald test requires a converged, non-separated fit")
     if which == "x0":
         est, se = fit.x0, fit.se0
     elif which == "x1":
@@ -185,15 +185,19 @@ def wald_test(fit: LogisticFit, which: str) -> TestResult:
     else:
         raise ValueError("which must be 'x0' or 'x1'")
     if se is None or se <= 0:
-        raise NotConverged(f"no standard error available for {which}")
-    return _test_result((est / se) ** 2)
+        raise NumericalError(f"no standard error available for {which}")
+    try:
+        stat = (est / se) ** 2
+    except OverflowError:
+        raise NumericalError(f"Wald statistic of {which} exceeds the float range") from None
+    return _test_result(stat)
 
 
 def lr_test(full: LogisticFit, intercept_only: LogisticFit) -> TestResult:
     """Likelihood-ratio test of the full fit against the intercept-only fit."""
     stat = 2.0 * (full.loglik - intercept_only.loglik)
     if stat < -1e-8:
-        raise NotNested(
+        raise NumericalError(
             f"full-model log-likelihood {full.loglik} below nested {intercept_only.loglik}"
         )
     return _test_result(max(stat, 0.0))

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from . import __version__
 from . import reports as rp
-from .errors import ConfigError, DataError, NotConverged, UnknownPreset
+from .errors import ConfigError, DataError, NumericalError
 
 if TYPE_CHECKING:
     from . import book as bk
@@ -215,7 +215,7 @@ def _validate(values: dict, path=None, file_keys=()) -> RunConfig:
         raise ConfigError(f"local model requires alpha candidates in (0, 1], got {alphas}")
     if v["source"] == "preset":
         if v["preset"] not in PRESETS:
-            raise UnknownPreset(v["preset"])
+            raise ConfigError(f"unknown regime preset {v['preset']!r}")
         v["message_files"] = v["orderbook_files"] = []
         return RunConfig(**v)
     files = v["message_files"]
@@ -472,7 +472,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
         if not fit.converged or fit.separated:
             why = " and ".join(text for text, failed in (("did not converge", not fit.converged),
                                                          ("is separated", fit.separated)) if failed)
-            raise NotConverged(f"global logistic fit {why} after {fit.iterations} iterations")
+            raise NumericalError(f"global logistic fit {why} after {fit.iterations} iterations")
         rp.write_json(fits_dir / "logistic.json", rp.record_to_dict(fit))
         nested = lg.fit_intercept_only(y_tr)
         rp.write_json(fits_dir / "intercept.json", rp.record_to_dict(nested))
@@ -578,10 +578,11 @@ def stage_report(cfg: RunConfig, out: Path) -> None:
         reports.append(rp.read_record(rp.EvalReport, eval_dir / f"report_{model}.json"))
         if model == "logistic":
             fits["logistic"] = rp.read_record(rp.LogisticFit, out / "fits" / "logistic.json")
+    provenance = provenance_block(cfg)  # before any write: an unreadable input writes neither file
     rp.write_text(out / "report.txt", rp.emit_report_text(reports, fits))
     combined = {
         "schema_version": rp.SCHEMA_VERSION,
-        "provenance": provenance_block(cfg),
+        "provenance": provenance,
         "models": {r.model_id: rp.record_to_dict(r) for r in reports},
     }
     rp.write_json(out / "report.json", combined)
@@ -605,9 +606,12 @@ def _sha256(path) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     return h.hexdigest()
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import BothQueuesEmpty, TooFewPoints
+from .errors import NumericalError
 from .reports import read_csv, write_csv
 
 if TYPE_CHECKING:
@@ -59,7 +59,7 @@ def queue_imbalance(nb: int, na: int) -> float:
         raise ValueError("queue lengths must be nonnegative")
     total = nb + na
     if total == 0:
-        raise BothQueuesEmpty("imbalance undefined: both best queues empty")
+        raise NumericalError("imbalance undefined: both best queues empty")
     return (nb - na) / total
 
 
@@ -180,7 +180,7 @@ def split_indices(
     """Uniform random partition of range(n) with |train| = floor(frac * n):
     the sorted train indices and the sorted test indices."""
     if n < 5:
-        raise TooFewPoints(n, 5)
+        raise NumericalError(f"need at least 5 points, got {n}")
     if not 0.0 < frac < 1.0:
         raise ValueError("split fraction must lie in (0, 1)")
     if rng is None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import book as bk
 from . import lobster as lb
-from .errors import DegenerateConfig, UnknownPreset
+from .errors import ConfigError
 
 NS = lb.NS
 
@@ -54,19 +54,19 @@ class ZiConfig:
 
     def validate(self) -> None:
         if self.levels < 1:
-            raise DegenerateConfig("levels must be >= 1")
+            raise ConfigError("levels must be >= 1")
         if min(self.limit_rate, self.market_rate, self.cancel_rate) < 0:
-            raise DegenerateConfig("rates must be nonnegative")
+            raise ConfigError("rates must be nonnegative")
         if self.horizon <= 0:
-            raise DegenerateConfig("horizon must be positive")
+            raise ConfigError("horizon must be positive")
         if self.order_size < 1:
-            raise DegenerateConfig("order_size must be >= 1")
+            raise ConfigError("order_size must be >= 1")
         if self.initial_levels < 1 or self.initial_depth < 1:
-            raise DegenerateConfig("initial book must occupy both sides")
+            raise ConfigError("initial book must occupy both sides")
         if self.initial_price <= self.initial_levels:
-            raise DegenerateConfig("initial price too low for the prefilled levels")
+            raise ConfigError("initial price too low for the prefilled levels")
         if self.initial_spread < 1:
-            raise DegenerateConfig("initial spread must be >= 1 tick")
+            raise ConfigError("initial spread must be >= 1 tick")
 
 
 @dataclass
@@ -292,7 +292,7 @@ def regime_preset(name: str, seed: int = 0, horizon: Optional[float] = None) -> 
     try:
         cfg = _PRESETS[name]
     except KeyError:
-        raise UnknownPreset(name) from None
+        raise ConfigError(f"unknown regime preset {name!r}") from None
     kwargs = {"seed": seed}
     if horizon is not None:
         kwargs["horizon"] = horizon

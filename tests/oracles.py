@@ -130,10 +130,10 @@ def verify_row_by_row(rows, reference, checked=None):
     of ``rows`` (all of them if None) against the next row of the parsed
     ``reference`` (a text-file object), pulled only when it is compared.
     With ``checked`` None the left-over reference rows are then counted and
-    a row count that differs is a LengthMismatch; otherwise the mismatches
+    a row count that differs is a DataError; otherwise the mismatches
     found so far are returned. Uses only the per-line parser of the package."""
     from queuecast import lobster as lb
-    from queuecast.errors import LengthMismatch
+    from queuecast.errors import DataError
 
     parsed = enumerate(row for _, row in lb._l1_rows(reference, 0))
     mismatches, unmatched = [], 0
@@ -148,7 +148,9 @@ def verify_row_by_row(rows, reference, checked=None):
         return mismatches
     n_reference = len(rows) - unmatched + sum(1 for _ in parsed)
     if n_reference != len(rows):
-        raise LengthMismatch(len(rows), n_reference)
+        raise DataError(
+            f"row count mismatch: {len(rows)} reconstructed vs {n_reference} reference"
+        )
     return lb.VerificationReport(len(rows), mismatches)
 
 

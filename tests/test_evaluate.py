@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuecast.errors import EmptyInput, OneClassOnly
+from queuecast.errors import NumericalError
 from queuecast.evaluate import (
     auc,
     auc_from_curve,
@@ -63,7 +63,7 @@ class TestRocCurve:
         assert np.all((curve.fpr >= 0) & (curve.fpr <= 1))
 
     def test_one_class_only(self):
-        with pytest.raises(OneClassOnly):
+        with pytest.raises(NumericalError, match="^ROC analysis needs both labels present$"):
             roc_curve(np.array([0.1, 0.2]), np.array([1, 1]))
 
 
@@ -138,7 +138,7 @@ class TestMsr:
         assert mean_squared_residual(np.array([1.0]), np.array([0])) == 1.0
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(NumericalError, match="^mean squared residual of an empty set$"):
             mean_squared_residual(np.array([]), np.array([]))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=500))
@@ -162,7 +162,7 @@ class TestNullReport:
         assert rep.msr_in == 0.25
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(NumericalError, match="^mean squared residual of an empty set$"):
             null_model_report(np.array([], dtype=int))
 
 
@@ -226,5 +226,5 @@ class TestSurvivor:
         assert np.allclose(surv, os_, atol=1e-15)
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(NumericalError, match="^survivor function of an empty sample$"):
             queue_survivor(np.array([]))

@@ -8,16 +8,7 @@ from hypothesis import strategies as st
 
 from queuecast import book as bk
 from queuecast import lobster as lb
-from queuecast.errors import (
-    DataError,
-    LengthMismatch,
-    MalformedRow,
-    NoData,
-    NonMonotoneTime,
-    OverReduce,
-    UnknownOrderId,
-    UnknownTypeCode,
-)
+from queuecast.errors import DataError
 from queuecast.sampling import EVENT, build_day_samples
 
 from oracles import coalesced_timeline, verify_row_by_row
@@ -38,21 +29,21 @@ class TestParse:
         assert m.type_code == 3 and m.order_id == 42 and m.direction == -1
 
     def test_direction_zero_rejected(self):
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DataError, match="^line 1: direction must be \\+1 or -1, got 0$"):
             list(lb.parse_messages(["36000.5,1,42,100,1000000,0"]))
 
     def test_wrong_field_count(self):
-        with pytest.raises(MalformedRow) as ei:
+        with pytest.raises(DataError, match="^line 1: expected 6 fields, got 3$") as ei:
             list(lb.parse_messages(["1,2,3"]))
         assert ei.value.line_no == 1
 
     def test_unknown_type_code(self):
-        with pytest.raises(UnknownTypeCode):
+        with pytest.raises(DataError, match="^line 1: unknown message type code 9$"):
             list(lb.parse_messages(["36000.5,9,42,100,1000000,1"]))
 
     def test_non_monotone_time(self):
         rows = ["36000.5,1,1,10,1000000,1", "36000.4,1,2,10,1000100,1"]
-        with pytest.raises(NonMonotoneTime) as ei:
+        with pytest.raises(DataError, match="^line 2: timestamp decreases$") as ei:
             list(lb.parse_messages(rows))
         assert ei.value.line_no == 2
 
@@ -67,14 +58,14 @@ class TestParse:
         path = tmp_path / "day.csv"
         bad = row.replace("0,", "\xe9,", 1).encode("latin-1")
         path.write_bytes(f"{row}\n".encode() * 2000 + bad)
-        with pytest.raises(MalformedRow) as ei:
+        with pytest.raises(DataError, match="^line 2001: invalid literal for int") as ei:
             list(parse(str(path)))
         assert ei.value.line_no == 2001
 
     def test_time_precision_nanoseconds(self):
         (m,) = lb.parse_messages(["0.000000001,7,0,0,0,1"])
         assert m.t_ns == 1
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DataError, match="^line 1: bad time field "):
             list(lb.parse_messages(["0.0000000001,7,0,0,0,1"]))
 
     @given(
@@ -199,23 +190,22 @@ class TestMessageTranslation:
     )
     def test_invalid_message_is_positioned_malformed_row(self, row, reason):
         msgs = msg_rows(["100.0,1,1,25,10000,1", "100.0,1,2,25,10100,-1", row])
-        with pytest.raises(MalformedRow, match=reason) as ei:
+        with pytest.raises(DataError, match=reason) as ei:
             lb.replay(msgs)
         assert ei.value.line_no == 3
 
     @pytest.mark.parametrize(
-        "row, error, text",
+        "row, text",
         [
-            ("100.5,4,99,5,10000,1", UnknownOrderId, "unknown order id 99"),
-            ("100.5,3,99,5,10000,1", UnknownOrderId, "unknown order id 99"),
-            ("100.5,2,1,50,10000,1", OverReduce,
-             "reduce of 50 exceeds resting size 25 for order 1"),
+            ("100.5,4,99,5,10000,1", "unknown order id 99"),
+            ("100.5,3,99,5,10000,1", "unknown order id 99"),
+            ("100.5,2,1,50,10000,1", "reduce of 50 exceeds resting size 25 for order 1"),
         ],
         ids=["execution", "delete", "over-reduce"],
     )
-    def test_book_fault_is_positioned(self, row, error, text):
+    def test_book_fault_is_positioned(self, row, text):
         msgs = msg_rows(["100.0,1,1,25,10000,1", "100.0,1,2,25,10100,-1", row])
-        with pytest.raises(error) as ei:
+        with pytest.raises(DataError, match=text) as ei:
             lb.replay(msgs)
         assert str(ei.value) == f"line 3: {text}"
         assert ei.value.line_no == 3
@@ -439,11 +429,11 @@ class TestArbitraryRows:
 
     def test_fault_after_a_blank_line_names_its_file_line(self):
         rows = ["36000.0,1,1,10,10000,1", "", "36001.0,1,2,10,10200,-1", "36002.0,4,99,1,10000,1"]
-        with pytest.raises(UnknownOrderId) as ei:
+        with pytest.raises(DataError, match="unknown order id 99") as ei:
             lb.replay(lb.parse_messages(rows))
         assert str(ei.value) == "line 4: unknown order id 99"
         # a list of messages has no file lines: its ordinal stands in
-        with pytest.raises(UnknownOrderId, match="^line 3: "):
+        with pytest.raises(DataError, match="^line 3: unknown order id 99$"):
             lb.replay(list(lb.parse_messages(rows)))
 
 
@@ -537,7 +527,7 @@ class TestBlockParse:
                 "36001.500000000,1,3,10,10100,1", "36002.000000000,1,4,10,10300,-1",
                 "36002.000000000,4,99,1,10000,1", "36003.000000000,1,5,10,10000,1"]
         monkeypatch.setattr(lb, "BLOCK_LINES", 4)
-        with pytest.raises(UnknownOrderId) as ei:
+        with pytest.raises(DataError, match="unknown order id 99") as ei:
             lb.replay(lb.parse_messages(io.StringIO("".join(f"{r}\n" for r in rows))))
         assert str(ei.value) == "line 6: unknown order id 99"
 
@@ -623,7 +613,7 @@ class TestVerification:
     def test_truncated_reference(self):
         msgs = self._sim_rows()
         res = lb.replay(msgs, record_l1=True)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="^row count mismatch: "):
             lb.verify_against_l1(res.l1_rows, res.l1_rows[:-1])
 
 
@@ -684,6 +674,32 @@ def verify_by_block(rows, reference, checked=None):
             verifier.check((i, row))
     verifier.check((n, None))
     return verifier.mismatches if checked is not None else verifier.report(n)
+
+
+class TestLineEnds:
+    """Bytes and a path holding the same bytes split lines alike, at LF, CRLF
+    or a lone CR, through every reader of the package."""
+
+    MESSAGES = ["36000.0,1,1,10,10000,1", "36001.0,1,2,10,10200,-1"]
+    L1 = [(lb.EMPTY_ASK_PRICE, 0, 10000, 10), (10200, 10, 10000, 10)]
+
+    @pytest.mark.parametrize("tail", ["", "x"], ids=["rows", "fault"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("reader", ["messages", "l1", "verifier"])
+    def test_bytes_read_as_their_file(self, tmp_path, reader, end, tail):
+        lines = self.MESSAGES if reader == "messages" else ["%d,%d,%d,%d" % r for r in self.L1]
+        read = {"messages": lambda src: list(lb.parse_messages(src)),
+                "l1": lb.parse_l1_file,
+                "verifier": lambda src: verify_by_block(self.L1, src)}[reader]
+        data = "".join(line + end for line in lines + [tail] if line).encode()
+        path = tmp_path / "day.csv"
+        path.write_bytes(data)
+        expected = outcome(lambda: read(data.replace(end.encode(), b"\n")))
+        assert outcome(lambda: read(data)) == outcome(lambda: read(str(path))) == expected
+        if tail:
+            assert expected[:2] == (DataError, 3)
+        else:
+            assert not isinstance(expected, tuple)  # read, not a fault
 
 
 class TestBlockVerification:
@@ -772,7 +788,7 @@ class TestBlockVerification:
         rows = [(10100, 1, 10000, 2)] * 3
         text = "10100,1,10000,2\n" + f"{second}\n" + "10100,1,10000,2\n" * 3
         monkeypatch.setattr(lb, "BLOCK_LINES", block_lines)
-        with pytest.raises(LengthMismatch) as ei:
+        with pytest.raises(DataError, match="^row count mismatch: ") as ei:
             verify_by_block(rows, io.StringIO(text))
         assert str(ei.value) == "row count mismatch: 3 reconstructed vs 5 reference"
 
@@ -822,7 +838,7 @@ class TestSummaryStats:
         assert rec.mean_na == pytest.approx(10.0)
 
     def test_no_data(self):
-        with pytest.raises(NoData):
+        with pytest.raises(DataError, match="^no instrument-days to summarize$"):
             lb.summary_stats([])
 
     def test_one_sided_session_has_no_means(self):

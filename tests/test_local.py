@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from queuecast.errors import OutOfDomain, TooFewPoints
+from queuecast.errors import NumericalError
 from queuecast.local import (
     cv_bandwidth,
     default_grid,
@@ -123,7 +123,7 @@ class TestFitLocal:
         I, y = sigmoid_data(rng, 100, 0.0, 1.0)
         with pytest.raises(ValueError):
             fit_local_logistic(I, y, alpha=1.5)
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(NumericalError, match="^need at least 10 points, got "):
             fit_local_logistic(I, y, alpha=0.05)
 
     def test_grid_default_resolution(self):
@@ -152,7 +152,7 @@ class TestPredictLocal:
 
     def test_out_of_domain(self):
         fit = self._fit()
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(NumericalError, match=r"^imbalance 1\.5 outside \[-1, 1\]$"):
             predict_local(fit, 1.5)
 
     def test_vectorized(self):

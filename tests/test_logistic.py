@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from queuecast.errors import AllOneLabel, NotConverged, NotNested, TooFewPoints
+from queuecast.errors import NumericalError
 from queuecast.logistic import (
     chi2_sf_1df,
     fit_intercept_only,
@@ -115,11 +115,11 @@ class TestFitLogistic:
         assert fit.se0 is None and fit.se1 is None
 
     def test_all_one_label(self):
-        with pytest.raises(AllOneLabel):
+        with pytest.raises(NumericalError, match="^all labels identical; logistic fit undefined$"):
             fit_logistic(np.linspace(-1, 1, 20), np.ones(20))
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(NumericalError, match="^need at least 10 points, got 5$"):
             fit_logistic(np.linspace(-1, 1, 5), np.array([0, 1, 0, 1, 0]))
 
     def test_label_flip_equivariance(self):
@@ -225,8 +225,15 @@ class TestWald:
         from queuecast.logistic import LogisticFit
 
         fit = LogisticFit(1.0, 40.0, None, None, -1.0, 10, 100, False, True)
-        with pytest.raises(NotConverged):
+        with pytest.raises(NumericalError, match="^Wald test requires a converged"):
             wald_test(fit, "x1")
+
+    def test_statistic_past_the_float_range(self):
+        from queuecast.logistic import LogisticFit
+
+        fit = LogisticFit(1e200, 1.0, 1.0, 1.0, -1.0, 10, 5, True, False)
+        with pytest.raises(NumericalError, match="^Wald statistic of x0 exceeds the float range$"):
+            wald_test(fit, "x0")
 
 
 class TestLikelihoodRatio:
@@ -242,7 +249,7 @@ class TestLikelihoodRatio:
 
         full = LogisticFit(0.0, 0.0, 1.0, 1.0, -5.0, 10, 1, True, False)
         nested = LogisticFit(0.0, 0.0, 1.0, None, -4.0, 10, 0, True, False)
-        with pytest.raises(NotNested):
+        with pytest.raises(NumericalError, match="^full-model log-likelihood -5.0 below nested"):
             lr_test(full, nested)
 
     def test_null_data_median_near_chi2_median(self):
@@ -254,7 +261,7 @@ class TestLikelihoodRatio:
             y = (rng.random(250) < 0.5).astype(int)
             try:
                 full = fit_logistic(I, y)
-            except AllOneLabel:
+            except NumericalError:  # all labels identical
                 continue
             nested = fit_intercept_only(y)
             stats.append(lr_test(full, nested).statistic)

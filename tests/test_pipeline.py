@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queuecast import lobster as lb
 from queuecast import pipeline as pl
@@ -506,6 +510,22 @@ class TestCli:
         expected = str(tmp_path / name) if what == "dir" else "line 2: "
         assert err.startswith("data error: ") and expected in err
 
+    def test_report_on_a_directory_input_exit_3(self, run_once, tmp_path, capsys):
+        # the input hashes of report.json are taken before either report file
+        # is written, so a failed report writes neither
+        out = tmp_path / "run"
+        shutil.copytree(run_once, out)
+        for name in ("report.txt", "report.json"):
+            (out / name).unlink()
+        (tmp_path / "mdir").mkdir()
+        cfg = fast_overrides(out, source="lobster", data_dir=tmp_path, message_files="mdir")
+        cfgfile = tmp_path / "l.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        assert cli_main(["report", "--config", str(cfgfile), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: cannot read {tmp_path / 'mdir'}: Is a directory\n"
+        assert not (out / "report.txt").exists() and not (out / "report.json").exists()
+
     def test_fault_after_a_blank_line_names_its_file_line(self, tmp_path):
         (tmp_path / "m.csv").write_text(
             "36000.0,1,1,10,10000,1\n\n36001.0,1,2,10,10200,-1\n36002.0,4,99,1,10000,1\n"
@@ -949,6 +969,76 @@ class TestCliSweep:
             path.write_text("x\n")
         proc = run_cli(command, "--config", "run.cfg", "--out", "run", cwd=workdir)
         assert (proc.returncode, proc.stderr) == (2, f"config error: {error}\n")
+
+
+# each artifact of a staged run, and a subcommand that reads it
+FAULT_TARGETS = [
+    ("samples.csv", "fit"), ("samples.csv", "evaluate"), ("split.csv", "evaluate"),
+    ("fits/logistic.json", "evaluate"), ("fits/intercept.json", "evaluate"),
+    ("fits/local_meta.json", "evaluate"), ("fits/local_curve.csv", "evaluate"),
+    ("fits/logistic.json", "report"), ("eval/report_null.json", "report"),
+    ("eval/report_logistic.json", "report"), ("eval/report_local.json", "report"),
+]
+ERROR_PREFIXES = {2: "config error: ", 3: "data error: ", 4: "numerical error: "}
+
+
+def mutate(data: bytes, draw, is_json: bool) -> bytes:
+    """``data`` with one fault drawn by ``draw``: a flipped bit, an inserted
+    non-ASCII byte, a cut, a duplicated or deleted line, or (JSON only) a
+    top-level value of another type, sign or magnitude."""
+    kind = draw(st.sampled_from(["flip", "non-ascii", "truncate", "duplicate-line",
+                                 "delete-line", *(["json"] if is_json else [])]))
+    if kind == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1:]
+    if kind == "non-ascii":
+        i = draw(st.integers(0, len(data)))
+        return data[:i] + bytes([draw(st.integers(0x80, 0xFF))]) + data[i:]
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "json":
+        obj = json.loads(data)
+        key = draw(st.sampled_from(sorted(obj)))
+        value = obj[key]
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        obj[key] = draw(st.sampled_from([None, True, "x", [value], {"v": value}, 0, 1e300,
+                                         *([-value] if numeric else [])]))
+        return json.dumps(obj, indent=2).encode()
+    lines = data.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i:i + 1] = [lines[i]] * 2 if kind == "duplicate-line" else []
+    return b"".join(lines)
+
+
+class TestFaultProperty:
+    """One generated fault in one artifact of a staged run: the subcommand
+    that reads it exits with a documented code, and a failure prints one
+    error line and no traceback. Runs in process, so an escaping exception
+    fails the test."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(target=st.sampled_from(FAULT_TARGETS), data=st.data())
+    def test_mutated_artifact_exits_cleanly(self, run_once, tmp_path_factory, target, data):
+        rel, command = target
+        work = tmp_path_factory.mktemp("mutated")
+        try:
+            out = work / "run"
+            shutil.copytree(run_once, out)
+            path = out / rel
+            path.write_bytes(mutate(path.read_bytes(), data.draw, rel.endswith(".json")))
+            cfgfile = work / "run.cfg"
+            cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in fast_overrides(out).items()))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli_main([command, "--config", str(cfgfile)])
+        finally:
+            shutil.rmtree(work)
+        text = err.getvalue()
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert text.count("\n") == 1 and text.startswith(ERROR_PREFIXES[code]), text
+        else:
+            assert "error: " not in text
 
 
 # every name `queuecast` exported when it imported all its submodules

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from queuecast.book import BestQuoteState
-from queuecast.errors import TooFewPoints
+from queuecast.errors import NumericalError
 from queuecast.sampling import (
     EVENT,
     UNIFORM,
@@ -259,7 +259,7 @@ class TestSplit:
         assert not set(train.tolist()) & set(test.tolist())
 
     def test_too_few(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(NumericalError, match="^need at least 5 points, got 4$"):
             split_indices(4, 0.8)
 
 

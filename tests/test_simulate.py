@@ -5,7 +5,7 @@ import pytest
 
 from queuecast import lobster as lb
 from queuecast import simulate as sim
-from queuecast.errors import DegenerateConfig, UnknownPreset
+from queuecast.errors import ConfigError
 from queuecast.book import BestQuoteState
 from queuecast.lobster import integrate_timeline
 from queuecast.simulate import ZiConfig, regime_preset, simulate
@@ -36,17 +36,17 @@ class TestConfig:
         assert all(m.t_ns == res.first_event_ns for m in res.messages)
 
     def test_bad_config_rejected(self):
-        with pytest.raises(DegenerateConfig):
+        with pytest.raises(ConfigError, match="^levels must be >= 1$"):
             simulate(small_cfg(levels=0))
-        with pytest.raises(DegenerateConfig):
+        with pytest.raises(ConfigError, match="^horizon must be positive$"):
             simulate(small_cfg(horizon=0.0))
-        with pytest.raises(DegenerateConfig):
+        with pytest.raises(ConfigError, match="^rates must be nonnegative$"):
             simulate(small_cfg(market_rate=-1.0))
-        with pytest.raises(DegenerateConfig):
+        with pytest.raises(ConfigError, match="^initial book must occupy both sides$"):
             simulate(small_cfg(initial_depth=0))
 
     def test_unknown_preset(self):
-        with pytest.raises(UnknownPreset):
+        with pytest.raises(ConfigError, match="^unknown regime preset 'medium'$"):
             regime_preset("medium")
 
 
