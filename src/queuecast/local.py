@@ -11,9 +11,9 @@ The fits run on sufficient statistics (Loader 1999, Local Regression and
 Likelihood). Imbalance is a ratio of small queue sizes, so many training
 points share a value; each distinct value enters once, with its count and
 its mean label, which leaves the local likelihood, score and Hessian exactly
-as they are over the raw points. The radius is read off the cumulative
-counts of the distinct values sorted by distance, which gives the same float
-as selecting the k-th of all n distances. Each grid point's Newton starts
+as they are over the raw points. The radius is the k-th of all n distances,
+found for every grid point at once by bisection (``_radii``). The CV's fits
+share one sorted value axis. Each grid point's Newton starts
 from the previous converged local line. A window without a finite slope
 (one distinct value, labels that all agree, or a separated fit) takes its
 weighted mean label as a clamped, degenerate value, which does not depend on
@@ -46,6 +46,7 @@ class LocalLogisticFit:
     alpha: float  # nearest-neighbour bandwidth fraction
     degenerate: np.ndarray = None  # bool mask of clamped grid points
     nonconverged: np.ndarray = None  # bool mask of grid points whose Newton fit did not converge
+    newton_iterations: int = 0  # summed over the grid points
 
 
 @dataclass
@@ -82,41 +83,45 @@ def fit_local_logistic(
     """
     I = np.asarray(imbalance, dtype=float)
     y = np.asarray(labels, dtype=float)
-    n = len(I)
+    return _fit(*_tally(*np.unique(I, return_inverse=True), y), alpha, grid, all_weights_one)
+
+
+def _tally(values, inverse, y):
+    """The sufficient statistics of rows given as indices into the sorted
+    ``values``: the distinct values they hold, their counts and label sums."""
+    counts = np.bincount(inverse, minlength=len(values))
+    held = counts > 0
+    return values[held], counts[held], np.bincount(inverse, weights=y, minlength=len(values))[held]
+
+
+def _fit(values, counts, ones, alpha, grid=None, all_weights_one=False):
+    # fit_local_logistic on the sufficient statistics
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("bandwidth fraction alpha must lie in (0, 1]")
-    k = _neighbour_count(alpha, n)
+    k = _neighbour_count(alpha, int(counts.sum()))
     if k < 10:
         raise NumericalError(f"need at least 10 points, got {k}")
-    # sufficient statistics: distinct values (sorted), their counts and label sums
-    values, inverse, counts = np.unique(I, return_inverse=True, return_counts=True)
-    ones = np.bincount(inverse, weights=y, minlength=len(values))
     ybar = ones / counts
+    if all_weights_one:
+        los, his = np.zeros(len(grid), dtype=int), np.full(len(grid), len(values))
+    else:
+        h = _radii(np.repeat(values, counts), grid, k)
+        # h = 0: at least k training imbalances equal g, and the window is that value alone
+        los = np.where(h == 0.0, np.searchsorted(values, grid),
+                       np.searchsorted(values, grid - h, side="right"))
+        his = np.where(h == 0.0, los + 1, np.searchsorted(values, grid + h, side="left"))
     fitted = np.empty(len(grid))
     degenerate = np.zeros(len(grid), dtype=bool)
     nonconverged = np.zeros(len(grid), dtype=bool)
+    iterations = 0
     # Newton starts from the last converged local line (intercept at I = 0,
     # slope), re-centred on each grid point
     line = (0.0, 0.0)
     for j, g in enumerate(grid):
-        if all_weights_one:
-            lo, hi = 0, len(values)
-        else:
-            d = np.abs(values - g)
-            # d is two sorted runs, which the stable sort merges in linear time
-            by_distance = np.argsort(d, kind="stable")
-            # the k-th smallest of the n distances, ties counted with multiplicity
-            h = float(d[by_distance[np.searchsorted(np.cumsum(counts[by_distance]), k)]])
-            if h == 0.0:
-                # at least k training imbalances equal g: the window is that value alone
-                lo = int(np.searchsorted(values, g))
-                hi = lo + 1
-            else:
-                lo = int(np.searchsorted(values, g - h, side="right"))
-                hi = int(np.searchsorted(values, g + h, side="left"))
+        lo, hi = los[j], his[j]
         window_n = float(counts[lo:hi].sum())
         window_ones = float(ones[lo:hi].sum())
         if hi - lo < 2 or window_ones in (0.0, window_n):
@@ -125,12 +130,14 @@ def fit_local_logistic(
             fitted[j] = min(max(label, FITTED_FLOOR), 1.0 - FITTED_FLOOR)
             degenerate[j] = True
             continue
+        z = values[lo:hi] - g
         w = counts[lo:hi]
         if not all_weights_one:
-            w = w * (1.0 - (d[lo:hi] / h) ** 3) ** 3
-        b0, b1, _ll, _it, converged, separated, _cov = weighted_logistic_mle(
-            values[lo:hi] - g, ybar[lo:hi], w, start=(line[0] + line[1] * g, line[1])
+            w = w * (1.0 - (np.abs(z) / h[j]) ** 3) ** 3
+        b0, b1, _ll, it, converged, separated, _cov = weighted_logistic_mle(
+            z, ybar[lo:hi], w, start=(line[0] + line[1] * g, line[1]), loglik=False
         )
+        iterations += it
         nonconverged[j] = not converged
         if separated:
             # no finite slope either: the weighted mean label, whatever Newton reached
@@ -141,7 +148,22 @@ def fit_local_logistic(
         if converged:
             line = (b0 - b1 * g, b1)
         fitted[j] = float(sigmoid(b0))
-    return LocalLogisticFit(grid, fitted, alpha, degenerate, nonconverged)
+    return LocalLogisticFit(grid, fitted, alpha, degenerate, nonconverged, iterations)
+
+
+def _radii(x, grid, k):
+    """The k-th smallest distance |x - g| at each grid point g, from the sorted
+    training imbalances x (ties repeated): the least, over the runs x[i:i+k],
+    of the larger end distance. The near end's g - x[i] falls and the far
+    end's x[i+k-1] - g rises with i, so bisection finds where they cross."""
+    last = len(x) - k  # the last run's start
+    lo, hi = np.zeros(len(grid), dtype=int), np.full(len(grid), last + 1)
+    while (active := lo < hi).any():  # the first run whose far end is no nearer
+        mid = np.minimum((lo + hi) // 2, last)
+        far = active & (x[mid + k - 1] - grid >= grid - x[mid])
+        hi, lo = np.where(far, mid, hi), np.where(active & ~far, mid + 1, lo)
+    far = np.where(lo <= last, x[np.minimum(lo, last) + k - 1] - grid, np.inf)
+    return np.minimum(far, np.where(lo > 0, grid - x[np.maximum(lo - 1, 0)], np.inf))
 
 
 def predict_local(fit: LocalLogisticFit, imbalance):
@@ -178,13 +200,13 @@ def cv_bandwidth(
     if rng is None:
         rng = np.random.default_rng(0)
     folds = np.array_split(rng.permutation(n), k)
+    values, inverse = np.unique(I, return_inverse=True)  # one value axis for every fold
+    tallies = [_tally(values, np.delete(inverse, fold), np.delete(y, fold)) for fold in folds]
     msr_by_alpha: dict = {}
     for alpha in candidates:
         sse = 0.0
-        for fold in folds:
-            mask = np.ones(n, dtype=bool)
-            mask[fold] = False
-            fit = fit_local_logistic(I[mask], y[mask], alpha, grid=grid)
+        for fold, tally in zip(folds, tallies):
+            fit = _fit(*tally, alpha, grid=grid)
             pred = predict_local(fit, I[fold])
             sse += float(np.sum((pred - y[fold]) ** 2))
         msr_by_alpha[float(alpha)] = sse / n

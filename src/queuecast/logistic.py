@@ -1,8 +1,11 @@
 """Logistic regression of move direction on queue imbalance.
 
 Maximum likelihood via Newton iterations (iteratively reweighted least
-squares) with step halving whenever a full step would lower the
-log-likelihood. The fit has converged once the Newton decrement g'H^-1 g / 2,
+squares). The log-likelihood is concave, so a step whose end still has a
+score pointing along it (slope >= 0) raised it; a step with a negative slope
+there is halved until the log-likelihood does not fall. One exp a candidate
+gives its score and, once taken, the next iteration's score and Hessian.
+The fit has converged once the Newton decrement g'H^-1 g / 2,
 the gain the next full step predicts, is at most DECREMENT_TOL times the total
 weight. Scaled by the weight, the rule stays above the float noise of the
 score and log-likelihood sums at any sample size, which a fixed score
@@ -31,21 +34,25 @@ SEPARATION_SLOPE = 30.0
 
 def sigmoid(eta):
     """Numerically safe logistic function, scalar or ndarray."""
-    eta = np.asarray(eta, dtype=float)
-    e = np.exp(-np.abs(eta))
-    out = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+    out = _sigmoid(np.asarray(eta, dtype=float))[1]
     return out if out.ndim else float(out)
 
 
-def _bernoulli_loglik(eta, y, w):
-    # sum w * (y*eta - log(1 + e^eta)); log(1 + e^eta) is split as
-    # max(eta, 0) + log1p(e^-|eta|), exactly as np.logaddexp(0, eta) splits
+def _sigmoid(eta):
+    # e^-|eta| and the sigmoid from it; the Bernoulli log-likelihood reuses e
+    e = np.exp(-np.abs(eta))
+    return e, np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _bernoulli_loglik(eta, e, y, w):
+    # sum w * (y*eta - log(1 + e^eta)) with e = e^-|eta|; log(1 + e^eta) is
+    # split as max(eta, 0) + log1p(e), exactly as np.logaddexp(0, eta) splits
     # it, but in vectorised ufuncs that run several times faster
-    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    softplus = np.maximum(eta, 0.0) + np.log1p(e)
     return float(np.sum(w * (y * eta - softplus)))
 
 
-def weighted_logistic_mle(z, y, w, start=(0.0, 0.0)):
+def weighted_logistic_mle(z, y, w, start=(0.0, 0.0), loglik=True):
     """Weighted intercept-and-slope logistic MLE on regressor z.
 
     y may hold fractions: one row standing for tied observations carries
@@ -53,28 +60,27 @@ def weighted_logistic_mle(z, y, w, start=(0.0, 0.0)):
     likelihood, score and Hessian unchanged. Newton starts from
     ``start = (b0, b1)``. Returns (b0, b1, loglik, iterations, converged,
     separated, cov) where cov is the 2x2 inverse Fisher information or None
-    when unavailable.
+    when unavailable, and loglik is None unless ``loglik`` asks for it.
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
+    zz = z * z
     b0, b1 = (float(b) for b in start)
     eta = b0 + b1 * z
-    ll = _bernoulli_loglik(eta, y, w)
+    e, p = _sigmoid(eta)
+    r = w * (y - p)
+    g0, g1 = float(r.sum()), float(r @ z)
+    ll = None  # the iterate's log-likelihood, once a comparison has needed it
     decrement_tol = DECREMENT_TOL * float(w.sum())
-    converged = False
-    stalled = False
+    converged = stalled = False
     iterations = 0
     h00 = h01 = h11 = det = 0.0
     while iterations < MAX_ITER and not (converged or stalled):
-        p = sigmoid(eta)
-        r = w * (y - p)
-        g0 = float(r.sum())
-        g1 = float(r @ z)
         ww = w * p * (1.0 - p)
         h00 = float(ww.sum())
         h01 = float(ww @ z)
-        h11 = float(ww @ (z * z))
+        h11 = float(ww @ zz)
         det = h00 * h11 - h01 * h01
         if not math.isfinite(det) or det <= 0.0:
             break
@@ -86,17 +92,26 @@ def weighted_logistic_mle(z, y, w, start=(0.0, 0.0)):
             cb0 = b0 + step * d0
             cb1 = b1 + step * d1
             ceta = cb0 + cb1 * z
-            stalled = np.array_equal(ceta, eta)
+            stalled = bool((ceta == eta).all())
             if stalled:
                 break
-            cll = _bernoulli_loglik(ceta, y, w)
-            # the converged step is taken whole: its gain is too small for
-            # the comparison of two rounded sums to judge
-            if converged or cll >= ll:
-                b0, b1, eta, ll = cb0, cb1, ceta, cll
+            ce = cp = cg0 = cg1 = cll = None
+            # the converged step is taken whole, as the last: its gain is too
+            # small for the comparison of two rounded sums to judge
+            if not converged:
+                ce, cp = _sigmoid(ceta)
+                r = w * (y - cp)
+                cg0, cg1 = float(r.sum()), float(r @ z)
+                if cg0 * d0 + cg1 * d1 < 0.0:
+                    ll = _bernoulli_loglik(eta, e, y, w) if ll is None else ll
+                    cll = _bernoulli_loglik(ceta, ce, y, w)
+            if cll is None or cll >= ll:
+                b0, b1, eta, e, p, g0, g1, ll = cb0, cb1, ceta, ce, cp, cg0, cg1, cll
                 iterations += 1
                 break
             step *= 0.5
+    if loglik and ll is None:
+        ll = _bernoulli_loglik(eta, _sigmoid(eta)[0] if e is None else e, y, w)
     separated = abs(b1) > SEPARATION_SLOPE
     cov = None
     if det > 0.0 and math.isfinite(det):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -410,11 +411,21 @@ def write_summary(path: Path, day_stats: list[lb.DayStats], tick_size: float) ->
     rp.write_json(path, rp.record_to_dict(lb.summary_stats(day_stats, tick_size=tick_size)))
 
 
+_SPLIT = re.compile(r"index,subset\n(?:[0-9]{1,18}+,t(?:rain|est)\n)*+")
+
+
 def _read_split(path: Path, n: int):
     """The train and the test row indices that split.csv lists, as arrays. It
-    must list each of the ``n`` rows of samples.csv once, as train or test."""
+    must list each of the ``n`` rows of samples.csv once, as train or test. A
+    file not as stage_fit writes it is read a row at a time, to find the fault."""
     import numpy as np
 
+    text = rp.read_text(path)
+    if _SPLIT.fullmatch(text):
+        body = text[len("index,subset\n"):].replace(",train\n", ",1,").replace(",test\n", ",0,")
+        index, train = np.fromstring(body[:-1], dtype=np.int64, sep=",").reshape(-1, 2).T
+        if np.array_equal(np.sort(index), np.arange(n)):  # each row once
+            return index[train == 1].astype(np.intp), index[train == 0].astype(np.intp)
     parts = {"train": [], "test": []}
     listed = bytearray(n)
 
@@ -429,7 +440,7 @@ def _read_split(path: Path, n: int):
         listed[i] = 1
         parts[subset].append(i)
 
-    if (rows := len(rp.read_csv(path, ("index", "subset"), entry))) != n:
+    if (rows := len(rp.read_csv(path, ("index", "subset"), entry, text))) != n:
         raise DataError(f"{path}: lists {rows} of the {n} rows of samples.csv")
     return np.array(parts["train"], dtype=np.intp), np.array(parts["test"], dtype=np.intp)
 
@@ -447,6 +458,8 @@ class LocalMeta:
     train_ref: str
     degenerate_grid_points: int
     nonconverged_grid_points: int
+    alpha_at_edge: bool  # the smallest or the largest of two or more candidates
+    newton_iterations: int  # the final fit's, summed over its grid points
 
 
 def stage_fit(cfg: RunConfig, out: Path) -> None:
@@ -493,6 +506,9 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
             train_ref=f"samples.csv@seed{cfg.seed}",
             degenerate_grid_points=int(lfit.degenerate.sum()),
             nonconverged_grid_points=int(lfit.nonconverged.sum()),
+            alpha_at_edge=(len(set(cfg.alphas)) > 1
+                           and cv.alpha in (min(cfg.alphas), max(cfg.alphas))),
+            newton_iterations=lfit.newton_iterations,
         )
         rp.write_json(fits_dir / "local_meta.json", rp.record_to_dict(meta))
 
@@ -542,7 +558,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
         _write_eval(
             eval_dir, "local",
             lo.predict_local(lfit, I_tr), y_tr, lo.predict_local(lfit, I_te), y_te,
-            extra={"alpha": meta.alpha},
+            extra={"alpha": meta.alpha, "alpha_at_edge": meta.alpha_at_edge},
         )
     if "null" in cfg.models:
         rep = ev.null_model_report(y_tr, y_te)

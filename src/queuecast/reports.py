@@ -9,8 +9,10 @@ reads are defined here: ``LogisticFit``, ``TestResult`` and ``EvalReport``.
 ``read_record`` reads them back, checking that the top level is an object
 whose ``schema_version`` is ``SCHEMA_VERSION``, that every field without a
 default is present and no other key is, and that each value has a JSON type
-its annotation allows. Any other input, and a NaN or infinity in a JSON file,
-is a DataError naming the file (and the key); a NaN is never written to one.
+its annotation allows, and for the fields that ``_RANGES`` names, a value in
+their range. Any other input, and a NaN or infinity in a JSON file (a number
+such as 1e999 reads as infinity), is a DataError naming the file (and the
+key); neither is ever written to one.
 
 The module imports no numpy, so that a process which only tabulates reports
 does not load it.
@@ -79,6 +81,10 @@ class EvalReport:
 # the JSON values each field annotation accepts; bool is checked apart, since
 # it is an int to Python but not a number to a record
 _JSON_TYPES = {float: (int, float), int: int, bool: bool, str: str, list: list, dict: dict}
+# the range that a field of a record read back must keep, by name
+_RANGES = {**dict.fromkeys(("auc_in", "auc_out", "msr_in", "msr_out"), (0.0, 1.0, "in [0, 1]")),
+           **dict.fromkeys(("n", "n_train", "n_test"), (1, math.inf, "at least 1")),
+           **dict.fromkeys(("se0", "se1"), (math.ulp(0.0), math.inf, "positive"))}
 
 
 def open_out(path, newline=None):
@@ -172,6 +178,10 @@ def _value(tp, value, path, key: str):
         return _record(tp, value, path, key)
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES[tp]):
         raise DataError(f"{path}: key {key!r}: expected {tp.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataError(f"{path}: key {key!r}: {value!r} is not finite")
+    if key in _RANGES and not _RANGES[key][0] <= value <= _RANGES[key][1]:
+        raise DataError(f"{path}: key {key!r}: {value!r} is not {_RANGES[key][2]}")
     return value
 
 
@@ -204,25 +214,36 @@ def read_local_curve_csv(path, alpha: float = float("nan")) -> LocalLogisticFit:
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """``header`` and then ``rows`` as the CSV file at ``path``, as ``read_csv``
-    reads it: comma-separated with CRLF row ends, a float rendered as
-    ``%.12g`` and any other value as ``str``."""
+    reads it: comma-separated with CRLF row ends, a column whose first value is
+    a float rendered as ``%.12g`` and any other column as ``str``."""
+    # a float column is formatted in one % operation, its cells split at NULs
+    columns = [("%.12g\0" * len(col) % col).split("\0")[:-1] if isinstance(col[0], float)
+               else map(str, col) for col in zip(*rows)]
     with open_out(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
+        w.writerows(zip(*columns))
 
 
-def read_csv(path, header: Sequence[str], convert: Callable[[list[str]], T]) -> list[T]:
-    """``convert`` of each row after ``header`` of the CSV file at ``path``.
-    A file that cannot be read, another header, a row with a non-ASCII byte
-    (decoded as ``lobster._open_lines`` does, so it is found at its line) or
-    without one field a column, and a ValueError from ``convert`` are
-    DataErrors naming the file (and the line)."""
+def read_text(path) -> str:
+    """The text of file ``path``, line ends as they stand; a file that cannot be
+    read is a DataError naming it."""
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:  # missing, a directory, unreadable
         raise DataError(f"{path}: {exc.strerror}") from None
+
+
+def read_csv(path, header: Sequence[str], convert: Callable[[list[str]], T],
+             text: Optional[str] = None) -> list[T]:
+    """``convert`` of each row after ``header`` of the CSV file at ``path``,
+    whose ``read_text`` is ``text`` when that is given. A file that cannot be
+    read, another header, a row with a non-ASCII byte (decoded as
+    ``lobster._open_lines`` does, so it is found at its line) or without one
+    field a column, and a ValueError from ``convert`` are DataErrors naming
+    the file (and the line)."""
+    text = read_text(path) if text is None else text
     reader = csv.reader(io.StringIO(text, newline=""))
     ascii_text = text.isascii()  # else each row is checked
     try:
@@ -305,5 +326,7 @@ def emit_report_text(
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     lines.append("")
+    lines += [f"{rep.model_id}: alpha {rep.extra.get('alpha')} is the edge of the candidates"
+              for rep in reports if rep.extra.get("alpha_at_edge")]
     lines.append("significance: * >= 3.84 (95%), ** >= 6.63 (99%), chi-square df=1")
     return "\n".join(lines) + "\n"

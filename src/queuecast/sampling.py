@@ -17,13 +17,14 @@ lattice strictly inside both endpoints.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericalError
-from .reports import read_csv, write_csv
+from .reports import read_csv, read_text, write_csv
 
 if TYPE_CHECKING:
     from .book import BestQuoteState
@@ -201,13 +202,27 @@ def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
                for p in points))
 
 
+# A row as write_samples_csv writes it: an instrument of at most 64 printable
+# ASCII characters but no comma or quote, a day and times of at most 18
+# digits, I as %.12g renders it, and y. The group is "I,y".
+_SAMPLE_ROW = (r"[ !#-+\--~]{0,64}+,[0-9]{1,18}+,[0-9]{1,18}+,[0-9]{1,18}+,"
+               r"(-?[0-9]{1,17}+(?:\.[0-9]{1,17}+)?+(?:e[-+][0-9]{2,3}+)?+,[01])\r\n")
+_SAMPLES = re.compile(",".join(SAMPLE_COLUMNS) + f"\r\n(?:{_SAMPLE_ROW})*+")
+
+
 def read_samples_csv(path) -> SampleColumns:
-    """The I and y columns of samples.csv, read by ``reports.read_csv``. A
-    row whose day or times are not integers, whose I is not a finite number
-    in [-1, 1], or whose y is not 0 or 1 is a DataError naming the file and
-    the line."""
-    rows = read_csv(path, SAMPLE_COLUMNS, _sample)
-    return SampleColumns(np.array([i for i, _ in rows]), np.array([y for _, y in rows]))
+    """The I and y columns of samples.csv. A file not as write_samples_csv
+    writes it is read by ``reports.read_csv``: a row whose day or times are not
+    integers, whose I is not a finite number in [-1, 1], or whose y is not 0 or
+    1 is a DataError naming the file and the line."""
+    text = read_text(path)
+    if _SAMPLES.fullmatch(text):
+        I, y = np.fromstring(",".join(re.findall(_SAMPLE_ROW, text)), sep=",").reshape(-1, 2).T
+        if (np.abs(I) <= 1.0).all():
+            return SampleColumns(I.copy(), y.astype(np.int64))
+    rows = read_csv(path, SAMPLE_COLUMNS, _sample, text)
+    return SampleColumns(np.array([i for i, _ in rows], dtype=float),
+                         np.array([y for _, y in rows], dtype=np.int64))
 
 
 def _sample(row: list[str]) -> tuple[float, int]:

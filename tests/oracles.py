@@ -93,6 +93,74 @@ def weighted_grid_search_logistic(z, y, w, b0_range, b1_range, fine_step=1e-3):
     return float(b0s[i]), float(b1s[j])
 
 
+def reference_weighted_logistic_mle(z, y, w, start=(0.0, 0.0)):
+    """The weighted Newton solver as it stood before it shared one exp per
+    iteration: the sigmoid and the log-likelihood are computed afresh at every
+    iterate and every candidate, and a step is halved until the
+    log-likelihood does not fall. Same tolerances, same return tuple as
+    ``logistic.weighted_logistic_mle``."""
+    decrement_tol_per_weight, max_iter, separation_slope = 1e-12, 100, 30.0
+
+    def sigmoid(eta):
+        e = np.exp(-np.abs(eta))
+        return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+
+    def loglik(eta):
+        softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        return float(np.sum(w * (y * eta - softplus)))
+
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(w, dtype=float)
+    b0, b1 = (float(b) for b in start)
+    eta = b0 + b1 * z
+    ll = loglik(eta)
+    decrement_tol = decrement_tol_per_weight * float(w.sum())
+    converged = stalled = False
+    iterations = 0
+    h00 = h01 = h11 = det = 0.0
+    while iterations < max_iter and not (converged or stalled):
+        p = sigmoid(eta)
+        r = w * (y - p)
+        g0 = float(r.sum())
+        g1 = float(r @ z)
+        ww = w * p * (1.0 - p)
+        h00 = float(ww.sum())
+        h01 = float(ww @ z)
+        h11 = float(ww @ (z * z))
+        det = h00 * h11 - h01 * h01
+        if not np.isfinite(det) or det <= 0.0:
+            break
+        d0 = (h11 * g0 - h01 * g1) / det
+        d1 = (h00 * g1 - h01 * g0) / det
+        converged = 0.5 * (g0 * d0 + g1 * d1) <= decrement_tol
+        step = 1.0
+        while True:
+            cb0 = b0 + step * d0
+            cb1 = b1 + step * d1
+            ceta = cb0 + cb1 * z
+            stalled = np.array_equal(ceta, eta)
+            if stalled:
+                break
+            cll = loglik(ceta)
+            if converged or cll >= ll:
+                b0, b1, eta, ll = cb0, cb1, ceta, cll
+                iterations += 1
+                break
+            step *= 0.5
+    separated = abs(b1) > separation_slope
+    cov = None
+    if det > 0.0 and np.isfinite(det):
+        c00, c11, c01 = h11 / det, h00 / det, -h01 / det
+        if np.isfinite(c00) and np.isfinite(c11) and c00 > 0 and c11 > 0:
+            cov = ((c00, c01), (c01, c11))
+        else:
+            separated = True
+    else:
+        separated = True
+    return b0, b1, ll, iterations, converged, separated, cov
+
+
 def survivor_by_counting(lengths):
     """P(X > v) at each distinct observed value, via direct counting."""
     x = np.asarray(lengths)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queuecast.errors import NumericalError
 from queuecast.local import (
+    _radii,
     cv_bandwidth,
     default_grid,
     fit_local_logistic,
@@ -131,6 +134,24 @@ class TestFitLocal:
         assert len(g) == 401
         assert g[0] == -1.0 and g[-1] == 1.0
         assert np.allclose(np.diff(g), 0.005)
+
+
+class TestRadii:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_kth_smallest_distance(self, data):
+        # training values on a coarse lattice (heavy ties) or anywhere in
+        # [-1, 1]; grid points on the lattice too, so some radii are 0
+        lattice = data.draw(st.sampled_from([None, 4, 8]))
+        if lattice:
+            values = st.integers(-lattice, lattice).map(lambda i: i / lattice)
+        else:
+            values = st.floats(-1, 1)
+        x = np.sort(np.array(data.draw(st.lists(values, min_size=1, max_size=80))))
+        grid = np.array(data.draw(st.lists(values | st.floats(-1, 1), min_size=1, max_size=20)))
+        k = data.draw(st.integers(1, len(x)))
+        expect = [np.sort(np.abs(x - g))[k - 1] for g in grid]
+        assert _radii(x, grid, k).tolist() == expect
 
 
 class TestPredictLocal:

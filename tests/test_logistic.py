@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from queuecast.errors import NumericalError
@@ -13,9 +15,10 @@ from queuecast.logistic import (
     predict_logistic,
     sigmoid,
     wald_test,
+    weighted_logistic_mle,
 )
 
-from oracles import grid_search_logistic
+from oracles import grid_search_logistic, reference_weighted_logistic_mle
 
 
 def sigmoid_data(rng, n, x0, x1):
@@ -137,6 +140,62 @@ class TestFitLogistic:
         rng = np.random.default_rng(5)
         I, y = sigmoid_data(rng, 100, x0=0.0, x1=1.0)
         assert fit_logistic(I, y).loglik <= 0.0
+
+
+@st.composite
+def weighted_window(draw):
+    """A local fit's window: regressor values with heavy ties, or only two or
+    three of them; labels 0/1, fractional, or split at a threshold with at most
+    one flip (near-separated); tricube-like weights times counts; and a start
+    near or far from the optimum."""
+    m = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["ties", "few", "spread"]))
+    if kind == "ties":
+        z = np.array(draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m))) / 8.0
+    elif kind == "few":
+        support = draw(st.lists(st.floats(-1, 1), min_size=2, max_size=3, unique=True))
+        z = np.array(draw(st.lists(st.sampled_from(support), min_size=m, max_size=m)))
+    else:
+        z = np.array(draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m)))
+    labels = draw(st.sampled_from(["binary", "fractional", "threshold"]))
+    if labels == "fractional":
+        y = np.array(draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
+    elif labels == "threshold":
+        y = (z > draw(st.floats(-1, 1))).astype(float)
+        y[draw(st.integers(0, m - 1))] = draw(st.sampled_from([0.0, 1.0]))
+    else:
+        y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m)))
+    u = np.array(draw(st.lists(st.floats(0, 0.999), min_size=m, max_size=m)))
+    w = np.array(draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))) * (1 - u**3) ** 3
+    start = draw(st.sampled_from([(0.0, 0.0), None]))
+    if start is None:
+        start = (draw(st.floats(-20, 20)), draw(st.floats(-60, 60)))
+    return z, y, w, start
+
+
+class TestAgainstReferenceSolver:
+    """The solver that shares one exp per iteration and accepts a step by its
+    slope takes the reference solver's path: the same verdicts, and the same
+    coefficients to 1e-9."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(window=weighted_window())
+    def test_matches_reference(self, window):
+        z, y, w, start = window
+        b0, b1, ll, _it, converged, separated, cov = weighted_logistic_mle(z, y, w, start)
+        r0, r1, rll, _rit, rconverged, rseparated, rcov = reference_weighted_logistic_mle(
+            z, y, w, start)
+        assert (converged, separated) == (rconverged, rseparated)
+        assert abs(b0 - r0) <= 1e-9 and abs(b1 - r1) <= 1e-9, (b0, r0, b1, r1)
+        assert ll == pytest.approx(rll, rel=1e-12, abs=1e-12)
+        assert (cov is None) == (rcov is None)
+
+    def test_loglik_only_on_request(self):
+        I, y = sigmoid_data(np.random.default_rng(2), 300, 0.1, 2.0)
+        full = weighted_logistic_mle(I, y, np.ones(300))
+        bare = weighted_logistic_mle(I, y, np.ones(300), loglik=False)
+        assert bare[2] is None and full[2] < 0
+        assert full[:2] + full[3:] == bare[:2] + bare[3:]
 
 
 class TestPredict:

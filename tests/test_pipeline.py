@@ -7,9 +7,11 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from queuecast import simulate as sim
 from queuecast.cli import main as cli_main
 from queuecast.errors import ConfigError, DataError, NumericalError
 from queuecast.evaluate import EvalReport, null_model_report
+from queuecast.local import default_grid, fit_local_logistic
 from queuecast.logistic import LogisticFit
 from queuecast.logistic import TestResult as SigTest
 from queuecast.reports import (
@@ -188,6 +191,19 @@ class TestPipelineRun:
         rep = json.loads((run_once / "eval" / "report_null.json").read_text())
         assert rep["msr_in"] == 0.25 and rep["msr_out"] == 0.25
         assert rep["auc_in"] == 0.5 and rep["auc_out"] == 0.5
+
+    def test_local_meta_says_what_the_cv_and_the_fit_did(self, run_once):
+        meta = json.loads((run_once / "fits" / "local_meta.json").read_text())
+        assert meta["alpha_candidates"] == [0.5, 0.8] and meta["alpha_at_edge"] is True
+        samples = sp.read_samples_csv(run_once / "samples.csv")
+        train, _ = pl._read_split(run_once / "split.csv", len(samples))
+        fit = fit_local_logistic(samples.imbalance[train], samples.label[train], meta["alpha"],
+                                 grid=default_grid(meta["grid_points"]))
+        assert meta["newton_iterations"] == fit.newton_iterations > 0
+        local = json.loads((run_once / "eval" / "report_local.json").read_text())
+        assert local["extra"] == {"alpha": meta["alpha"], "alpha_at_edge": True}
+        edge = f"local: alpha {meta['alpha']} is the edge of the candidates\n"
+        assert edge in (run_once / "report.txt").read_text()
 
     def test_report_json_has_provenance(self, run_once):
         rep = json.loads((run_once / "report.json").read_text())
@@ -744,6 +760,15 @@ class TestCli:
             ("fit", "samples.csv", "e9-line-150", ", line 150: non-ASCII byte"),
             ("evaluate", "split.csv", "e9-line-100", ", line 100: non-ASCII byte"),
             ("evaluate", "fits/local_curve.csv", "e9-line-20", ", line 20: non-ASCII byte"),
+            ("report", "eval/report_logistic.json", "set:auc_out:-0.87",
+             ": key 'auc_out': -0.87 is not in [0, 1]"),
+            ("report", "eval/report_logistic.json", "set:msr_out:7.5",
+             ": key 'msr_out': 7.5 is not in [0, 1]"),
+            ("report", "eval/report_null.json", "set:n_test:0", ": key 'n_test': 0 is not at least 1"),
+            ("evaluate", "fits/logistic.json", "set:se1:-0.04", ": key 'se1': -0.04 is not positive"),
+            ("report", "fits/logistic.json", "set:se0:1e999", ": key 'se0': inf is not finite"),
+            ("evaluate", "fits/logistic.json", "set:x0:-1e999", ": key 'x0': -inf is not finite"),
+            ("evaluate", "fits/intercept.json", "set:n:0", ": key 'n': 0 is not at least 1"),
         ],
         ids=["fit-no-x0", "fit-unknown-key", "fit-list", "fit-x1-string", "fit-x1-nan", "meta-no-alpha",
              "meta-list", "report-no-auc-out", "curve-nan", "curve-extra-field", "fit-dir",
@@ -752,7 +777,9 @@ class TestCli:
              "split-twice", "split-bad-subset", "split-negative", "split-past-end",
              "curve-short", "curve-starts-inside", "curve-ends-inside", "curve-fitted-7.5",
              "curve-grid-not-rising", "curve-reversed",
-             "samples-non-ascii", "split-non-ascii", "curve-non-ascii"],
+             "samples-non-ascii", "split-non-ascii", "curve-non-ascii", "report-auc-negative",
+             "report-msr-7.5", "report-no-test-points", "fit-se-negative", "fit-se-infinite",
+             "fit-x0-infinite", "intercept-no-points"],
     )
     def test_bad_artifact_exit_3(self, run_once, tmp_path, stage, rel, edit, message):
         out = tmp_path / "run"
@@ -1010,6 +1037,86 @@ def mutate(data: bytes, draw, is_json: bool) -> bytes:
     return b"".join(lines)
 
 
+@st.composite
+def split_text(draw):
+    """``n`` and a split.csv text that lists each of ``n`` rows once, as
+    stage_fit writes it, mixed with faults the column-at-a-time read must
+    leave to the per-row path: a doubled, missing or out-of-range row, CRLF
+    ends, spaces, ``+`` signs, leading zeros, over 18 digits, a non-ASCII
+    byte, another subset, a blank line or a field too many. The header may
+    be wrong and the last row may lack its LF."""
+    n = draw(st.integers(1, 8))
+    rows = [[str(i), draw(st.sampled_from(["train", "test"]))]
+            for i in draw(st.permutations(range(n)))]
+    ends = ["\n"] * n
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.integers(0, 13))
+        j = draw(st.integers(0, len(rows) - 1))
+        if kind == 0:
+            rows.insert(j, list(rows[j]))
+            ends.insert(j, "\n")
+        elif kind == 1:
+            del rows[j], ends[j]
+            if not rows:
+                break
+        elif kind == 2:
+            rows[j][0] = str(draw(st.sampled_from([n, n + 3, -1])))
+        elif kind == 3:
+            ends[j] = "\r\n"
+        elif kind == 4:
+            rows[j][draw(st.integers(0, 1))] += " "
+        elif kind == 5:
+            rows[j][0] = "+" + rows[j][0]
+        elif kind == 6:
+            rows[j][0] = "00" + rows[j][0]
+        elif kind == 7:
+            rows[j][0] = "1" + "0" * 18 + rows[j][0]
+        elif kind == 8:
+            rows[j][1] = draw(st.sampled_from(["tr\xe9in", "tset", "Train", ""]))
+        elif kind == 9:
+            ends[j] = "\n\n"
+        elif kind == 10:
+            rows[j].append("x")
+        else:  # listed twice, and another row not at all
+            rows[j][0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+    header = "index,subset" if draw(st.integers(0, 9)) else draw(st.sampled_from(
+        ["index,subset,", "index", "Index,subset", "index,subset\r"]))
+    text = header + "\n" + "".join(",".join(r) + e for r, e in zip(rows, ends))
+    if draw(st.integers(0, 3)) == 0:
+        text = text.rstrip("\n")
+    return n, text
+
+
+class TestSplitBlockRead:
+    """A canonical split.csv is converted a column at a time; any other text
+    goes through the per-row path. The split must not show."""
+
+    @staticmethod
+    def outcome(path, n):
+        try:
+            return [(a.dtype.str, a.tobytes()) for a in pl._read_split(path, n)]
+        except DataError as exc:
+            return exc.line_no, str(exc)
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=split_text())
+    def test_columns_read_as_rows(self, case):
+        n, text = case
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "split.csv"
+            path.write_bytes(text.encode("latin-1"))
+            got = self.outcome(path, n)
+            with mock.patch.object(pl, "_SPLIT", re.compile("(?!)")):  # rows only
+                assert self.outcome(path, n) == got
+
+    def test_canonical_file_is_converted_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "split.csv"
+        path.write_text("index,subset\n3,train\n0,train\n2,test\n1,train\n")
+        monkeypatch.setattr(pl.rp, "read_csv", None)  # the per-row path is not called
+        train, test = pl._read_split(path, 4)
+        assert (train.tolist(), test.tolist()) == ([3, 0, 1], [2])
+
+
 class TestFaultProperty:
     """One generated fault in one artifact of a staged run: the subcommand
     that reads it exits with a documented code, and a failure prints one
@@ -1031,6 +1138,7 @@ class TestFaultProperty:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = cli_main([command, "--config", str(cfgfile)])
+            scores = written_scores(out) if code == 0 else []
         finally:
             shutil.rmtree(work)
         text = err.getvalue()
@@ -1039,6 +1147,16 @@ class TestFaultProperty:
             assert text.count("\n") == 1 and text.startswith(ERROR_PREFIXES[code]), text
         else:
             assert "error: " not in text
+            assert scores and all(0.0 <= v <= 1.0 for v in scores), scores
+
+
+def written_scores(out):
+    """Every AUC and MSR that the eval reports and report.json of ``out`` hold."""
+    models = [json.loads(p.read_text()) for p in sorted((out / "eval").glob("report_*.json"))]
+    if (out / "report.json").exists():
+        models += json.loads((out / "report.json").read_text())["models"].values()
+    return [m[key] for m in models for key in ("auc_in", "auc_out", "msr_in", "msr_out")
+            if m.get(key) is not None]
 
 
 # every name `queuecast` exported when it imported all its submodules
@@ -1142,7 +1260,7 @@ RECORDS = {
     "report-with-extra": _null_report_with_extra(),
     "local-meta": pl.LocalMeta(
         0.65, [0.5, 0.65, 0.8], {"0.5": 0.241, "0.65": 0.239, "0.8": 0.24}, 5, 401,
-        "samples.csv@seed7", 3, 0,
+        "samples.csv@seed7", 3, 0, False, 1206,
     ),
 }
 
@@ -1251,3 +1369,10 @@ class TestEmitReport:
         assert "4.00*" in text and "4.00**" not in text
         text = emit_report_text([self._rep("logistic", 1.0)])
         assert "1.00" in text and "1.00*" not in text
+
+    def test_edge_alpha_flagged(self):
+        local = EvalReport("local", 80, 20, 0.7, 0.7, 0.2, 0.2)
+        for edge in (True, False):
+            local.extra = {"alpha": 0.65, "alpha_at_edge": edge}
+            text = emit_report_text([local])
+            assert ("local: alpha 0.65 is the edge of the candidates\n" in text) is edge

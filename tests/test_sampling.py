@@ -1,11 +1,17 @@
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from queuecast import sampling as sp
 from queuecast.book import BestQuoteState
-from queuecast.errors import NumericalError
+from queuecast.errors import DataError, NumericalError
 from queuecast.sampling import (
     EVENT,
     UNIFORM,
@@ -358,3 +364,93 @@ class TestCsvRoundTrip:
         # each I is float() of its text, bit for bit
         texts = [row.split(",")[4] for row in text[1:]]
         assert back.imbalance.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+@st.composite
+def samples_text(draw):
+    """samples.csv text mixing rows as write_samples_csv writes them with rows
+    that the column-at-a-time read must leave to the per-row path: LF ends,
+    spaces, ``+`` signs, exponents, nan and inf, a non-ASCII byte, a field
+    too many or too few, over 18 digits, and I or y out of range. The header
+    may be wrong and the last row may lack its line end."""
+    header = ",".join(sp.SAMPLE_COLUMNS)
+    if draw(st.integers(0, 14)) == 0:
+        header = draw(st.sampled_from([header[:-2], header + ",z", header.upper(), " " + header]))
+    lines = [header + "\r\n"]
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [draw(st.sampled_from(["SIM", "", "A B", "x-1.2_Z"])),
+                  str(draw(st.integers(0, 300))), str(draw(st.integers(0, 10**14))),
+                  str(draw(st.integers(0, 10**14))),
+                  f"{draw(st.floats(-1, 1)):.12g}", draw(st.sampled_from("01"))]
+        end = "\r\n"
+        kind = draw(st.sampled_from(["canonical"] * 20 + [
+            "lf", "space", "plus", "exponent", "nan", "non-ascii", "short", "long",
+            "I-range", "I-range", "I-range", "y-range", "digits", "quote"]))
+        i = draw(st.integers(0, 5))
+        if kind == "lf":
+            end = "\n"
+        elif kind == "space":
+            fields[i] = " " + fields[i]
+        elif kind == "plus":
+            fields[i] = "+" + fields[i]
+        elif kind == "exponent":
+            fields[4] = draw(st.sampled_from(["1e-05", "5E-1", "-2.5e-3", "1e999", "0.5e+00", "-0"]))
+        elif kind == "nan":
+            fields[4] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+        elif kind == "non-ascii":
+            fields[i] = fields[i][:1] + "\xe9" + fields[i][1:]
+        elif kind == "short":
+            del fields[i]
+        elif kind == "long":
+            fields.insert(i, "7")
+        elif kind == "I-range":
+            fields[4] = draw(st.sampled_from(["1.5", "-1.0000001", "2", "-1", "1"]))
+        elif kind == "y-range":
+            fields[5] = draw(st.sampled_from(["2", "-1", "01", "1.0", ""]))
+        elif kind == "digits":
+            fields[i] = "9" * 19
+        elif kind == "quote":
+            fields[0] = '"SIM"'
+        lines.append(",".join(fields) + end)
+    text = "".join(lines)
+    if draw(st.integers(0, 3)) == 0:
+        text = text.rstrip("\r\n")
+    return text
+
+
+def read_outcome(read, path):
+    """The arrays that ``read(path)`` returns, as dtypes and bytes, or the
+    line and text of the DataError it raises."""
+    try:
+        return [(a.dtype.str, a.tobytes()) for a in read(path)]
+    except DataError as exc:
+        return exc.line_no, str(exc)
+
+
+class TestBlockRead:
+    """A canonical samples.csv is converted a column at a time; any other
+    text goes through the per-row path. The split must not show."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(text=samples_text())
+    def test_columns_read_as_rows(self, text):
+        def columns(path):
+            table = read_samples_csv(path)
+            return table.imbalance, table.label
+
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "samples.csv"
+            path.write_bytes(text.encode("latin-1"))
+            got = read_outcome(columns, path)
+            with mock.patch.object(sp, "_SAMPLES", re.compile("(?!)")):  # rows only
+                assert read_outcome(columns, path) == got
+
+    def test_canonical_file_is_converted_whole(self, tmp_path, monkeypatch):
+        pts = [SamplePoint("SIM", 3, 36000000000001 + i, 36000000002000 + i, (i - 3) / 4, i % 2)
+               for i in range(7)]
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, pts)
+        monkeypatch.setattr(sp, "read_csv", None)  # the per-row path is not called
+        back = read_samples_csv(path)
+        assert back.imbalance.tolist() == [(i - 3) / 4 for i in range(7)]
+        assert back.label.tolist() == [i % 2 for i in range(7)]
