@@ -83,6 +83,9 @@ _CANONICAL_BLOCK = re.compile(f"{_CANONICAL_ROW}(?: {_CANONICAL_ROW})*+")
 
 
 class LobsterMessage(NamedTuple):
+    """The fields of a message, in order. Parsed and simulated messages are
+    plain tuples in this order; a LobsterMessage serves wherever one does."""
+
     t_ns: int
     type_code: int
     order_id: int
@@ -129,11 +132,10 @@ def format_time_ns(t_ns: int) -> str:
     return f"{t_ns // NS}.{t_ns % NS:09d}"
 
 
-def format_message(msg: LobsterMessage) -> str:
-    return (
-        f"{format_time_ns(msg.t_ns)},{msg.type_code},{msg.order_id},"
-        f"{msg.size},{msg.price},{msg.direction}"
-    )
+def format_message(msg: tuple) -> str:
+    """A message, in ``LobsterMessage`` field order, as a message-file row."""
+    t_ns, code, order_id, size, price, direction = msg
+    return f"{format_time_ns(t_ns)},{code},{order_id},{size},{price},{direction}"
 
 
 def _open_lines(source) -> ContextManager[Iterable[str]]:
@@ -149,19 +151,19 @@ def _open_lines(source) -> ContextManager[Iterable[str]]:
     return contextlib.nullcontext(source)
 
 
-def parse_messages(source) -> Iterator[LobsterMessage]:
+def parse_messages(source) -> Iterator[tuple]:
     """Parse a message file (path, text-file object, or line iterable).
 
-    Yields messages in file order as they are pulled; raises a positioned
-    error on the first malformed row, non-monotone timestamp, or unknown type
-    code. A fault that the consumer finds in a message and throws back into
-    this generator (``replay`` does) is positioned at the message's file line.
+    Yields messages, plain tuples in ``LobsterMessage`` field order, in file
+    order as they are pulled; raises a positioned error on the first malformed
+    row, non-monotone timestamp, or unknown type code. A fault that the
+    consumer finds in a message and throws back into this generator
+    (``replay`` does) is positioned at the message's file line.
 
     The source is read ``BLOCK_LINES`` lines at a time. A canonical block is
     converted in one numpy call; any other block goes through ``_parse_lines``
     from its first line, which parses it as if the file were read line by line.
     """
-    new, message = tuple.__new__, LobsterMessage  # the named tuple without its Python __new__
     prev_t = -1
     start = 0  # lines before the block
     with _open_lines(source) as lines:
@@ -172,8 +174,7 @@ def parse_messages(source) -> Iterator[LobsterMessage]:
                 prev_t = yield from _parse_lines(block, start, prev_t)
             else:
                 prev_t = values[-6]
-                rows = zip(*[iter(values)] * 6)
-                for line_no, msg in enumerate(map(new, repeat(message), rows), start + 1):
+                for line_no, msg in enumerate(zip(*[iter(values)] * 6), start + 1):
                     try:
                         yield msg
                     except DataError as exc:  # thrown back: the consumer's fault in this message
@@ -201,10 +202,9 @@ def _canonical_values(block: list[str], prev_t: int) -> Optional[list[int]]:
 
 def _parse_lines(
     lines: Iterable[str], start: int, prev_t: int
-) -> Generator[LobsterMessage, None, int]:
+) -> Generator[tuple, None, int]:
     """Parse ``lines``, the lines after the first ``start`` of the file, one at
     a time; time must not go back from ``prev_t``. Returns the last time."""
-    new, message = tuple.__new__, LobsterMessage
     for line_no, line in enumerate(lines, start=start + 1):
         row = line.strip()
         if not row:
@@ -236,23 +236,23 @@ def _parse_lines(
             raise DataError("timestamp decreases", line_no)
         prev_t = t_ns
         try:
-            yield new(message, (t_ns, code, order_id, size, price, direction))
+            yield t_ns, code, order_id, size, price, direction
         except DataError as exc:  # thrown back: the consumer's fault in this message
             raise exc.at_line(line_no) from None
     return prev_t
 
 
-def message_writer(fh: TextIO) -> Callable[[LobsterMessage], None]:
+def message_writer(fh: TextIO) -> Callable[[tuple], None]:
     """Append target that writes each message to ``fh`` as a message-file row."""
     write = fh.write
 
-    def append(msg: LobsterMessage) -> None:
+    def append(msg: tuple) -> None:
         write(format_message(msg) + "\n")
 
     return append
 
 
-def write_messages(path, msgs: Iterable[LobsterMessage]) -> None:
+def write_messages(path, msgs: Iterable[tuple]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         append = message_writer(fh)
         for m in msgs:
@@ -346,13 +346,13 @@ class ReplayResult:
     first_session_event_ns: Optional[int] = None
 
 
-def messages_to_events(msgs: Iterable[LobsterMessage], tick_size: float = 0.01) -> list[bk.BookEvent]:
+def messages_to_events(msgs: Iterable[tuple], tick_size: float = 0.01) -> list[bk.BookEvent]:
     """Convert a message stream into the normalized book-event stream."""
     return replay(msgs, tick_size=tick_size, keep_events=True).events
 
 
 def replay(
-    msgs: Iterable[LobsterMessage],
+    msgs: Iterable[tuple],
     tick_size: float = 0.01,
     window: Optional[SessionWindow] = None,
     record_l1: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = False,
@@ -385,12 +385,12 @@ def replay(
     before, and ``(n, None)`` once the first ``n`` rows are final: at the
     end, or before a fault in message ``n + 1`` is raised.
 
-    A message is a LobsterMessage or a plain tuple in its field order; both
-    are read by position. Messages are pulled one at a time, so a generator
-    that reads ``ob`` sees the book after its previous message was applied.
-    A fault in a message (unknown order id, over-reduce, an invalid
-    submission) is raised positioned at its line: the file line when ``msgs``
-    is ``parse_messages``, else the message's ordinal.
+    A message is a tuple in ``LobsterMessage`` field order, read by position.
+    Messages are pulled one at a time, so a generator that reads ``ob`` sees
+    the book after its previous message was applied. A fault in a message
+    (unknown order id, over-reduce, an invalid submission) is raised
+    positioned at its line: the file line when ``msgs`` is ``parse_messages``,
+    else the message's ordinal.
     """
     if ob is None:
         ob = bk.OrderBook(tick_size=tick_size)

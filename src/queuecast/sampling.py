@@ -187,7 +187,7 @@ def split_indices(
     if rng is None:
         rng = np.random.default_rng(0)
     perm = rng.permutation(n)
-    n_train = int(frac * n)
+    n_train = int(frac * n + 1e-9)  # guard the floor against float fuzz: 0.7 * 1400 < 980
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 

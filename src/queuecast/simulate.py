@@ -72,13 +72,11 @@ class ZiConfig:
 @dataclass
 class SimResult:
     config: ZiConfig
-    messages: list[lb.LobsterMessage] = field(default_factory=list)
+    messages: list[tuple] = field(default_factory=list)  # in LobsterMessage field order
     l1_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
     timeline: list[bk.BestQuoteState] = field(default_factory=list)
     stats: lb.DayStats = field(default_factory=lb.DayStats)
     counters: lb.ReplayCounters = field(default_factory=lb.ReplayCounters)
-    process_counts: dict = field(default_factory=dict)
-    order_ns: int = 0  # integral of resting-order count over time, order x ns
     side_depleted: bool = False
     first_event_ns: int = 0
     end_ns: int = 0
@@ -91,7 +89,7 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
 
 def simulate(
     cfg: ZiConfig,
-    messages: Optional[Callable[[lb.LobsterMessage], None]] = None,
+    messages: Optional[Callable[[tuple], None]] = None,
     l1_rows: Optional[Callable[[tuple[int, Optional[tuple]]], None]] = None,
 ) -> SimResult:
     """Run the zero-intelligence flow for one simulated session.
@@ -109,7 +107,7 @@ def simulate(
 
 def _session(
     cfg: ZiConfig,
-    messages: Optional[Callable[[lb.LobsterMessage], None]] = None,
+    messages: Optional[Callable[[tuple], None]] = None,
     l1_rows: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = None,
     window: Optional[lb.SessionWindow] = None,
 ) -> SimResult:
@@ -140,25 +138,20 @@ def _session(
     return res
 
 
-def _kept(flow: Iterator[tuple], append: Callable[[lb.LobsterMessage], None]) -> Iterator[tuple]:
-    """Pass ``flow`` through, giving each message to ``append`` as a LobsterMessage."""
-    new, message = tuple.__new__, lb.LobsterMessage
+def _kept(flow: Iterator[tuple], append: Callable[[tuple], None]) -> Iterator[tuple]:
+    """Pass ``flow`` through, giving each message to ``append``."""
     for msg in flow:
-        append(new(message, msg))
+        append(msg)
         yield msg
 
 
 def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tuple]:
-    """Yield the session's messages, recording the process counts, the
-    side depletion and the order-time integral in ``res``; ``ob`` is the
-    book replay applies each message to. A message is a plain tuple in
-    ``LobsterMessage`` field order, which replay reads by position; building
-    the named tuple would add about 200 ns to each message."""
+    """Yield the session's messages, plain tuples in ``LobsterMessage`` field
+    order, recording a side depletion in ``res``; ``ob`` is the book replay
+    applies each message to."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     draw = _uniforms(rng).__next__
     tick_i4 = round(cfg.tick_size * 10000)
-    counts = {"buy_limit": 0, "sell_limit": 0, "buy_market": 0, "sell_market": 0, "cancel": 0}
-    res.process_counts = counts
     SUBMISSION, EXECUTION, FULL_DELETE = lb.SUBMISSION, lb.EXECUTION, lb.FULL_DELETE
     BUY, SELL = bk.BUY, bk.SELL
     # the book's own tables, read-only here: replay is the one writer
@@ -191,18 +184,16 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
     rate_buy_market = rate_limit + market_rate
     base_rate = rate_limit + 2.0 * market_rate
     t_ns = start_ns
-    order_ns = 0
+    # int(draw() * n) < n for every draw below 1.0 and every n < 2**53, so an
+    # offset or a resting-order index drawn that way needs no clamp
     while True:
         n_resting = len(registry)
         total_rate = base_rate + cancel_rate * n_resting
         if total_rate <= 0.0:
             break
-        dt_ns = int(-math.log(1.0 - draw()) / total_rate * 1e9) + 1
-        if t_ns + dt_ns >= end_ns:
-            order_ns += n_resting * (end_ns - t_ns)
+        t_ns += int(-math.log(1.0 - draw()) / total_rate * 1e9) + 1
+        if t_ns >= end_ns:
             break
-        order_ns += n_resting * dt_ns
-        t_ns += dt_ns
         v = draw() * total_rate
         if v < rate_limit:
             side = BUY if v < rate_limit_side else SELL
@@ -211,19 +202,15 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
                 res.side_depleted = True
                 break
             offset = int(draw() * levels)
-            if offset >= levels:  # guard against a draw of exactly 1.0
-                offset = levels - 1
             price = anchor - 1 - offset if side == BUY else anchor + 1 + offset
             if price < 1:
                 price = 1
-            counts["buy_limit" if side == BUY else "sell_limit"] += 1
             yield (t_ns, SUBMISSION, next_id, size, price * tick_i4, side)
             pos[next_id] = len(registry)
             registry.append(next_id)
             next_id += 1
         elif v < base_rate:
             side = BUY if v < rate_buy_market else SELL
-            counts["buy_market" if side == BUY else "sell_market"] += 1
             remaining = size
             while remaining > 0:
                 top = best[-side]
@@ -239,18 +226,13 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
             if res.side_depleted:
                 break
         else:
-            idx = int(draw() * n_resting)
-            if idx >= n_resting:
-                idx = n_resting - 1
-            oid = registry[idx]
+            oid = registry[int(draw() * n_resting)]
             order = orders[oid]
-            counts["cancel"] += 1
             yield (t_ns, FULL_DELETE, oid, order.size, order.price * tick_i4, order.side)
             drop_resting(oid)
         if best[BUY] is None or best[SELL] is None:
             res.side_depleted = True
             break
-    res.order_ns = order_ns
 
 
 # --- regime presets -------------------------------------------------------------

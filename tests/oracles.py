@@ -291,3 +291,37 @@ def reference_day_sample(states, first_event_ns, close_ns, mode, rng):
             points.append((t_sample, t_change, imbalance, label, st[3], st[4], fallback))
         t_prev = t_change
     return points, counts
+
+
+def process_counts(messages, preamble, start_ns, end_ns):
+    """The zero-intelligence flow's Poisson counts, recounted from its message
+    stream ``(t_ns, type, order_id, size, price, direction)``, and the integral
+    of the resting-order count over [start_ns, end_ns) in order x ns.
+
+    Each message after the first ``preamble`` (the initial book) counts once: a
+    submission is a limit order of its direction, an execution against a sell
+    (direction -1) a buy market order and against a buy a sell market order,
+    and a full delete a cancel. Every message moves the resting-order count."""
+    counts = dict.fromkeys(("buy_limit", "sell_limit", "buy_market", "sell_market", "cancel"), 0)
+    resting = {}  # order id -> size left
+    order_ns, t_prev = 0, start_ns
+    for i, (t_ns, code, order_id, size, _price, direction) in enumerate(messages):
+        order_ns += len(resting) * (t_ns - t_prev)
+        t_prev = t_ns
+        if code == 1:
+            resting[order_id] = size
+            key = "buy_limit" if direction == 1 else "sell_limit"
+        elif code == 4:
+            resting[order_id] -= size
+            if not resting[order_id]:
+                del resting[order_id]
+            key = "buy_market" if direction == -1 else "sell_market"
+        elif code == 3:
+            del resting[order_id]
+            key = "cancel"
+        else:
+            raise AssertionError(f"message type {code} is not in the flow")
+        if i >= preamble:
+            counts[key] += 1
+    order_ns += len(resting) * (end_ns - t_prev)
+    return counts, order_ns

@@ -16,17 +16,18 @@ from oracles import coalesced_timeline, verify_row_by_row
 
 class TestParse:
     def test_documented_submission_row(self):
-        (m,) = lb.parse_messages(["34200.189608,1,11885113,21,2238200,1"])
-        assert m.t_ns == 34200_189608000
-        assert m.type_code == 1
-        assert m.order_id == 11885113
-        assert m.size == 21
-        assert m.price == 2238200
-        assert m.direction == 1
+        ((t_ns, code, order_id, size, price, direction),) = lb.parse_messages(
+            ["34200.189608,1,11885113,21,2238200,1"])
+        assert t_ns == 34200_189608000
+        assert code == 1
+        assert order_id == 11885113
+        assert size == 21
+        assert price == 2238200
+        assert direction == 1
 
     def test_deletion_row(self):
-        (m,) = lb.parse_messages(["36000.5,3,42,100,1000000,-1"])
-        assert m.type_code == 3 and m.order_id == 42 and m.direction == -1
+        ((_, code, order_id, _, _, direction),) = lb.parse_messages(["36000.5,3,42,100,1000000,-1"])
+        assert code == 3 and order_id == 42 and direction == -1
 
     def test_direction_zero_rejected(self):
         with pytest.raises(DataError, match="^line 1: direction must be \\+1 or -1, got 0$"):
@@ -63,8 +64,8 @@ class TestParse:
         assert ei.value.line_no == 2001
 
     def test_time_precision_nanoseconds(self):
-        (m,) = lb.parse_messages(["0.000000001,7,0,0,0,1"])
-        assert m.t_ns == 1
+        ((t_ns, *_),) = lb.parse_messages(["0.000000001,7,0,0,0,1"])
+        assert t_ns == 1
         with pytest.raises(DataError, match="^line 1: bad time field "):
             list(lb.parse_messages(["0.0000000001,7,0,0,0,1"]))
 
@@ -326,7 +327,7 @@ class TestReplayReadsQuoteOnChange:
             seq += max(1, len(step.events))
             for name in vars(counters):
                 setattr(counters, name, getattr(counters, name) + getattr(step.counters, name))
-            st_ = ob.state(msg.t_ns)
+            st_ = ob.state(msg[0])
             quotes.append(st_)
             l1_rows.append(l1_row(st_))
         return coalesced_timeline(quotes), l1_rows, events, counters
@@ -519,7 +520,15 @@ class TestBlockParse:
         monkeypatch.setattr(lb, "_parse_lines", None)  # the per-line parser is not called
         monkeypatch.setattr(lb, "BLOCK_LINES", 3)
         assert list(lb.parse_messages(io.StringIO(text))) == rows
-        assert all(type(m) is lb.LobsterMessage for m in lb.parse_messages(text.encode()))
+        assert all(type(m) is tuple for m in lb.parse_messages(text.encode()))
+
+    def test_per_line_rows_are_plain_tuples(self):
+        # a row with fewer decimals leaves its block to the per-line parser
+        text = "36000.000000000,1,1,10,10000,1\n36000.5,1,2,10,10200,-1\n"
+        assert lb._canonical_values(text.splitlines(keepends=True), -1) is None
+        for msgs in (list(per_line(text)), list(lb.parse_messages(io.StringIO(text)))):
+            assert msgs == [(36000 * lb.NS, 1, 1, 10, 10000, 1), (36000_500000000, 1, 2, 10, 10200, -1)]
+            assert all(type(m) is tuple for m in msgs)
 
     def test_book_fault_in_a_canonical_block_names_its_file_line(self, monkeypatch):
         # block 1 holds a blank line and goes line by line; block 2 is canonical
@@ -881,10 +890,10 @@ class TestSummaryStats:
         # oracle: independent accumulation over messages
         exec_vol = 0.0
         pmin = pmax = None
-        for m in msgs:
-            if m.type_code == 4 and 36000 * lb.NS <= m.t_ns < 55800 * lb.NS:
-                exec_vol += m.size * m.price / 10000.0
-                p = m.price / 10000.0
+        for t_ns, code, _, size, price, _ in msgs:
+            if code == 4 and 36000 * lb.NS <= t_ns < 55800 * lb.NS:
+                exec_vol += size * price / 10000.0
+                p = price / 10000.0
                 pmin = p if pmin is None else min(pmin, p)
                 pmax = p if pmax is None else max(pmax, p)
         assert rec.executed_volume == pytest.approx(exec_vol)
@@ -900,23 +909,23 @@ class TestSummaryStats:
         covered = 0.0
         close = 55800 * lb.NS
         openns = 36000 * lb.NS
-        for m in msgs:
+        for t_ns, code, order_id, size, price, direction in msgs:
             if prev_two and prev_t is not None:
-                lo, hi = max(prev_t, openns), min(m.t_ns, close)
+                lo, hi = max(prev_t, openns), min(t_ns, close)
                 if hi > lo:
                     nb_int += prev_nb * (hi - lo)
                     covered += hi - lo
-            if m.type_code == 1:
-                naive_book[m.order_id] = (m.price, m.size, m.direction)
-            elif m.type_code in (3, 4):
-                naive_book.pop(m.order_id, None)
+            if code == 1:
+                naive_book[order_id] = (price, size, direction)
+            elif code in (3, 4):
+                naive_book.pop(order_id, None)
             bids = [(p, s) for p, s, d in naive_book.values() if d == 1]
             asks = [(p, s) for p, s, d in naive_book.values() if d == -1]
             prev_two = bool(bids) and bool(asks)
             if prev_two:
                 bb = max(p for p, _ in bids)
                 prev_nb = sum(s for p, s in bids if p == bb)
-            prev_t = m.t_ns
+            prev_t = t_ns
         if prev_two:
             lo = max(prev_t, openns)
             if close > lo:

@@ -1011,10 +1011,11 @@ ERROR_PREFIXES = {2: "config error: ", 3: "data error: ", 4: "numerical error: "
 
 def mutate(data: bytes, draw, is_json: bool) -> bytes:
     """``data`` with one fault drawn by ``draw``: a flipped bit, an inserted
-    non-ASCII byte, a cut, a duplicated or deleted line, or (JSON only) a
-    top-level value of another type, sign or magnitude."""
-    kind = draw(st.sampled_from(["flip", "non-ascii", "truncate", "duplicate-line",
-                                 "delete-line", *(["json"] if is_json else [])]))
+    non-ASCII byte, a cut, a duplicated or deleted line, or (JSON only, half
+    the time) a top-level value of another type, sign or magnitude. Half the
+    JSON faults hit an AUC or MSR, and half of those put it outside [0, 1]."""
+    kinds = st.sampled_from(["flip", "non-ascii", "truncate", "duplicate-line", "delete-line"])
+    kind = draw(st.just("json") | kinds if is_json else kinds)
     if kind == "flip":
         i = draw(st.integers(0, len(data) - 1))
         return data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1:]
@@ -1025,11 +1026,16 @@ def mutate(data: bytes, draw, is_json: bool) -> bytes:
         return data[:draw(st.integers(0, len(data) - 1))]
     if kind == "json":
         obj = json.loads(data)
-        key = draw(st.sampled_from(sorted(obj)))
+        scores = [k for k in sorted(obj) if k[:4] in ("auc_", "msr_") and obj[k] is not None]
+        key = draw(st.sampled_from(sorted(obj)) | st.sampled_from(scores) if scores
+                   else st.sampled_from(sorted(obj)))
         value = obj[key]
         numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        obj[key] = draw(st.sampled_from([None, True, "x", [value], {"v": value}, 0, 1e300,
-                                         *([-value] if numeric else [])]))
+        values = st.sampled_from([None, True, "x", [value], {"v": value}, 0, 1e300,
+                                  *([-value] if numeric else [])])
+        if key in scores:
+            values = st.sampled_from([value + 1, -value - 0.5]) | values
+        obj[key] = draw(values)
         return json.dumps(obj, indent=2).encode()
     lines = data.splitlines(keepends=True)
     i = draw(st.integers(0, len(lines) - 1))

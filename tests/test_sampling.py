@@ -259,6 +259,12 @@ class TestSplit:
         train, test = split_indices(10, 0.8, np.random.default_rng(0))
         assert (len(train), len(test)) == (8, 2)
 
+    @pytest.mark.parametrize("frac, n, n_train", [(0.7, 1400, 980), (0.29, 100, 29)])
+    def test_train_size_survives_float_rounding(self, frac, n, n_train):
+        assert frac * n < n_train  # the product falls just short of the whole number
+        train, test = split_indices(n, frac, np.random.default_rng(0))
+        assert (len(train), len(test)) == (n_train, n - n_train)
+
     def test_partition_property(self):
         train, test = split_indices(137, 0.8, np.random.default_rng(5))
         assert sorted(train.tolist() + test.tolist()) == list(range(137))

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from queuecast import lobster as lb
@@ -9,6 +10,8 @@ from queuecast.errors import ConfigError
 from queuecast.book import BestQuoteState
 from queuecast.lobster import integrate_timeline
 from queuecast.simulate import ZiConfig, regime_preset, simulate
+
+from oracles import process_counts
 
 
 def small_cfg(**over):
@@ -32,8 +35,8 @@ class TestConfig:
     def test_all_rates_zero_gives_empty_flow(self):
         res = simulate(small_cfg(limit_rate=0.0, market_rate=0.0, cancel_rate=0.0))
         # the initial-book preamble is the only content
-        assert all(m.type_code == lb.SUBMISSION for m in res.messages)
-        assert all(m.t_ns == res.first_event_ns for m in res.messages)
+        assert all(code == lb.SUBMISSION for _, code, *_ in res.messages)
+        assert all(t_ns == res.first_event_ns for t_ns, *_ in res.messages)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError, match="^levels must be >= 1$"):
@@ -69,7 +72,7 @@ class TestDeterminism:
 class TestFlowProperties:
     def test_limit_only_flow_volume_nondecreasing(self):
         res = simulate(small_cfg(market_rate=0.0, cancel_rate=0.0, horizon=30.0))
-        assert all(m.type_code == lb.SUBMISSION for m in res.messages)
+        assert all(code == lb.SUBMISSION for _, code, *_ in res.messages)
         # every mid change must come from an inside-spread submission: the
         # half-tick mid path only moves when a submission improves a best
         mids = [st.mid2 for st in res.timeline if st.two_sided]
@@ -78,15 +81,32 @@ class TestFlowProperties:
         rep = lb.replay(iter(res.messages))
         assert rep.counters.events == len(res.messages)
 
+    def test_messages_are_plain_tuples(self):
+        res = simulate(small_cfg(horizon=30.0))
+        assert res.messages and all(type(m) is tuple and len(m) == 6 for m in res.messages)
+
+    def test_scaled_draw_stays_below_its_bound(self):
+        # the flow draws a price offset as int(draw() * levels) and a cancel as
+        # int(draw() * n_resting), unclamped; the product rises with the draw,
+        # so the largest draw below 1.0 must truncate below n
+        u = np.nextafter(1.0, 0.0)
+        small = np.arange(1, 2**20 + 1, dtype=np.int64)
+        large = np.random.default_rng(0).integers(1, 2**53, size=10**6)
+        for n in (small, large):
+            assert ((u * n.astype(np.float64)).astype(np.int64) < n).all()
+        assert all(int(float(u) * n) < n for n in large[:1000].tolist())
+
     def test_time_strictly_monotone_after_preamble(self):
         res = simulate(small_cfg())
-        ts = [m.t_ns for m in res.messages]
+        ts = [t_ns for t_ns, *_ in res.messages]
         assert ts == sorted(ts)
 
     def test_poisson_counts_within_4_sigma(self):
         cfg = small_cfg(horizon=400.0, seed=9)
         res = simulate(cfg)
         assert not res.side_depleted
+        preamble = 2 * cfg.initial_levels * cfg.initial_depth
+        counts, order_ns = process_counts(res.messages, preamble, res.first_event_ns, res.end_ns)
         horizon = cfg.horizon
         expect_limit = cfg.limit_rate * cfg.levels * horizon
         expect_market = cfg.market_rate * horizon
@@ -96,11 +116,11 @@ class TestFlowProperties:
             ("buy_market", expect_market),
             ("sell_market", expect_market),
         ]:
-            got = res.process_counts[key]
+            got = counts[key]
             assert abs(got - mean) < 4.0 * math.sqrt(mean), (key, got, mean)
         # cancellations: conditionally Poisson with mean delta * integral N dt
-        cancel_mean = cfg.cancel_rate * res.order_ns / 1e9
-        got = res.process_counts["cancel"]
+        cancel_mean = cfg.cancel_rate * order_ns / 1e9
+        got = counts["cancel"]
         assert abs(got - cancel_mean) < 4.0 * math.sqrt(cancel_mean)
 
     def test_side_depletion_flags_and_ends_stream(self):
@@ -117,7 +137,8 @@ class TestFlowProperties:
             )
         )
         assert res.side_depleted
-        assert res.messages[-1].type_code == lb.EXECUTION
+        _, code, *_ = res.messages[-1]
+        assert code == lb.EXECUTION
 
     def test_round_trip_reproduces_ground_truth(self):
         res = simulate(small_cfg(horizon=120.0, seed=5))
@@ -151,8 +172,7 @@ class TestUnrecordedSession:
         lean = sim._session(cfg)
         assert full.messages and full.l1_rows
         assert lean.messages == [] and lean.l1_rows == []
-        for name in ("timeline", "stats", "process_counts", "side_depleted", "order_ns",
-                     "first_event_ns", "end_ns"):
+        for name in ("timeline", "stats", "side_depleted", "first_event_ns", "end_ns"):
             assert getattr(lean, name) == getattr(full, name), name
 
 
