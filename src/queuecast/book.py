@@ -205,7 +205,9 @@ class OrderBook:
         """
         if delta < 1:
             raise ValueError("reduce delta must be >= 1")
-        order = self.get_order(order_id)
+        order = self._orders.get(order_id)
+        if order is None:
+            raise DataError(f"unknown order id {order_id}")
         if delta > order.size:
             raise DataError(
                 f"reduce of {delta} exceeds resting size {order.size} for order {order_id}"

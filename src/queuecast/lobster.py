@@ -72,6 +72,8 @@ HALT = 7
 
 _VALID_CODES = frozenset((1, 2, 3, 4, 5, 6, 7))
 _ORDINAL = itemgetter(0)
+# replay's last record before it has one: a quote with sizes no book has
+_NO_RECORD = (None, None, None, -1, -1)
 
 # Lines that parse_messages, and rows that L1Verifier, read at a time.
 BLOCK_LINES = 1024
@@ -373,8 +375,10 @@ def replay(
     checked here once (size, tick lattice, live id, crossing) and rested
     unchecked; one that crosses (synthetic or foreign data: LOBSTER reports
     executions) becomes executions against the opposite queue in priority
-    order plus a residual submission. The quote is read (``ob.state``) only
-    after a message that changed it, and after the first message.
+    order plus a residual submission. The quote is read from the book's
+    tables only after a message that changed it, and after the first message,
+    and compared with the last record's; a ``BestQuoteState`` is built only
+    for a record that is kept.
 
     ``keep_events`` says where the book events go: nowhere (False or None),
     to the result's ``events`` list (True), or to an append target, a
@@ -401,13 +405,16 @@ def replay(
     l1 = kept.append if record_l1 is True else record_l1 or None
     emit = res.events.append if keep_events is True else keep_events or None
     open_ns, close_ns = (window.open_ns, window.close_ns) if window is not None else (-inf, inf)
+    no_window = window is None  # every message is in session, with no float comparison
     orders, best, rest, reduce, delete = ob._orders, ob._best, ob._rest, ob.reduce, ob.delete
-    Order, BUY, SELL = bk.Order, bk.BUY, bk.SELL
+    Order, Quote, BUY, SELL = bk.Order, bk.BestQuoteState, bk.BUY, bk.SELL
+    bid_totals, ask_totals = ob._totals[BUY], ob._totals[SELL]
+    rt, rb, ra, rnb, rna = _NO_RECORD  # the last record, unpacked
     first_session_ns = pmin = pmax = None
     n = seq = silent = volume = limit_volume = hidden = ignored = crossing = 0
     try:
         for n, (t, code, order_id, size, price_i4, direction) in enumerate(msgs, start=1):
-            in_session = open_ns <= t < close_ns
+            in_session = no_window or open_ns <= t < close_ns
             if first_session_ns is None and in_session:
                 first_session_ns = t
             if code == SUBMISSION:
@@ -442,7 +449,8 @@ def replay(
                 if size < 1:
                     raise DataError("execution with size 0")
                 order = orders.get(order_id)  # None: reduce raises on an unknown id
-                changed = reduce(order_id, size)
+                filled = order is not None and size == order.size
+                changed = delete(order_id) if filled else reduce(order_id, size)
                 if emit is not None:
                     emit(bk.BookEvent.execute(t, seq, order_id, size))
                 if in_session:
@@ -467,19 +475,22 @@ def replay(
                 changed = False
             seq += 1
             if changed or not timeline:
-                st = ob.state(t)
+                bid, ask = best[BUY], best[SELL]
+                nb = 0 if bid is None else bid_totals[bid]
+                na = 0 if ask is None else ask_totals[ask]
                 # a changed message may net out to the last record (intra-message flicker)
-                if not timeline or timeline[-1][1:] != st[1:]:
+                if nb != rnb or na != rna or bid != rb or ask != ra:
                     # only the last quote of a nanosecond is observable: it replaces the
                     # record made earlier in that nanosecond, or nets out to the one before
-                    if timeline and timeline[-1][0] == t:
+                    if rt == t:
                         timeline.pop()
-                    if not timeline or timeline[-1][1:] != st[1:]:
-                        timeline.append(st)
+                        rt, rb, ra, rnb, rna = timeline[-1] if timeline else _NO_RECORD
+                    if nb != rnb or na != rna or bid != rb or ask != ra:
+                        timeline.append(tuple.__new__(Quote, (t, bid, ask, nb, na)))
+                        rt, rb, ra, rnb, rna = t, bid, ask, nb, na
                     if l1 is not None:
-                        ask = EMPTY_ASK_PRICE if st.ask is None else st.ask * tick_i4
-                        bid = EMPTY_BID_PRICE if st.bid is None else st.bid * tick_i4
-                        l1((n - 1, (ask, st.na, bid, st.nb)))
+                        l1((n - 1, (EMPTY_ASK_PRICE if ask is None else ask * tick_i4, na,
+                                    EMPTY_BID_PRICE if bid is None else bid * tick_i4, nb)))
     except DataError as exc:
         if exc.line_no is None:  # a fault in message n
             n -= 1
@@ -567,16 +578,16 @@ def integrate_timeline(
     the result is exact.
     """
     nb_int = na_int = sp_int = covered = 0
-    ends = [st.t_ns for st in timeline[1:]]
-    ends.append(close_ns)
-    for st, t_end in zip(timeline, ends):
-        t0 = max(st.t_ns, open_ns)
-        dt = min(t_end, close_ns) - t0
-        if dt <= 0 or st.bid is None or st.ask is None:
+    ends = chain(map(_ORDINAL, islice(timeline, 1, None)), (close_ns,))
+    for (t0, bid, ask, nb, na), t_end in zip(timeline, ends):
+        if t0 < open_ns:
+            t0 = open_ns
+        dt = (t_end if t_end < close_ns else close_ns) - t0
+        if dt <= 0 or bid is None or ask is None:
             continue
-        nb_int += st.nb * dt
-        na_int += st.na * dt
-        sp_int += (st.ask - st.bid) * dt
+        nb_int += nb * dt
+        na_int += na * dt
+        sp_int += (ask - bid) * dt
         covered += dt
     return nb_int, na_int, sp_int, covered
 

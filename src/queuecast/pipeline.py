@@ -12,7 +12,8 @@ directories.
 Each stage imports the modules it runs when it runs, so that a process that
 runs one stage loads only those: configuration and ``stage_report`` need no
 numpy, and ``stage_fit`` and ``stage_evaluate`` need no simulator, book or
-LOBSTER reader. The day loop imports the process pool only for ``jobs`` > 1.
+LOBSTER reader. The day loop imports the process pool only when ``jobs``
+and ``days`` both exceed 1.
 """
 
 from __future__ import annotations
@@ -359,15 +360,17 @@ def _day_worker(args) -> DayOutcome:
 
 def run_days(cfg: RunConfig) -> list[DayOutcome]:
     """Every day's outcome, in day order. With ``jobs`` > 1 each day is its
-    own pool task, so a worker that finishes early takes the next day."""
+    own task in a pool of ``min(jobs, days)`` workers, so a worker that
+    finishes early takes the next day; with one worker they run in process."""
     tasks = [(cfg, day) for day in range(cfg.days)]
-    if cfg.jobs > 1:
+    workers = min(cfg.jobs, cfg.days)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # loaded before the pool starts, so that forked workers inherit them
         from . import lobster, sampling, seeds, simulate  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(_day_worker, tasks))
     return [_day_worker(t) for t in tasks]
 

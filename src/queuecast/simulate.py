@@ -23,7 +23,7 @@ platform.
 from __future__ import annotations
 
 import itertools
-import math
+from math import log
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
@@ -162,13 +162,6 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
     next_id = 1
     start_ns, end_ns = res.first_event_ns, res.end_ns
 
-    def drop_resting(order_id: int) -> None:
-        i = pos.pop(order_id)
-        last = registry.pop()
-        if last != order_id:
-            registry[i] = last
-            pos[last] = i
-
     # initial book preamble: plain submissions at the start timestamp
     for lvl in range(cfg.initial_levels):
         for price in (cfg.initial_price - lvl, cfg.initial_price + cfg.initial_spread + lvl):
@@ -191,7 +184,7 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
         total_rate = base_rate + cancel_rate * n_resting
         if total_rate <= 0.0:
             break
-        t_ns += int(-math.log(1.0 - draw()) / total_rate * 1e9) + 1
+        t_ns += int(-log(1.0 - draw()) / total_rate * 1e9) + 1
         if t_ns >= end_ns:
             break
         v = draw() * total_rate
@@ -206,7 +199,7 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
             if price < 1:
                 price = 1
             yield (t_ns, SUBMISSION, next_id, size, price * tick_i4, side)
-            pos[next_id] = len(registry)
+            pos[next_id] = n_resting
             registry.append(next_id)
             next_id += 1
         elif v < base_rate:
@@ -215,24 +208,32 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
             while remaining > 0:
                 top = best[-side]
                 if top is None:
-                    res.side_depleted = True
                     break
-                head = next(iter(book_levels[-side][top].values()))  # FIFO head at the best
-                fill = min(remaining, head.size)
-                yield (t_ns, EXECUTION, head.id, fill, top * tick_i4, -side)
-                if head.id not in orders:
-                    drop_resting(head.id)
+                for head in book_levels[-side][top].values():  # the FIFO head at the best
+                    break
+                oid = head.id
+                fill = head.size if head.size < remaining else remaining
+                yield (t_ns, EXECUTION, oid, fill, top * tick_i4, -side)
+                if oid not in orders:  # filled: swap-remove it from the registry
+                    i, last = pos.pop(oid), registry.pop()
+                    if last != oid:
+                        registry[i], pos[last] = last, i
                 remaining -= fill
-            if res.side_depleted:
+            if best[-side] is None:  # it took the last order on that side
+                res.side_depleted = True
                 break
         else:
-            oid = registry[int(draw() * n_resting)]
+            i = int(draw() * n_resting)
+            oid = registry[i]
             order = orders[oid]
             yield (t_ns, FULL_DELETE, oid, order.size, order.price * tick_i4, order.side)
-            drop_resting(oid)
-        if best[BUY] is None or best[SELL] is None:
-            res.side_depleted = True
-            break
+            del pos[oid]
+            last = registry.pop()
+            if last != oid:
+                registry[i], pos[last] = last, i
+            if best[order.side] is None:  # it was the last order on its side
+                res.side_depleted = True
+                break
 
 
 # --- regime presets -------------------------------------------------------------

@@ -325,3 +325,123 @@ def process_counts(messages, preamble, start_ns, end_ns):
             counts[key] += 1
     order_ns += len(resting) * (end_ns - t_prev)
     return counts, order_ns
+
+
+def reference_order_flow(cfg):
+    """The zero-intelligence message stream of ``cfg`` and whether a side
+    depleted, from the generator as it stood before its per-message work was
+    cut: a resting-order registry kept through a ``drop_resting`` helper,
+    driven through ``lobster.replay`` on a book the generator reads."""
+    import itertools
+    import math
+
+    from queuecast import book as bk
+    from queuecast import lobster as lb
+
+    ob = bk.OrderBook(tick_size=cfg.tick_size)
+    depleted = [False]
+    messages = []
+
+    def flow():
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+        draw = itertools.chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
+        tick_i4 = round(cfg.tick_size * 10000)
+        size, levels = cfg.order_size, cfg.levels
+        registry, pos = [], {}
+        next_id = 1
+        start_ns = cfg.start_time_s * lb.NS
+        end_ns = start_ns + round(cfg.horizon * lb.NS)
+
+        def drop_resting(order_id):
+            i = pos.pop(order_id)
+            last = registry.pop()
+            if last != order_id:
+                registry[i] = last
+                pos[last] = i
+
+        for lvl in range(cfg.initial_levels):
+            for price in (cfg.initial_price - lvl, cfg.initial_price + cfg.initial_spread + lvl):
+                side = bk.BUY if price <= cfg.initial_price else bk.SELL
+                for _ in range(cfg.initial_depth):
+                    yield (start_ns, lb.SUBMISSION, next_id, size, price * tick_i4, side)
+                    pos[next_id] = len(registry)
+                    registry.append(next_id)
+                    next_id += 1
+
+        rate_limit_side = cfg.limit_rate * levels
+        rate_limit = 2.0 * rate_limit_side
+        rate_buy_market = rate_limit + cfg.market_rate
+        base_rate = rate_limit + 2.0 * cfg.market_rate
+        t_ns = start_ns
+        while True:
+            n_resting = len(registry)
+            total_rate = base_rate + cfg.cancel_rate * n_resting
+            if total_rate <= 0.0:
+                break
+            t_ns += int(-math.log(1.0 - draw()) / total_rate * 1e9) + 1
+            if t_ns >= end_ns:
+                break
+            v = draw() * total_rate
+            if v < rate_limit:
+                side = bk.BUY if v < rate_limit_side else bk.SELL
+                anchor = ob.best(-side)
+                if anchor is None:
+                    depleted[0] = True
+                    break
+                offset = int(draw() * levels)
+                price = anchor - 1 - offset if side == bk.BUY else anchor + 1 + offset
+                price = max(price, 1)
+                yield (t_ns, lb.SUBMISSION, next_id, size, price * tick_i4, side)
+                pos[next_id] = len(registry)
+                registry.append(next_id)
+                next_id += 1
+            elif v < base_rate:
+                side = bk.BUY if v < rate_buy_market else bk.SELL
+                remaining = size
+                while remaining > 0:
+                    top = ob.best(-side)
+                    if top is None:
+                        depleted[0] = True
+                        break
+                    head = ob.first_at_best(-side)
+                    fill = min(remaining, head.size)
+                    yield (t_ns, lb.EXECUTION, head.id, fill, top * tick_i4, -side)
+                    if not ob.has_order(head.id):
+                        drop_resting(head.id)
+                    remaining -= fill
+                if depleted[0]:
+                    break
+            else:
+                oid = registry[int(draw() * n_resting)]
+                order = ob.get_order(oid)
+                yield (t_ns, lb.FULL_DELETE, oid, order.size, order.price * tick_i4, order.side)
+                drop_resting(oid)
+            if ob.best(bk.BUY) is None or ob.best(bk.SELL) is None:
+                depleted[0] = True
+                break
+
+    def kept():
+        for msg in flow():
+            messages.append(msg)
+            yield msg
+
+    lb.replay(kept(), tick_size=cfg.tick_size, ob=ob)
+    return messages, depleted[0]
+
+
+def integrated_timeline(timeline, open_ns, close_ns):
+    """(nb, na, spread) time integrals and the two-sided time over
+    [open_ns, close_ns), each record ``(t_ns, bid, ask, nb, na)`` holding from
+    its time until the next record's (the last until the close), one
+    nanosecond at a time."""
+    nb = na = spread = covered = 0
+    for i, (t, bid, ask, n_bid, n_ask) in enumerate(timeline):
+        t_end = timeline[i + 1][0] if i + 1 < len(timeline) else close_ns
+        if bid is None or ask is None:
+            continue
+        for _ in range(max(t, open_ns), min(t_end, close_ns)):
+            nb += n_bid
+            na += n_ask
+            spread += ask - bid
+            covered += 1
+    return nb, na, spread, covered

@@ -344,6 +344,12 @@ class TestReplayReadsQuoteOnChange:
         # the bid at 102.5 s comes and goes within the nanosecond: no record
         assert [st_.t_ns for st_ in timeline].count(102_500_000_000) == 0
 
+    def test_records_are_best_quote_states(self):
+        text = "".join(row + "\n" for row in self.MSGS)
+        timeline = lb.replay(lb.parse_messages(io.StringIO(text))).timeline
+        assert timeline == self.reference(msg_rows(self.MSGS))[0]
+        assert all(type(st_) is bk.BestQuoteState for st_ in timeline)
+
     def test_same_nanosecond_flicker_coalesced(self):
         msgs = msg_rows([
             "1.0,1,1,5,10000,1",

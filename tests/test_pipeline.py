@@ -272,6 +272,33 @@ class TestDayLoop:
         assert [oc.day for oc in serial] == list(range(5))
         assert pl.run_days(replace(cfg, jobs=2)) == serial
 
+    @pytest.mark.parametrize("days, jobs, workers", [(1, 4, None), (3, 4, 3), (5, 2, 2), (2, 1, None)])
+    def test_pool_has_no_more_workers_than_days(self, tmp_path, monkeypatch, days, jobs, workers):
+        # a fake pool records its size and runs the tasks in process; None:
+        # no pool was made
+        import concurrent.futures
+
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(pl, "_day_worker", lambda task: task[1])
+        cfg = pl.load_config(None, fast_overrides(tmp_path, days=days, jobs=jobs))
+        assert pl.run_days(cfg) == list(range(days))
+        assert made == ([] if workers is None else [workers])
+
     @pytest.mark.parametrize("preset", ["large-tick", "small-tick"])
     def test_unrecorded_day_matches_recorded_simulation(self, tmp_path, monkeypatch, preset):
         cfg = pl.load_config(None, fast_overrides(tmp_path, preset=preset, days=2, horizon=120.0))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queuecast import lobster as lb
 from queuecast import simulate as sim
@@ -11,7 +13,7 @@ from queuecast.book import BestQuoteState
 from queuecast.lobster import integrate_timeline
 from queuecast.simulate import ZiConfig, regime_preset, simulate
 
-from oracles import process_counts
+from oracles import integrated_timeline, process_counts, reference_order_flow
 
 
 def small_cfg(**over):
@@ -80,6 +82,10 @@ class TestFlowProperties:
         # volume never decreases: replay and check total book size grows
         rep = lb.replay(iter(res.messages))
         assert rep.counters.events == len(res.messages)
+
+    def test_records_are_best_quote_states(self):
+        res = simulate(small_cfg(horizon=30.0))
+        assert res.timeline and all(type(st_) is BestQuoteState for st_ in res.timeline)
 
     def test_messages_are_plain_tuples(self):
         res = simulate(small_cfg(horizon=30.0))
@@ -157,7 +163,7 @@ class TestUnrecordedSession:
     """A session run without messages and level-1 rows (a pipeline day's)
     is the recorded session minus those two lists."""
 
-    @pytest.mark.parametrize(
+    sessions = pytest.mark.parametrize(
         "cfg",
         [
             regime_preset("large-tick", seed=3, horizon=60.0),
@@ -167,6 +173,8 @@ class TestUnrecordedSession:
         ],
         ids=["large-tick", "small-tick", "side-depleted"],
     )
+
+    @sessions
     def test_matches_recorded_session(self, cfg):
         full = simulate(cfg)
         lean = sim._session(cfg)
@@ -174,6 +182,42 @@ class TestUnrecordedSession:
         assert lean.messages == [] and lean.l1_rows == []
         for name in ("timeline", "stats", "side_depleted", "first_event_ns", "end_ns"):
             assert getattr(lean, name) == getattr(full, name), name
+
+    @sessions
+    def test_records_are_best_quote_states(self, cfg):
+        window = lb.SessionWindow(cfg.start_time_s, cfg.start_time_s + 30)
+        res = sim._session(cfg, window=window)
+        assert res.timeline and all(type(st_) is BestQuoteState for st_ in res.timeline)
+
+
+class TestFlowOracle:
+    """The simulator's message stream is the reference generator's, message
+    for message, and so is its side-depletion flag."""
+
+    CASES = {
+        "large-tick": lambda seed: regime_preset("large-tick", seed=seed, horizon=8.0),
+        "small-tick": lambda seed: regime_preset("small-tick", seed=seed, horizon=60.0),
+        # market orders outpace a thin book: a side runs out within the horizon
+        "side-depleting": lambda seed: small_cfg(
+            seed=seed, limit_rate=0.2, market_rate=4.0, cancel_rate=0.1,
+            initial_levels=2, initial_depth=2, horizon=120.0),
+        # orders of three shares
+        "sized": lambda seed: small_cfg(seed=seed, order_size=3, horizon=40.0),
+    }
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=st.sampled_from(sorted(CASES)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_flow(self, case, seed):
+        cfg = self.CASES[case](seed)
+        res = simulate(cfg)
+        messages, depleted = reference_order_flow(cfg)
+        assert res.messages == messages
+        assert res.side_depleted == depleted
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_case_runs_its_path(self, case):
+        # the side-depleting case depletes, the others run to the horizon
+        assert simulate(self.CASES[case](11)).side_depleted == (case == "side-depleting")
 
 
 class TestPresets:
@@ -225,3 +269,26 @@ class TestIntegrateTimeline:
         tl = [BestQuoteState(0, 10, 12, 5, 3)]
         nb, na, sp, cov = integrate_timeline(tl, 50, 80)
         assert cov == 30 and nb == 150
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_matches_naive_integration(self, data):
+        # records with rising times, some one-sided, some before the open
+        # and some at or after the close; the empty timeline too
+        times = sorted(data.draw(st.sets(st.integers(0, 120), max_size=8)))
+        price = st.one_of(st.none(), st.integers(1, 20))
+        timeline = []
+        for t in times:
+            bid, ask = data.draw(price), data.draw(price)
+            if bid is not None and ask is not None and ask <= bid:
+                bid, ask = ask, bid + 1
+            nb = data.draw(st.integers(1, 9)) if bid is not None else 0
+            na = data.draw(st.integers(1, 9)) if ask is not None else 0
+            timeline.append(BestQuoteState(t, bid, ask, nb, na))
+        open_ns = data.draw(st.integers(0, 120))
+        close_ns = data.draw(st.integers(open_ns, 140))
+        assert integrate_timeline(timeline, open_ns, close_ns) == integrated_timeline(
+            timeline, open_ns, close_ns)
+
+    def test_empty_timeline_integrates_to_zero(self):
+        assert integrate_timeline([], 0, 100) == (0, 0, 0, 0)
