@@ -21,7 +21,7 @@ _EXPORTS = {
     "local": "CvResult LocalLogisticFit cv_bandwidth fit_local_logistic predict_local",
     "logistic": "chi2_sf_1df fit_intercept_only fit_logistic lr_test predict_logistic wald_test",
     "reports": "EvalReport LogisticFit TestResult",
-    "sampling": "SamplePoint build_day_samples queue_imbalance subsample_day",
+    "sampling": "build_day_samples queue_imbalance subsample_day",
     # the simulate() entry point itself stays namespaced (queuecast.simulate.simulate)
     # so the submodule attribute is not shadowed by a same-named function
     "simulate": "SimResult ZiConfig regime_preset",

@@ -245,7 +245,7 @@ def write_resolved_config(cfg: RunConfig, out: Path) -> None:
 @dataclass
 class DayOutcome:
     day: int
-    points: list[sp.SamplePoint]
+    points: list[tuple]  # the subsampled points, as sampling makes them
     stats: lb.DayStats
     flags: dict
     verification_mismatches: Optional[int] = None
@@ -265,11 +265,10 @@ def preset_day_config(cfg: RunConfig, day: int) -> sim.ZiConfig:
 def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
     from . import simulate as sim
 
-    window = cfg.window
-    res = sim._session(preset_day_config(cfg, day), window=window)  # no messages, no level-1 rows
-    close_ns = min(res.end_ns, window.close_ns)
+    # no messages, no level-1 rows
+    res = sim._session(preset_day_config(cfg, day), window=cfg.window)
     flags = {"side_depleted": res.side_depleted}
-    return _sampled_day(cfg, day, res.timeline, res.first_event_ns, close_ns, res.stats, flags)
+    return _sampled_day(cfg, day, res.timeline, res.first_event_ns, res.stats, flags)
 
 
 def read_lobster_day(
@@ -312,8 +311,8 @@ def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:
     flags = {"messages": counters.messages, "hidden_volume": counters.hidden_volume,
              "ignored_messages": counters.ignored_messages}
     mismatches = None if verification is None else len(verification.mismatches)
-    return _sampled_day(cfg, day, res.timeline, res.first_session_event_ns,
-                        cfg.window.close_ns, res.stats, flags, mismatches)
+    return _sampled_day(cfg, day, res.timeline, res.first_session_event_ns, res.stats, flags,
+                        mismatches)
 
 
 def _sampled_day(
@@ -321,14 +320,13 @@ def _sampled_day(
     day: int,
     timeline: list[bk.BestQuoteState],
     first_ns: Optional[int],
-    close_ns: int,
     stats: lb.DayStats,
     flags: dict,
     mismatches: Optional[int] = None,
 ) -> DayOutcome:
     """Sample and subsample a day's timeline from its first in-session event
-    ``first_ns`` (None: the day has none, so it has no points) up to
-    ``close_ns``, adding the sampling counts to the day's ``flags``."""
+    ``first_ns`` (None: the day has none, so it has no points) up to the
+    session close, adding the sampling counts to the day's ``flags``."""
     from . import sampling as sp
     from . import seeds
 
@@ -336,8 +334,8 @@ def _sampled_day(
         day_samples = sp.DaySampleResult()
     else:
         day_samples = sp.build_day_samples(
-            timeline, first_ns, close_ns, cfg.sampling_mode,
-            seeds.rng_for(cfg.seed, seeds.SAMPLING, day), instrument=cfg.instrument, day=day,
+            timeline, first_ns, cfg.window.close_ns, cfg.sampling_mode,
+            seeds.rng_for(cfg.seed, seeds.SAMPLING, day),
         )
     sub, short = sp.subsample_day(
         day_samples.points, cfg.subsample, seeds.rng_for(cfg.seed, seeds.SUBSAMPLE, day)
@@ -387,13 +385,15 @@ def stage_sample(cfg: RunConfig, out: Path) -> None:
 
     outcomes = run_days(cfg)
     points = [p for oc in outcomes for p in oc.points]
-    sp.write_samples_csv(out / "samples.csv", points)
-    nb = np.array([p.nb for p in points])
-    na = np.array([p.na for p in points])
-    if len(points) and nb.max(initial=0) > 0 and na.max(initial=0) > 0:
-        rows = [(side, v, surv) for side, lengths in (("ask", na), ("bid", nb))
-                for v, surv in zip(*(col.tolist() for col in ev.queue_survivor(lengths)))]
-        rp.write_csv(out / "queue_survivor.csv", ("side", "queue_length", "survivor"), rows)
+    sp.write_samples_csv(out / "samples.csv", points, cfg.instrument,
+                         [oc.day for oc in outcomes for _ in oc.points])
+    nb = np.array([p[4] for p in points])
+    na = np.array([p[5] for p in points])
+    if nb.max(initial=0) > 0 and na.max(initial=0) > 0:
+        (v_ask, s_ask), (v_bid, s_bid) = ev.queue_survivor(na), ev.queue_survivor(nb)
+        rp.write_csv(out / "queue_survivor.csv", ("side", "queue_length", "survivor"),
+                     (["ask"] * len(v_ask) + ["bid"] * len(v_bid),
+                      np.concatenate((v_ask, v_bid)), np.concatenate((s_ask, s_bid))))
     flags = {
         "schema_version": rp.SCHEMA_VERSION,
         "days": {str(oc.day): oc.flags for oc in outcomes},
@@ -499,7 +499,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
             rng=seeds.rng_for(cfg.seed, seeds.CV), grid=grid,
         )
         lfit = lo.fit_local_logistic(I_tr, y_tr, cv.alpha, grid=grid)
-        rp.write_csv(fits_dir / "local_curve.csv", ("grid", "fitted"), zip(lfit.grid, lfit.fitted))
+        rp.write_csv(fits_dir / "local_curve.csv", ("grid", "fitted"), (lfit.grid, lfit.fitted))
         meta = LocalMeta(
             alpha=cv.alpha,
             alpha_candidates=cfg.alphas,
@@ -535,7 +535,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> None:
 
     edges, counts = ev.imbalance_histogram(samples.imbalance)
     rp.write_csv(eval_dir / "histogram.csv", ("bin_left", "bin_right", "count"),
-                 zip(edges[:-1], edges[1:], counts.tolist()))
+                 (edges[:-1], edges[1:], counts))
 
     if "logistic" in cfg.models:
         fit = rp.read_record(rp.LogisticFit, out / "fits" / "logistic.json")
@@ -585,7 +585,7 @@ def _write_eval(eval_dir: Path, model_id: str, s_tr, y_tr, s_te, y_te, **rest) -
     )
     rp.write_json(eval_dir / f"report_{model_id}.json", rp.record_to_dict(rep))
     roc = ev.roc_curve(s_te, y_te)
-    rp.write_csv(eval_dir / f"roc_{model_id}_out.csv", ("fpr", "tpr"), zip(roc.fpr, roc.tpr))
+    rp.write_csv(eval_dir / f"roc_{model_id}_out.csv", ("fpr", "tpr"), (roc.fpr, roc.tpr))
 
 
 def stage_report(cfg: RunConfig, out: Path) -> None:

@@ -25,8 +25,7 @@ import io
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar, get_args,
-                    get_type_hints)
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, get_args, get_type_hints
 
 from .errors import ConfigError, DataError, NumericalError
 
@@ -212,17 +211,19 @@ def read_local_curve_csv(path, alpha: float = float("nan")) -> LocalLogisticFit:
                             np.array([v for _, v in points]), alpha)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """``header`` and then ``rows`` as the CSV file at ``path``, as ``read_csv``
-    reads it: comma-separated with CRLF row ends, a column whose first value is
-    a float rendered as ``%.12g`` and any other column as ``str``."""
+def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """``header`` and then the rows of ``columns``, sequences of one length (a
+    numpy array is read as its ``tolist()``), as the CSV file at ``path``, as
+    ``read_csv`` reads it: comma-separated with CRLF row ends, a column whose
+    first value is a float rendered as ``%.12g`` and any other column as ``str``."""
+    columns = [tuple(col.tolist() if hasattr(col, "tolist") else col) for col in columns]
     # a float column is formatted in one % operation, its cells split at NULs
-    columns = [("%.12g\0" * len(col) % col).split("\0")[:-1] if isinstance(col[0], float)
-               else map(str, col) for col in zip(*rows)]
+    cells = [("%.12g\0" * len(col) % col).split("\0")[:-1] if col and isinstance(col[0], float)
+             else map(str, col) for col in columns]
     with open_out(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*columns))
+        w.writerows(zip(*cells))
 
 
 def read_text(path) -> str:

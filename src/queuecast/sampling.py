@@ -4,10 +4,14 @@ A day's best-quote timeline, read as ``lobster.replay`` makes it (the last
 quote of each nanosecond at which it changed), is sampled in one pass
 (``build_day_samples``): each mid-price change gets its direction label and
 one imbalance observation drawn inside the interval before it (uniformly in
-wall time, or uniformly over the discrete best-quote update times). This
-module also subsamples each day to a fixed size and splits the aggregated
-rows into train and test indices. The fit and evaluate stages read
-samples.csv back as columns, not points.
+wall time, or uniformly over the discrete best-quote update times). A
+point is a plain tuple ``(t_sample_ns, t_change_ns, I, y, nb, na)``: the
+sample time, the change time, the imbalance, the label and the two best
+queue lengths it was read from. It holds no instrument or day; those become
+columns when ``write_samples_csv`` writes the run's points. This module also
+subsamples each day to a fixed size and splits the aggregated rows into
+train and test indices. The fit and evaluate stages read samples.csv back
+as columns, not points.
 
 Mids are compared as exact half-tick integers (bid + ask), so change
 detection has no tolerance parameter. All timestamps are integer
@@ -28,19 +32,6 @@ from .reports import read_csv, read_text, write_csv
 
 if TYPE_CHECKING:
     from .book import BestQuoteState
-
-
-@dataclass(frozen=True, slots=True)
-class SamplePoint:
-    instrument: str
-    day: int
-    t_sample_ns: int
-    t_change_ns: int
-    imbalance: float
-    label: int
-    nb: int = 0
-    na: int = 0
-    fallback: bool = False
 
 
 @dataclass
@@ -70,7 +61,7 @@ EVENT = "event"
 
 @dataclass
 class DaySampleResult:
-    points: list[SamplePoint] = field(default_factory=list)
+    points: list[tuple] = field(default_factory=list)  # (t_sample_ns, t_change_ns, I, y, nb, na)
     n_changes: int = 0
     dropped_after_close: int = 0
     skipped_one_sided: int = 0
@@ -84,8 +75,6 @@ def build_day_samples(
     close_ns: int,
     mode: str,
     rng: np.random.Generator,
-    instrument: str = "SIM",
-    day: int = 0,
 ) -> DaySampleResult:
     """One day's (I_i, y_i) sample from replay's timeline ``states``, in one
     pass over it.
@@ -102,7 +91,8 @@ def build_day_samples(
       skipped, undrawn.
     - event: one draw among the two-sided records strictly inside, reading
       that record; without one, no draw, and the point falls back to the
-      record prevailing at the interval's start, stamped there.
+      record prevailing at the interval's start, stamped there (counted in
+      ``fallback_points``).
 
     A point whose record is one-sided or has both queues empty is skipped.
     """
@@ -150,16 +140,16 @@ def build_day_samples(
             res.skipped_one_sided += 1
             continue
         res.fallback_points += fallback
-        res.points.append(SamplePoint(instrument, day, t_s, t, queue_imbalance(st.nb, st.na),
-                                      1 if mid > prev_mid else 0, st.nb, st.na, fallback))
+        res.points.append((t_s, t, queue_imbalance(st.nb, st.na), 1 if mid > prev_mid else 0,
+                           st.nb, st.na))
     return res
 
 
 def subsample_day(
-    points: Sequence[SamplePoint],
+    points: Sequence[tuple],
     n: int,
     rng: np.random.Generator,
-) -> tuple[list[SamplePoint], bool]:
+) -> tuple[list[tuple], bool]:
     """Uniform draw of n points without replacement, chronological order.
 
     Days with fewer than n points are taken whole and flagged.
@@ -196,10 +186,11 @@ def split_indices(
 SAMPLE_COLUMNS = ("instrument", "day", "t_sample_ns", "t_change_ns", "I", "y")
 
 
-def write_samples_csv(path, points: Sequence[SamplePoint]) -> None:
-    write_csv(path, SAMPLE_COLUMNS,
-              ((p.instrument, p.day, p.t_sample_ns, p.t_change_ns, p.imbalance, p.label)
-               for p in points))
+def write_samples_csv(path, points: Sequence[tuple], instrument: str,
+                      days: Sequence[int]) -> None:
+    """samples.csv of ``points`` in order, ``days[k]`` the day of ``points[k]``."""
+    columns = list(zip(*points)) or [()] * 4
+    write_csv(path, SAMPLE_COLUMNS, ([instrument] * len(points), days, *columns[:4]))
 
 
 # A row as write_samples_csv writes it: an instrument of at most 64 printable

@@ -362,7 +362,7 @@ class TestReplayReadsQuoteOnChange:
         assert timeline == [(lb.NS, 100, 102, 5, 5), (9 * lb.NS, 101, 102, 5, 5)]
         # so the mid moves once: up, at 9 s
         day = build_day_samples(timeline, lb.NS, 10 * lb.NS, EVENT, np.random.default_rng(0))
-        assert [(p.t_change_ns, p.label) for p in day.points] == [(9 * lb.NS, 1)]
+        assert [(p[1], p[3]) for p in day.points] == [(9 * lb.NS, 1)]  # (t_change_ns, y)
 
     @settings(deadline=None)
     @given(msgs=bursty_messages())

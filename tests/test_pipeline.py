@@ -13,6 +13,7 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from queuecast.reports import (
     read_record,
     record_to_dict,
     stars,
+    write_csv,
     write_json,
 )
 from queuecast.simulate import regime_preset, simulate
@@ -736,6 +738,19 @@ class TestCli:
         )
         assert not (out / "fits" / "logistic.json").exists()
 
+    def test_zero_point_sample_then_fit_exits_4(self, tmp_path, capsys):
+        """A horizon of one nanosecond holds the preamble alone: no mid changes,
+        so every sample column is empty and fit has nothing to split."""
+        out = tmp_path / "o"
+        (tmp_path / "run.cfg").write_text(f"days = 2\nhorizon = 0.000000001\nout_dir = {out}\n")
+        assert cli_main(["sample", "--config", str(tmp_path / "run.cfg")]) == 0
+        assert (out / "samples.csv").read_bytes() == (",".join(sp.SAMPLE_COLUMNS) + "\r\n").encode()
+        assert json.loads((out / "sampling_flags.json").read_text())["total_points"] == 0
+        assert not (out / "queue_survivor.csv").exists()
+        capsys.readouterr()
+        assert cli_main(["fit", "--config", str(tmp_path / "run.cfg")]) == 4
+        assert capsys.readouterr().err == "numerical error: need at least 5 points, got 0\n"
+
     def test_bad_local_curve_is_data_error(self, tmp_path):
         path = tmp_path / "local_curve.csv"
         with pytest.raises(DataError, match="local_curve.csv"):
@@ -1202,7 +1217,7 @@ EXPORTED = """
     CvResult LocalLogisticFit cv_bandwidth fit_local_logistic predict_local
     LogisticFit TestResult chi2_sf_1df fit_intercept_only fit_logistic lr_test
     predict_logistic wald_test
-    SamplePoint build_day_samples subsample_day
+    build_day_samples subsample_day
     SimResult ZiConfig regime_preset
 """
 
@@ -1381,6 +1396,23 @@ class TestRecordRoundTrip:
         path.write_text(json.dumps(record_to_dict(rec)))
         with pytest.raises(DataError, match="report.json: NaN is not a JSON number"):
             read_record(EvalReport, path)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("floats, ints, names, text", [
+        ([0.1, 1 / 3, -2e-20], [1, 20, -3], ["a", "b c", ""],
+         "x,n,s\r\n0.1,1,a\r\n0.333333333333,20,b c\r\n-2e-20,-3,\r\n"),
+        ([], [], [], "x,n,s\r\n"),
+    ], ids=["rows", "no-rows"])
+    def test_list_and_array_columns_write_the_same_bytes(self, tmp_path, floats, ints, names,
+                                                         text):
+        """A float column is %.12g and any other str, whether it is a list or an array."""
+        lists, arrays = tmp_path / "lists.csv", tmp_path / "arrays.csv"
+        write_csv(lists, ("x", "n", "s"), (floats, ints, names))
+        write_csv(arrays, ("x", "n", "s"), (np.array(floats, dtype=float),
+                                            np.array(ints, dtype=np.int64),
+                                            np.array(names, dtype=str)))
+        assert lists.read_bytes() == arrays.read_bytes() == text.encode()
 
 
 class TestEmitReport:

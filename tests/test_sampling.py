@@ -15,7 +15,6 @@ from queuecast.errors import DataError, NumericalError
 from queuecast.sampling import (
     EVENT,
     UNIFORM,
-    SamplePoint,
     build_day_samples,
     read_samples_csv,
     split_indices,
@@ -38,7 +37,7 @@ def changes_seen(tl, t0, close=NEVER):
     """(t_change, y) of every point event mode draws from ``tl``: one per
     in-session mid change while the book stays two-sided."""
     res = build_day_samples(tl, t0, close, EVENT, np.random.default_rng(0))
-    return [(p.t_change_ns, p.label) for p in res.points]
+    return [(t_change, y) for _, t_change, _, y, _, _ in res.points]
 
 
 class TestMidChangeTimes:
@@ -84,9 +83,9 @@ class TestUniformTimeSampling:
         tl = alternating(200, 10)
         res = build_day_samples(tl, 0, NEVER, UNIFORM, np.random.default_rng(0))
         assert len(res.points) == 200
-        for p in res.points:
-            assert p.t_change_ns - 10 < p.t_sample_ns < p.t_change_ns
-            assert p.imbalance == pytest.approx((3 - 7) / 10)
+        for t_sample, t_change, imbalance, *_ in res.points:
+            assert t_change - 10 < t_sample < t_change
+            assert imbalance == pytest.approx((3 - 7) / 10)
 
     def test_reproducible_given_seed(self):
         tl = alternating(3, 10**9)
@@ -99,7 +98,7 @@ class TestUniformTimeSampling:
         res = build_day_samples(
             alternating(100_000, width), 0, NEVER, UNIFORM, np.random.default_rng(12345)
         )
-        draws = np.array([p.t_sample_ns - (p.t_change_ns - width) for p in res.points],
+        draws = np.array([t_sample - (t_change - width) for t_sample, t_change, *_ in res.points],
                          dtype=float)
         assert len(draws) == 100_000
         stat = sps.kstest(draws / width, "uniform").pvalue
@@ -116,7 +115,7 @@ class TestUniformTimeSampling:
         tl = states((0, 100, 101, 3, 7), (10, 101, 102, 3, 7), (11, 100, 101, 3, 7))
         rng = np.random.default_rng(0)
         res = build_day_samples(tl, 0, NEVER, UNIFORM, rng)
-        assert [p.t_change_ns for p in res.points] == [10]
+        assert [p[1] for p in res.points] == [10]
         assert (res.n_changes, res.skipped_empty_interval) == (2, 1)
         # the skipped interval draws nothing: one draw was made, for (0, 10)
         again = np.random.default_rng(0)
@@ -127,14 +126,15 @@ class TestUniformTimeSampling:
 class TestEventTimeSampling:
     def test_single_update_chosen_surely(self):
         tl = states((0, 100, 101, 5, 5), (50, 100, 101, 9, 5), (100, 101, 102, 5, 5))
-        (p,) = build_day_samples(tl, 0, NEVER, EVENT, np.random.default_rng(0)).points
-        assert (p.t_sample_ns, p.nb, p.fallback) == (50, 9, False)
+        res = build_day_samples(tl, 0, NEVER, EVENT, np.random.default_rng(0))
+        (p,) = res.points
+        assert (p[0], p[4], res.fallback_points) == (50, 9, 0)
 
     def test_chi_square_uniform_over_updates(self):
         n = 21_000
         tl = alternating(n, 100, inside=range(10, 80, 10))  # updates at 10..70
         res = build_day_samples(tl, 0, NEVER, EVENT, np.random.default_rng(99))
-        offsets = [p.t_sample_ns % 100 for p in res.points]
+        offsets = [p[0] % 100 for p in res.points]
         assert len(offsets) == n and res.fallback_points == 0
         counts = np.bincount(offsets, minlength=100)[10:80:10]
         assert counts.sum() == n
@@ -145,16 +145,16 @@ class TestEventTimeSampling:
         tl = states((5, 100, 101, 3, 7), (50, 101, 102, 3, 7))
         res = build_day_samples(tl, 5, NEVER, EVENT, np.random.default_rng(1))
         (p,) = res.points
-        assert p.fallback and p.t_sample_ns == 5 and res.fallback_points == 1
-        assert p.imbalance == pytest.approx(-0.4)
+        assert p[0] == 5 and res.fallback_points == 1
+        assert p[2] == pytest.approx(-0.4)
 
     def test_endpoints_excluded(self):
         # the only updates sit on the interval ends: neither is drawn
         tl = states((0, 100, 101, 5, 5), (10, 101, 102, 6, 5), (50, 100, 101, 7, 5))
         for seed in range(20):
             res = build_day_samples(tl, 0, NEVER, EVENT, np.random.default_rng(seed))
-            assert [(p.t_sample_ns, p.nb, p.fallback) for p in res.points] == [
-                (0, 5, True), (10, 6, True)]
+            assert [(t_sample, nb) for t_sample, _, _, _, nb, _ in res.points] == [(0, 5), (10, 6)]
+            assert res.fallback_points == 2
 
 
 class TestHandTracedDay:
@@ -179,20 +179,20 @@ class TestHandTracedDay:
     def test_uniform(self):
         res = build_day_samples(self.TL, 0, 40, UNIFORM, np.random.default_rng(3))
         assert self.counts(res) == (4, 2, 1, 1, 0)
-        first, last = res.points
-        assert (first.t_change_ns, first.label, first.nb, first.na) == (10, 1, 4, 2)
-        assert 0 < first.t_sample_ns < 10 and first.imbalance == pytest.approx(1 / 3)
-        assert (last.t_change_ns, last.label) == (30, 1) and 16 < last.t_sample_ns < 30
-        assert (last.nb, last.na) == ((2, 5) if last.t_sample_ns < 20 else (6, 5))
+        (t_s1, t_c1, i1, y1, nb1, na1), (t_s2, t_c2, _, y2, nb2, na2) = res.points
+        assert (t_c1, y1, nb1, na1) == (10, 1, 4, 2)
+        assert 0 < t_s1 < 10 and i1 == pytest.approx(1 / 3)
+        assert (t_c2, y2) == (30, 1) and 16 < t_s2 < 30
+        assert (nb2, na2) == ((2, 5) if t_s2 < 20 else (6, 5))
 
     def test_event(self):
         res = build_day_samples(self.TL, 0, 40, EVENT, np.random.default_rng(3))
         assert self.counts(res) == (4, 2, 0, 0, 3)
         assert res.points == [
-            SamplePoint("SIM", 0, 0, 10, 1 / 3, 1, 4, 2, True),
-            SamplePoint("SIM", 0, 10, 11, 0.0, 0, 3, 3, True),
-            SamplePoint("SIM", 0, 11, 16, -3 / 7, 1, 2, 5, True),
-            SamplePoint("SIM", 0, 20, 30, 1 / 11, 1, 6, 5, False),
+            (0, 10, 1 / 3, 1, 4, 2),  # fallback
+            (10, 11, 0.0, 0, 3, 3),  # fallback
+            (11, 16, -3 / 7, 1, 2, 5),  # fallback
+            (20, 30, 1 / 11, 1, 6, 5),
         ]
 
 
@@ -221,29 +221,26 @@ class TestAgainstReference:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_naive_sampler_draw_for_draw(self, day, mode, seed):
         tl, t0, close = day
-        res = build_day_samples(tl, t0, close, mode, np.random.default_rng(seed),
-                                instrument="X", day=4)
+        res = build_day_samples(tl, t0, close, mode, np.random.default_rng(seed))
         points, counts = reference_day_sample(tl, t0, close, mode, np.random.default_rng(seed))
-        assert [(p.t_sample_ns, p.t_change_ns, p.imbalance, p.label, p.nb, p.na, p.fallback)
-                for p in res.points] == points
-        assert all((p.instrument, p.day) == ("X", 4) for p in res.points)
+        assert res.points == [p[:6] for p in points]  # the oracle's per-point fallback dropped
         assert {name: getattr(res, name) for name in counts} == counts
 
 
 class TestSubsample:
     def test_exact_size(self):
-        pts = [SamplePoint("X", 0, i, i + 1, 0.0, 1) for i in range(2500)]
+        pts = [(i, i + 1, 0.0, 1, 1, 1) for i in range(2500)]
         out, flagged = subsample_day(pts, 100, np.random.default_rng(0))
         assert len(out) == 100 and not flagged
-        assert len(set(p.t_sample_ns for p in out)) == 100
+        assert len(set(p[0] for p in out)) == 100
 
     def test_short_day_flagged(self):
-        pts = [SamplePoint("X", 0, i, i + 1, 0.0, 1) for i in range(60)]
+        pts = [(i, i + 1, 0.0, 1, 1, 1) for i in range(60)]
         out, flagged = subsample_day(pts, 100, np.random.default_rng(0))
         assert len(out) == 60 and flagged
 
     def test_same_seed_identical(self):
-        pts = [SamplePoint("X", 0, i, i + 1, 0.0, 1) for i in range(500)]
+        pts = [(i, i + 1, 0.0, 1, 1, 1) for i in range(500)]
         a, _ = subsample_day(pts, 100, np.random.default_rng(11))
         b, _ = subsample_day(pts, 100, np.random.default_rng(11))
         assert a == b
@@ -288,10 +285,10 @@ class TestDayPipeline:
         )
         changes = dict(mid_changes(sim_day.timeline, sim_day.first_event_ns))
         assert len(ds.points) > 50
-        for p in ds.points:
-            assert p.label == changes[p.t_change_ns]
-            assert p.t_sample_ns < p.t_change_ns
-            assert -1.0 < p.imbalance < 1.0
+        for t_sample, t_change, imbalance, y, _, _ in ds.points:
+            assert y == changes[t_change]
+            assert t_sample < t_change
+            assert -1.0 < imbalance < 1.0
 
     def test_uniform_and_event_modes_share_labels(self, sim_day):
         u = build_day_samples(
@@ -302,9 +299,7 @@ class TestDayPipeline:
             sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, EVENT,
             np.random.default_rng(2),
         )
-        assert [(p.t_change_ns, p.label) for p in u.points] == [
-            (p.t_change_ns, p.label) for p in e.points
-        ]
+        assert [(p[1], p[3]) for p in u.points] == [(p[1], p[3]) for p in e.points]
 
     def test_full_day_determinism(self, sim_day):
         a = build_day_samples(
@@ -327,8 +322,7 @@ class TestDayPipeline:
             sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, mode,
             np.random.default_rng(5),
         )
-        assert [(p.t_sample_ns, p.t_change_ns, p.imbalance, p.label, p.nb, p.na, p.fallback)
-                for p in res.points] == points
+        assert res.points == [p[:6] for p in points]  # the oracle's per-point fallback dropped
         assert {name: getattr(res, name) for name in counts} == counts
 
     def test_strict_interior_for_non_fallback(self, sim_day):
@@ -338,9 +332,12 @@ class TestDayPipeline:
         )
         changes = [t for t, _ in mid_changes(sim_day.timeline, sim_day.first_event_ns)]
         prev = {t: p for t, p in zip(changes, [sim_day.first_event_ns] + changes[:-1])}
-        for p in ds.points:
-            if not p.fallback:
-                assert prev[p.t_change_ns] < p.t_sample_ns < p.t_change_ns
+        # a fallback point is stamped at its interval's start; any other lies inside
+        fallbacks = 0
+        for t_sample, t_change, *_ in ds.points:
+            fallbacks += t_sample == prev[t_change]
+            assert t_sample == prev[t_change] or prev[t_change] < t_sample < t_change
+        assert fallbacks == ds.fallback_points
 
     def test_changes_after_close_dropped(self, sim_day):
         close = sim_day.first_event_ns + 30 * 10**9
@@ -349,17 +346,17 @@ class TestDayPipeline:
             np.random.default_rng(1),
         )
         assert ds.dropped_after_close > 0
-        assert all(p.t_change_ns < close for p in ds.points)
+        assert all(p[1] < close for p in ds.points)
 
 
 class TestCsvRoundTrip:
     def test_schema_and_values(self, tmp_path):
         pts = [
-            SamplePoint("SIM", 3, 36000000000001, 36000000002000, 1 / 3, 1),
-            SamplePoint("SIM", 3, 36000000003000, 36000000004000, -0.123456789012345, 0),
+            (36000000000001, 36000000002000, 1 / 3, 1, 2, 1),
+            (36000000003000, 36000000004000, -0.123456789012345, 0, 3, 4),
         ]
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, pts)
+        write_samples_csv(path, pts, "SIM", [3, 3])
         text = path.read_text().splitlines()
         assert text[0] == "instrument,day,t_sample_ns,t_change_ns,I,y"
         assert text[1].split(",")[4] == "0.333333333333"
@@ -452,10 +449,10 @@ class TestBlockRead:
                 assert read_outcome(columns, path) == got
 
     def test_canonical_file_is_converted_whole(self, tmp_path, monkeypatch):
-        pts = [SamplePoint("SIM", 3, 36000000000001 + i, 36000000002000 + i, (i - 3) / 4, i % 2)
+        pts = [(36000000000001 + i, 36000000002000 + i, (i - 3) / 4, i % 2, 1, 1)
                for i in range(7)]
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, pts)
+        write_samples_csv(path, pts, "SIM", [3] * 7)
         monkeypatch.setattr(sp, "read_csv", None)  # the per-row path is not called
         back = read_samples_csv(path)
         assert back.imbalance.tolist() == [(i - 3) / 4 for i in range(7)]
