@@ -34,39 +34,26 @@ class Order:
     side: int  # BUY or SELL
     price: int  # integer tick count, >= 1
     size: int  # integer shares, >= 1
-    entry_seq: int = 0
 
 
 class BookEvent(NamedTuple):
-    """A normalized book mutation.
+    """The fields of a book event, in order. Replay's events are plain tuples
+    in this order; a BookEvent serves wherever one does.
 
-    ``order`` is set for SUBMIT events; ``order_id``/``delta`` for the rest.
-    ``seq`` must be strictly increasing within a stream and breaks time ties
-    for price-time priority.
+    The first six are the events CSV's columns. ``price_ticks`` and ``side``
+    are None except on a SUBMIT, whose ``size_delta`` is the size that rests
+    (after a crossing, the residual). A DELETE's ``size_delta`` is 0. ``seq``
+    rises strictly within a stream and breaks time ties for price-time
+    priority.
     """
 
-    t_ns: int
     seq: int
+    t_ns: int
     kind: str
-    order: Optional[Order]
     order_id: int
-    delta: int
-
-    @classmethod
-    def submit(cls, t_ns: int, seq: int, order: Order) -> "BookEvent":
-        return cls(t_ns, seq, SUBMIT, order, order.id, 0)
-
-    @classmethod
-    def reduce(cls, t_ns: int, seq: int, order_id: int, delta: int) -> "BookEvent":
-        return cls(t_ns, seq, REDUCE, None, order_id, delta)
-
-    @classmethod
-    def delete(cls, t_ns: int, seq: int, order_id: int) -> "BookEvent":
-        return cls(t_ns, seq, DELETE, None, order_id, 0)
-
-    @classmethod
-    def execute(cls, t_ns: int, seq: int, order_id: int, delta: int) -> "BookEvent":
-        return cls(t_ns, seq, EXECUTE, None, order_id, delta)
+    price_ticks: Optional[int]
+    size_delta: int
+    side: Optional[int]
 
 
 class BestQuoteState(NamedTuple):
@@ -93,15 +80,15 @@ class OrderBook:
     """Event-sourced two-sided book exposing best quotes and queue sizes.
 
     Single-writer per instrument-day; ``state()`` hands out immutable
-    values. ``tick_size`` (currency per tick) is metadata used by ingest,
-    not by the matching logic.
+    values. ``tick_size`` (currency per tick) is metadata; the matching
+    logic works in ticks and does not read it.
     """
 
     def __init__(self, tick_size: float = 0.01):
         self.tick_size = tick_size
         # side -> {price: {order_id: Order}}; dict preserves FIFO insertion
         # order within a level, which is exactly price-time priority after
-        # entry_seq-ordered submission.
+        # seq-ordered submission.
         self._levels: dict[int, dict[int, dict[int, Order]]] = {BUY: {}, SELL: {}}
         self._totals: dict[int, dict[int, int]] = {BUY: {}, SELL: {}}
         self._orders: dict[int, Order] = {}
@@ -137,51 +124,44 @@ class OrderBook:
 
     # -- mutation -----------------------------------------------------------
 
-    def apply(self, ev: BookEvent) -> bool:
-        """Apply one event; returns whether the best quotes changed.
+    def apply(self, ev: tuple) -> bool:
+        """Apply one event, a tuple in ``BookEvent`` field order; returns
+        whether the best quotes changed.
 
         True iff any of (bid, ask, nb, na) changed, including transitions
         into or out of a one-sided state. The quote is not read: the mutator
         decides from the touched side alone, since an event moves the quote
-        iff it touches that side's best level.
+        iff it touches that side's best level. A submission is checked
+        (size and price >= 1, side, live id, no crossing) before it rests;
+        the book keeps the order it rests and later shrinks it in place.
         """
-        kind = ev.kind
+        _, t_ns, kind, order_id, price, size, side = ev
         if kind == SUBMIT:
-            if ev.order is None:
-                raise ValueError("submit event carries no order")
-            o = ev.order  # the event keeps its order as submitted
-            changed = self.submit(Order(o.id, o.side, o.price, o.size, o.entry_seq))
+            if price < 1 or size < 1:
+                raise ValueError(f"order {order_id}: price and size must be >= 1")
+            if side != BUY and side != SELL:
+                raise ValueError(f"order {order_id}: bad side {side}")
+            if order_id in self._orders:
+                raise ValueError(f"order id {order_id} already active")
+            opp = self._best[-side]
+            if opp is not None and (price >= opp if side == BUY else price <= opp):
+                raise DataError(f"submit {order_id} at price {price} crosses opposite best {opp}")
+            changed = self._rest(Order(order_id, side, price, size))
         elif kind == REDUCE or kind == EXECUTE:
             # the same book mutation; trade vs cancel matters only to callers
-            changed = self.reduce(ev.order_id, ev.delta)
+            changed = self.reduce(order_id, size)
         elif kind == DELETE:
-            changed = self.delete(ev.order_id)
+            changed = self.delete(order_id)
         else:
             raise ValueError(f"unknown event kind {kind!r}")
-        self.last_t_ns = ev.t_ns
+        self.last_t_ns = t_ns
         return changed
 
-    def submit(self, order: Order) -> bool:
-        """Rest ``order``, which the book keeps and later shrinks in place.
-
-        Returns whether the quote changed: iff the price is the side's best
-        after the insert (a new best, or it joined the best level).
-        """
-        side, price, order_id = order.side, order.price, order.id
-        if price < 1 or order.size < 1:
-            raise ValueError(f"order {order_id}: price and size must be >= 1")
-        if side != BUY and side != SELL:
-            raise ValueError(f"order {order_id}: bad side {side}")
-        if order_id in self._orders:
-            raise ValueError(f"order id {order_id} already active")
-        opposite = self._best[-side]
-        if opposite is not None and (price >= opposite if side == BUY else price <= opposite):
-            raise DataError(f"submit {order_id} at price {price} crosses opposite best {opposite}")
-        return self._rest(order)
-
     def _rest(self, order: Order) -> bool:
-        """``submit`` without its checks, for callers that made them: the
-        order is valid, its id is not live and it does not cross."""
+        """Rest ``order`` without ``apply``'s checks, for callers that made
+        them: the order is valid, its id is not live and it does not cross.
+        Returns whether the quote changed: iff the price is the side's best
+        after the insert (a new best, or it joined the best level)."""
         side, price, order_id = order.side, order.price, order.id
         lvl = self._levels[side].get(price)
         if lvl is None:

@@ -23,14 +23,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from typing import TYPE_CHECKING
 
 from . import pipeline as pl
 from . import reports as rp
 from .errors import ConfigError, DataError, NumericalError
-
-if TYPE_CHECKING:
-    from .book import BookEvent
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -105,22 +101,6 @@ def cmd_simulate(cfg: pl.RunConfig) -> None:
     rp.write_json(out / "manifest.json", manifest)
 
 
-def _event_writer(fh):
-    """Append target that writes each book event to ``fh`` as an events-CSV row."""
-    from .book import SUBMIT
-
-    write = fh.write
-
-    def append(ev: BookEvent) -> None:
-        if ev.kind == SUBMIT:
-            order = ev.order
-            write(f"{ev.seq},{ev.t_ns},{ev.kind},{order.id},{order.price},{order.size}\n")
-        else:
-            write(f"{ev.seq},{ev.t_ns},{ev.kind},{ev.order_id},,{ev.delta}\n")
-
-    return append
-
-
 def cmd_ingest(cfg: pl.RunConfig) -> None:
     """Replay message files into normalized event logs, verify against any
     orderbook references, and write the summary-statistics record.
@@ -128,6 +108,8 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
     Each day's events are written as replay makes them, under a temporary
     name that becomes the events file once the day has verified; a day that
     fails leaves neither."""
+    from . import lobster as lb
+
     if cfg.source != "lobster":
         raise ConfigError("ingest requires source = lobster with message_files")
     out = pl.fresh_out_dir(cfg)
@@ -139,8 +121,7 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
         partial = out / f"day{day:03d}_events.csv.partial"
         try:
             with rp.open_out(partial, newline="\n") as fh:
-                fh.write("seq,t_ns,kind,order_id,price_ticks,size_delta\n")
-                res, report = pl.read_lobster_day(cfg, day, events=_event_writer(fh))
+                res, report = pl.read_lobster_day(cfg, day, events=lb.event_writer(fh))
         except BaseException:
             partial.unlink(missing_ok=True)
             raise

@@ -43,7 +43,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice, repeat
 from math import inf
@@ -313,6 +313,20 @@ def write_l1_file(path, rows: Iterable[tuple[int, int, int, int]]) -> None:
         fh.writelines(map(_l1_text, rows))
 
 
+def event_writer(fh: TextIO) -> Callable[[tuple], None]:
+    """Append target for replay's book events that writes them to ``fh`` as
+    an events CSV: the header, then one row per event, its first six fields
+    with ``price_ticks`` empty off a submission."""
+    write = fh.write
+    write("seq,t_ns,kind,order_id,price_ticks,size_delta\n")
+
+    def append(ev: tuple) -> None:
+        seq, t_ns, kind, order_id, price, size, _ = ev
+        write(f"{seq},{t_ns},{kind},{order_id},{'' if price is None else price},{size}\n")
+
+    return append
+
+
 # --- replay -------------------------------------------------------------------
 
 @dataclass
@@ -342,14 +356,15 @@ class DayStats:
 class ReplayResult:
     timeline: list[bk.BestQuoteState] = field(default_factory=list)
     l1_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
-    events: list[bk.BookEvent] = field(default_factory=list)
+    events: list[tuple] = field(default_factory=list)
     counters: ReplayCounters = field(default_factory=ReplayCounters)
     stats: DayStats = field(default_factory=DayStats)
     first_session_event_ns: Optional[int] = None
 
 
-def messages_to_events(msgs: Iterable[tuple], tick_size: float = 0.01) -> list[bk.BookEvent]:
-    """Convert a message stream into the normalized book-event stream."""
+def messages_to_events(msgs: Iterable[tuple], tick_size: float = 0.01) -> list[tuple]:
+    """Convert a message stream into the normalized book-event stream, tuples
+    in ``BookEvent`` field order."""
     return replay(msgs, tick_size=tick_size, keep_events=True).events
 
 
@@ -358,7 +373,7 @@ def replay(
     tick_size: float = 0.01,
     window: Optional[SessionWindow] = None,
     record_l1: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = False,
-    keep_events: bool | Optional[Callable[[bk.BookEvent], None]] = False,
+    keep_events: bool | Optional[Callable[[tuple], None]] = False,
     ob: Optional[bk.OrderBook] = None,
 ) -> ReplayResult:
     """Replay a message stream through a fresh book.
@@ -382,12 +397,15 @@ def replay(
 
     ``keep_events`` says where the book events go: nowhere (False or None),
     to the result's ``events`` list (True), or to an append target, a
-    callable that takes each one as it is made. ``record_l1`` says where the
-    level-1 rows go, one per message, the quote after its own message: to
-    ``l1_rows`` (True), or to an append target, which gets a record
-    ``(i, row)`` when the row of message ``i`` (from 0) differs from the row
-    before, and ``(n, None)`` once the first ``n`` rows are final: at the
-    end, or before a fault in message ``n + 1`` is raised.
+    callable that takes each one as it is made. An event is a plain tuple in
+    ``BookEvent`` field order, whose ``seq`` starts at 0 and rises strictly;
+    a crossing submission makes its executions, then the submission of the
+    residual that rests, if any. ``record_l1`` says where the level-1 rows
+    go, one per message, the quote after its own message: to ``l1_rows``
+    (True), or to an append target, which gets a record ``(i, row)`` when
+    the row of message ``i`` (from 0) differs from the row before, and
+    ``(n, None)`` once the first ``n`` rows are final: at the end, or before
+    a fault in message ``n + 1`` is raised.
 
     A message is a tuple in ``LobsterMessage`` field order, read by position.
     Messages are pulled one at a time, so a generator that reads ``ob`` sees
@@ -434,17 +452,16 @@ def replay(
                         pmin = p if pmin is None or p < pmin else pmin
                         pmax = p if pmax is None or p > pmax else pmax
                 if size:
-                    order = Order(order_id, side, price, size, seq)
-                    if emit is not None:  # the book shrinks its order; the event keeps a copy
-                        emit(bk.BookEvent.submit(t, seq, replace(order)))
-                    if rest(order):
+                    if emit is not None:
+                        emit((seq, t, bk.SUBMIT, order_id, price, size, side))
+                    if rest(Order(order_id, side, price, size)):
                         changed = True
                         if in_session:
                             limit_volume += size * price_i4
             elif code == FULL_DELETE:
                 changed = delete(order_id)
                 if emit is not None:
-                    emit(bk.BookEvent.delete(t, seq, order_id))
+                    emit((seq, t, bk.DELETE, order_id, None, 0, None))
             elif code == EXECUTION:
                 if size < 1:
                     raise DataError("execution with size 0")
@@ -452,7 +469,7 @@ def replay(
                 filled = order is not None and size == order.size
                 changed = delete(order_id) if filled else reduce(order_id, size)
                 if emit is not None:
-                    emit(bk.BookEvent.execute(t, seq, order_id, size))
+                    emit((seq, t, bk.EXECUTE, order_id, None, size, None))
                 if in_session:
                     p = order.price * tick_i4
                     volume += size * p
@@ -463,7 +480,7 @@ def replay(
                     raise DataError("partial cancel with size 0")
                 changed = reduce(order_id, size)
                 if emit is not None:
-                    emit(bk.BookEvent.reduce(t, seq, order_id, size))
+                    emit((seq, t, bk.REDUCE, order_id, None, size, None))
             else:
                 if code == HIDDEN_EXECUTION:
                     hidden += size
@@ -513,7 +530,7 @@ def replay(
 
 def _cross(
     ob: bk.OrderBook, t_ns: int, seq: int, side: int, price: int, size: int,
-    emit: Optional[Callable[[bk.BookEvent], None]],
+    emit: Optional[Callable[[tuple], None]],
 ) -> tuple[bool, int, list[tuple[int, int]]]:
     """Execute a submission of ``size`` at ``price`` against the opposite
     queue in priority order while it crosses, numbering the execution
@@ -528,7 +545,7 @@ def _cross(
         trades.append((head.price, fill))
         changed |= ob.reduce(head.id, fill)
         if emit is not None:
-            emit(bk.BookEvent.execute(t_ns, seq + len(trades) - 1, head.id, fill))
+            emit((seq + len(trades) - 1, t_ns, bk.EXECUTE, head.id, None, fill, None))
         size -= fill
         if size == 0:
             break

@@ -272,7 +272,7 @@ def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
 
 
 def read_lobster_day(
-    cfg: RunConfig, day: int, events: Optional[Callable[[bk.BookEvent], None]] = None
+    cfg: RunConfig, day: int, events: Optional[Callable[[tuple], None]] = None
 ) -> tuple[lb.ReplayResult, Optional[lb.VerificationReport]]:
     """Parse, replay and verify LOBSTER day ``day`` in one pass.
 

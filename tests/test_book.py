@@ -11,7 +11,6 @@ from queuecast.book import (
     SELL,
     SUBMIT,
     BookEvent,
-    Order,
     OrderBook,
 )
 from queuecast.errors import DataError, NumericalError
@@ -20,16 +19,20 @@ from queuecast.sampling import queue_imbalance
 from oracles import NaiveBook
 
 
+# Events are plain tuples in BookEvent field order:
+# (seq, t_ns, kind, order_id, price_ticks, size_delta, side)
+
+
 def make_book(bids=(), asks=()):
     """bids/asks: iterables of (price, size) tuples, submitted in order."""
     ob = OrderBook()
     oid = 0
     for price, size in bids:
         oid += 1
-        ob.apply(BookEvent.submit(oid, oid, Order(oid, BUY, price, size, oid)))
+        ob.apply((oid, oid, SUBMIT, oid, price, size, BUY))
     for price, size in asks:
         oid += 1
-        ob.apply(BookEvent.submit(oid, oid, Order(oid, SELL, price, size, oid)))
+        ob.apply((oid, oid, SUBMIT, oid, price, size, SELL))
     return ob, oid
 
 
@@ -63,7 +66,8 @@ class TestApplyEvent:
         ob, oid = make_book(bids=[(100, 50)], asks=[(101, 10)])
         # widen so there is room inside the spread
         ob2, oid = make_book(bids=[(100, 50)], asks=[(102, 10)])
-        changed = ob2.apply(BookEvent.submit(10, oid + 1, Order(99, BUY, 101, 10, oid + 1)))
+        # a BookEvent serves wherever its plain tuple does
+        changed = ob2.apply(BookEvent(oid + 1, 10, SUBMIT, 99, 101, 10, BUY))
         assert changed is True
         snap = ob2.state()
         assert snap.bid == 101 and snap.nb == 10 and snap.t_ns == 10
@@ -71,7 +75,7 @@ class TestApplyEvent:
     def test_submit_with_empty_opposite_side(self):
         # no ask resting: any buy price is non-crossing and lifts the bid
         ob, oid = make_book(bids=[(100, 50)])
-        changed = ob.apply(BookEvent.submit(10, oid + 1, Order(99, BUY, 101, 10, oid + 1)))
+        changed = ob.apply((oid + 1, 10, SUBMIT, 99, 101, 10, BUY))
         assert changed and not ob.state().two_sided  # still one-sided, no quote
         assert ob.best(BUY) == 101
         assert ob.state().nb == 10  # the size resting at the new best bid
@@ -79,20 +83,20 @@ class TestApplyEvent:
     def test_partial_execute_keeps_fifo_priority(self):
         ob, oid = make_book(bids=[(100, 1)], asks=[(101, 7), (101, 5)])
         head = ob.first_at_best(SELL)
-        ob.apply(BookEvent.execute(10, oid + 1, head.id, 3))
+        ob.apply((oid + 1, 10, EXECUTE, head.id, None, 3, None))
         assert ob.first_at_best(SELL).id == head.id
         assert ob.first_at_best(SELL).size == 4
 
     def test_execute_depletes_level(self):
         ob, oid = make_book(bids=[(100, 30), (99, 70)], asks=[(101, 5)])
-        changed = ob.apply(BookEvent.execute(10, oid + 1, 1, 30))
+        changed = ob.apply((oid + 1, 10, EXECUTE, 1, None, 30, None))
         assert changed
         snap = ob.state()
         assert snap.bid == 99 and snap.nb == 70
 
     def test_reduce_keeps_quotes(self):
         ob, oid = make_book(bids=[(100, 20)], asks=[(101, 5)])
-        changed = ob.apply(BookEvent.reduce(10, oid + 1, 1, 5))
+        changed = ob.apply((oid + 1, 10, REDUCE, 1, None, 5, None))
         assert changed  # nb changed even though prices did not
         snap = ob.state()
         assert (snap.bid, snap.ask, snap.nb) == (100, 101, 15)
@@ -100,29 +104,51 @@ class TestApplyEvent:
     def test_unknown_id(self):
         ob, oid = make_book(bids=[(100, 20)])
         with pytest.raises(DataError, match="^unknown order id 777$"):
-            ob.apply(BookEvent.delete(10, oid + 1, 777))
+            ob.apply((oid + 1, 10, DELETE, 777, None, 0, None))
 
     def test_over_reduce(self):
         ob, oid = make_book(bids=[(100, 20)])
         with pytest.raises(DataError, match="^reduce of 21 exceeds resting size 20 for order 1$"):
-            ob.apply(BookEvent.reduce(10, oid + 1, 1, 21))
+            ob.apply((oid + 1, 10, REDUCE, 1, None, 21, None))
 
     def test_crossed_submit_rejected(self):
+        # a submission at the opposite best crosses, from either side
         ob, oid = make_book(bids=[(100, 20)], asks=[(101, 5)])
-        with pytest.raises(DataError, match="^submit 50 at price 101 crosses opposite best 101$"):
-            ob.apply(BookEvent.submit(10, oid + 1, Order(50, BUY, 101, 1, oid + 1)))
+        for side, price in [(BUY, 101), (SELL, 100)]:
+            with pytest.raises(
+                DataError, match=f"^submit 50 at price {price} crosses opposite best {price}$"
+            ):
+                ob.apply((oid + 1, 10, SUBMIT, 50, price, 1, side))
+
+    @pytest.mark.parametrize(
+        "price, size, side, error",
+        [
+            (99, 0, BUY, "price and size must be >= 1"),
+            (0, 5, BUY, "price and size must be >= 1"),
+            (99, 5, 0, "bad side 0"),
+        ],
+        ids=["size-0", "price-0", "side-0"],
+    )
+    def test_invalid_submit_rejected(self, price, size, side, error):
+        ob, oid = make_book(bids=[(100, 20)], asks=[(101, 5)])
+        with pytest.raises(ValueError, match=f"^order 50: {error}$"):
+            ob.apply((oid + 1, 10, SUBMIT, 50, price, size, side))
+        assert not ob.has_order(50)
 
     def test_duplicate_id_rejected(self):
         ob, oid = make_book(bids=[(100, 20)])
         with pytest.raises(ValueError):
-            ob.apply(BookEvent.submit(10, oid + 1, Order(1, BUY, 99, 1, oid + 1)))
+            ob.apply((oid + 1, 10, SUBMIT, 1, 99, 1, BUY))
 
     def test_unchanged_deep_submit(self):
         ob, oid = make_book(bids=[(100, 20)], asks=[(101, 5)])
-        changed = ob.apply(BookEvent.submit(10, oid + 1, Order(50, BUY, 95, 5, oid + 1)))
+        changed = ob.apply((oid + 1, 10, SUBMIT, 50, 95, 5, BUY))
         assert changed is False
         snap = ob.state()
         assert (snap.bid, snap.nb) == (100, 20)
+        # one tick is the lowest price that rests
+        assert ob.apply((oid + 2, 11, SUBMIT, 51, 1, 5, BUY)) is False
+        assert ob.get_order(51).price == 1
 
 
 class TestQueueImbalance:
@@ -177,7 +203,7 @@ def random_event_stream(seed, n_events=400):
                 lo = (opp + 1) if opp is not None else 106
                 price = int(rng.integers(lo, lo + 7))
             size = int(rng.integers(1, 30))
-            ev = BookEvent.submit(t, seq, Order(next_id, side, price, size, seq))
+            ev = (seq, t, SUBMIT, next_id, price, size, side)
             naive.submit(next_id, side, price, size)
             live.append(next_id)
             next_id += 1
@@ -186,16 +212,16 @@ def random_event_stream(seed, n_events=400):
             size = ob.get_order(oid).size
             sub = rng.random()
             if sub < 0.4:
-                ev = BookEvent.delete(t, seq, oid)
+                ev = (seq, t, DELETE, oid, None, 0, None)
                 naive.remove(oid)
                 live.remove(oid)
             elif sub < 0.7 and size > 1:
                 delta = int(rng.integers(1, size))
-                ev = BookEvent.reduce(t, seq, oid, delta)
+                ev = (seq, t, REDUCE, oid, None, delta, None)
                 naive.remove(oid, delta)
             else:
                 delta = int(rng.integers(1, size + 1))
-                ev = BookEvent.execute(t, seq, oid, delta)
+                ev = (seq, t, EXECUTE, oid, None, delta, None)
                 naive.remove(oid, delta if delta < size else None)
                 if delta == size:
                     live.remove(oid)
@@ -235,17 +261,18 @@ class TestChangeFlag:
         ob, naive = OrderBook(), NaiveBook()
         one_sided_transitions = at_best_reductions = 0
         for ev in events:
+            _seq, _t, kind, oid, price, delta, side = ev
             before = naive.best_quotes()
-            if ev.kind == SUBMIT:
-                naive.submit(ev.order.id, ev.order.side, ev.order.price, ev.order.size)
+            if kind == SUBMIT:
+                naive.submit(oid, side, price, delta)
             else:
-                side, price, size = naive.active[ev.order_id]
-                if ev.kind == DELETE:
-                    naive.remove(ev.order_id)
+                side, price, size = naive.active[oid]
+                if kind == DELETE:
+                    naive.remove(oid)
                 else:
-                    naive.remove(ev.order_id, ev.delta if ev.delta < size else None)
+                    naive.remove(oid, delta if delta < size else None)
                     best = before[0] if side == BUY else before[1]
-                    at_best_reductions += ev.kind in (REDUCE, EXECUTE) and price == best
+                    at_best_reductions += kind in (REDUCE, EXECUTE) and price == best
             after = naive.best_quotes()
             assert ob.apply(ev) == (before != after)
             one_sided_transitions += (None in before[:2]) != (None in after[:2])

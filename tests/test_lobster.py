@@ -117,8 +117,9 @@ class TestMessageTranslation:
             ["100.0,1,1,25,10000,1", "100.5,2,1,10,10000,1"]
         )
         events = lb.messages_to_events(msgs)
-        assert events[-1].kind == bk.REDUCE
-        assert events[-1].order_id == 1 and events[-1].delta == 10
+        last = bk.BookEvent(*events[-1])
+        assert last.kind == bk.REDUCE
+        assert last.order_id == 1 and last.size_delta == 10
 
     def test_crossing_buy_decomposed_in_priority_order(self):
         # ask queue [7, 5] at one price; buy submit of 10 at that price
@@ -132,7 +133,7 @@ class TestMessageTranslation:
         )
         res = lb.replay(msgs, keep_events=True)
         tail = res.events[3:]
-        assert [(e.kind, e.order_id, e.delta) for e in tail] == [
+        assert [(kind, oid, delta) for _, _, kind, oid, _, delta, _ in tail] == [
             (bk.EXECUTE, 2, 7),
             (bk.EXECUTE, 3, 3),
         ]
@@ -148,10 +149,10 @@ class TestMessageTranslation:
             ]
         )
         events = lb.messages_to_events(msgs)
-        tail = events[2:]
+        tail = [bk.BookEvent(*ev) for ev in events[2:]]
         assert [e.kind for e in tail] == [bk.EXECUTE, bk.SUBMIT]
-        assert tail[0].delta == 7
-        assert tail[1].order.size == 3 and tail[1].order.price == 100
+        assert tail[0].size_delta == 7
+        assert tail[1].size_delta == 3 and tail[1].price_ticks == 100
 
     def test_execution_sum_equals_traded_volume(self):
         rng = np.random.default_rng(5)
@@ -168,7 +169,7 @@ class TestMessageTranslation:
             t += 0.5
         msgs = msg_rows(rows)
         events = lb.messages_to_events(msgs)
-        assert sum(e.delta for e in events if e.kind == bk.EXECUTE) == executed
+        assert sum(delta for _, _, kind, _, _, delta, _ in events if kind == bk.EXECUTE) == executed
 
     @pytest.mark.parametrize(
         "row, reason",
@@ -216,7 +217,8 @@ class TestMessageTranslation:
         [
             (4, [(bk.EXECUTE, 1, 4)], (100, 101, 6, 5)),
             (10, [(bk.EXECUTE, 1, 4), (bk.EXECUTE, 2, 6)], (None, 101, 0, 5)),
-            (12, [(bk.EXECUTE, 1, 4), (bk.EXECUTE, 2, 6), (bk.SUBMIT, 9, 0)], (None, 100, 0, 2)),
+            # the residual submission's size_delta is the 2 that rest
+            (12, [(bk.EXECUTE, 1, 4), (bk.EXECUTE, 2, 6), (bk.SUBMIT, 9, 2)], (None, 100, 0, 2)),
         ],
         ids=["head-only", "whole-level", "residual"],
     )
@@ -231,7 +233,7 @@ class TestMessageTranslation:
             ]
         )
         res = lb.replay(msgs, keep_events=True, window=lb.SessionWindow(0, 200))
-        assert [(e.kind, e.order_id, e.delta) for e in res.events[3:]] == tail
+        assert [(kind, oid, delta) for _, _, kind, oid, _, delta, _ in res.events[3:]] == tail
         assert res.counters.crossing_submits == 1
         assert res.timeline[-1][1:] == last
         assert res.stats.executed_volume_i4 == min(size, 10) * 10000
@@ -318,12 +320,7 @@ class TestReplayReadsQuoteOnChange:
         seq = 0
         for msg in msgs:
             step = lb.replay([msg], ob=ob, keep_events=True)
-            for ev in step.events:
-                order = ev.order
-                if order is not None:
-                    order = bk.Order(order.id, order.side, order.price, order.size,
-                                     order.entry_seq + seq)
-                events.append(ev._replace(seq=ev.seq + seq, order=order))
+            events += [(ev[0] + seq, *ev[1:]) for ev in step.events]
             seq += max(1, len(step.events))
             for name in vars(counters):
                 setattr(counters, name, getattr(counters, name) + getattr(step.counters, name))

@@ -649,7 +649,13 @@ class TestCli:
             b"instrument,day,t_sample_ns,t_change_ns,I,y\r\n")
 
     def test_ingest_writes_events_once_the_day_verified(self, tmp_path):
-        for name, rows in self.DAY.items():
+        # DAY, then a full delete that empties the bid and a buy of 10 at the
+        # ask that takes its 6 and rests the other 4 as the new bid
+        day = {
+            "m.csv": self.DAY["m.csv"] + ["36004.0,3,1,7,10000,1", "36005.0,1,3,10,10200,1"],
+            "o.csv": self.DAY["o.csv"] + ["10200,6,-9999999999,0", "9999999999,0,10200,4"],
+        }
+        for name, rows in day.items():
             (tmp_path / name).write_text("".join(f"{r}\n" for r in rows))
         (tmp_path / "run.cfg").write_text(
             "source = lobster\nmessage_files = m.csv\norderbook_files = o.csv\n"
@@ -664,6 +670,9 @@ class TestCli:
             "1,36001000000000,submit,2,102,10",
             "2,36002000000000,reduce,1,,3",
             "3,36003000000000,execute,2,,4",
+            "4,36004000000000,delete,1,,0",
+            "5,36005000000000,execute,2,,6",
+            "6,36005000000000,submit,3,102,4",
         ]
 
     def test_simulate_and_ingest_refuse_nonempty_dir(self, tmp_path):
