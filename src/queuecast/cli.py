@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--mode", help="sampling mode override: uniform or event")
         p.add_argument("--preset", help="simulator preset override: large-tick or small-tick")
-        p.add_argument("--jobs", type=int, metavar="N", help="parallel instrument-days")
+        p.add_argument("--jobs", type=int, metavar="N", help="day workers of sample and pipeline")
         if name == "simulate":
             p.add_argument("--days", type=int, metavar="N", help="number of days override")
     return parser

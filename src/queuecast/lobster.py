@@ -137,7 +137,7 @@ def format_time_ns(t_ns: int) -> str:
 def format_message(msg: tuple) -> str:
     """A message, in ``LobsterMessage`` field order, as a message-file row."""
     t_ns, code, order_id, size, price, direction = msg
-    return f"{format_time_ns(t_ns)},{code},{order_id},{size},{price},{direction}"
+    return f"{t_ns // NS}.{t_ns % NS:09d},{code},{order_id},{size},{price},{direction}"
 
 
 def _open_lines(source) -> ContextManager[Iterable[str]]:
@@ -385,6 +385,8 @@ def replay(
     strictly and no record repeats the quote of the one before it. Events
     outside the window still evolve the book (warm start); the window only
     scopes the stats and marks the first in-session event time for sampling.
+    A day ends at the earlier of its last message and the close: its quote
+    time is integrated over [open, min(close, the last message's stamp)).
 
     The loop applies each message with the book's mutators. A submission is
     checked here once (size, tick lattice, live id, crossing) and rested
@@ -522,9 +524,9 @@ def replay(
     res.counters = ReplayCounters(n, seq - silent, hidden, ignored, crossing)
     res.stats = stats = DayStats(volume, limit_volume, pmin, pmax)
     res.first_session_event_ns = first_session_ns
-    if window is not None:
+    if n:  # t is the last message's stamp
         (stats.nb_time_integral, stats.na_time_integral, stats.spread_time_integral,
-         stats.two_sided_ns) = integrate_timeline(timeline, open_ns, close_ns)
+         stats.two_sided_ns) = integrate_timeline(timeline, open_ns, min(close_ns, t))
     return res
 
 

@@ -365,7 +365,7 @@ def run_days(cfg: RunConfig) -> list[DayOutcome]:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # loaded before the pool starts, so that forked workers inherit them
+        # package modules that forked workers inherit (numpy loads numpy.random lazily)
         from . import lobster, sampling, seeds, simulate  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as ex:

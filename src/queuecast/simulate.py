@@ -79,7 +79,7 @@ class SimResult:
     counters: lb.ReplayCounters = field(default_factory=lb.ReplayCounters)
     side_depleted: bool = False
     first_event_ns: int = 0
-    end_ns: int = 0
+    end_ns: int = 0  # the flow's horizon, not the day's end (see lobster.replay)
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -116,8 +116,9 @@ def _session(
     reads neither, so it runs without them and gets the same timeline,
     stats and counts.
 
-    The stats count the trades and the quote time of the flow, or only those
-    before the close of ``window``, a session that opens as the flow starts."""
+    The stats are replay's: the trades and the quote time of the flow up to
+    its last message, or only those before the close of ``window``, a
+    session that opens as the flow starts."""
     cfg.validate()
     ob = bk.OrderBook(tick_size=cfg.tick_size)
     start_ns = cfg.start_time_s * NS
@@ -130,11 +131,6 @@ def _session(
     rep = lb.replay(flow, tick_size=cfg.tick_size, window=window, record_l1=l1_rows, ob=ob)
     res.timeline, res.stats, res.counters = rep.timeline, rep.stats, rep.counters
     res.l1_rows = rep.l1_rows
-    if window is None:  # replay integrates up to the close itself
-        # after a side depletion the last state is one-sided, so integrating
-        # to the horizon adds nothing past the final message
-        (res.stats.nb_time_integral, res.stats.na_time_integral, res.stats.spread_time_integral,
-         res.stats.two_sided_ns) = lb.integrate_timeline(res.timeline, start_ns, res.end_ns)
     return res
 
 

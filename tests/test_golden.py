@@ -30,7 +30,7 @@ SIMULATE_DIGESTS = {
 }
 
 PIPELINE_DIGESTS = {
-    "summary.json": "7a1f24604cfc2fbe0cff307dde276d55b1120cf7aabda30d7bf6f2d507ca916b",
+    "summary.json": "0389d38f7db834d74d6154df432b30b550d138bdabeba78118ed1ea80f2b6802",
     "samples.csv": "283611d242e8978902f66e43e951d4caad51f2fb845dc68178f7c997834ccd5d",
     "sampling_flags.json": "bf76b672804c6c02f37773dd8879074613f81cedb484f9391a4a2cbae09f2e9a",
     "queue_survivor.csv": "cb63a57d7cbfd31013b756b9be6411279c1c8571a6b4315a622d883ff26e9017",
@@ -112,7 +112,7 @@ INGEST_DIGESTS = {
     "day000_events.csv": "14289b5867246779a267b4593ddcb11b4f373196a7ea57df5749175e49676aaa",
     "day001_events.csv": "90cecf3e9303af22d2c7aa6a4b5199849f55a21abb6a4d18245cbd8182d132dd",
     "verification.json": "94d350b8d91e72d3e3d6604646f5a96496b35a24f45cc5441540a4c523a06616",
-    "summary.json": "3b3b7f6fcda1157c0418f970ed2aba743fb4d0e5df9072f0589b1aabdd7bbb0d",
+    "summary.json": "7ecf7e249dd943b14ad8a13be93530348fa63ebcb8f5106b744a98b4ca6e73f8",
 }
 
 LOBSTER_PIPELINE_DIGESTS = {

@@ -562,6 +562,21 @@ class TestSessionFilter:
         assert res.stats.executed_volume_i4 == (2 + 3) * 10100
         assert res.stats.two_sided_ns == (55800 - 36000) * lb.NS
 
+    @pytest.mark.parametrize("open_s, close_s, two_sided_s, nb_integral_s", [
+        (36000, 55800, 200, 10 * 100 + 6 * 100),
+        (36000, 36150, 150, 10 * 100 + 6 * 50),
+        (36300, 55800, 0, 0),
+    ], ids=["last-message-before-close", "messages-past-close", "messages-before-open"])
+    def test_day_ends_at_last_message_or_close(self, open_s, close_s, two_sided_s, nb_integral_s):
+        # a cancel at 36100 leaves 6 of the 10 bid shares; the hidden execution
+        # at 36200 changes no quote, but it is the day's last message
+        msgs = msg_rows(["36000.0,1,1,10,10000,1", "36000.0,1,2,10,10100,-1",
+                         "36100.0,2,1,4,10000,1", "36200.0,5,0,3,10100,-1"])
+        res = lb.replay(msgs, window=lb.SessionWindow(open_s, close_s))
+        assert res.stats.two_sided_ns == two_sided_s * lb.NS
+        assert res.stats.nb_time_integral == nb_integral_s * lb.NS
+        assert res.stats.spread_time_integral == two_sided_s * lb.NS  # one tick throughout
+
     def test_empty_day(self):
         res = lb.replay([], window=lb.SessionWindow())
         assert res.timeline == [] and res.first_session_event_ns is None
@@ -840,8 +855,9 @@ class TestSummaryStats:
         assert rec.trade_price_max == pytest.approx(20.0)
 
     def test_constant_book_time_weighted_spread(self):
+        # a hidden execution at the close leaves the book alone and ends the day there
         msgs = msg_rows(
-            ["36000.0,1,1,10,200000,1", "36000.0,1,2,10,200300,-1"]
+            ["36000.0,1,1,10,200000,1", "36000.0,1,2,10,200300,-1", "55800.0,5,0,1,200000,1"]
         )
         res = lb.replay(msgs, window=lb.SessionWindow())
         rec = lb.summary_stats([res.stats])
@@ -929,9 +945,11 @@ class TestSummaryStats:
                 bb = max(p for p, _ in bids)
                 prev_nb = sum(s for p, s in bids if p == bb)
             prev_t = t_ns
+        # the day ends at the earlier of its last message and the close
+        end = min(close, prev_t)
         if prev_two:
             lo = max(prev_t, openns)
-            if close > lo:
-                nb_int += prev_nb * (close - lo)
-                covered += close - lo
+            if end > lo:
+                nb_int += prev_nb * (end - lo)
+                covered += end - lo
         assert rec.mean_nb == pytest.approx(nb_int / covered)

@@ -878,26 +878,63 @@ class TestCli:
         proc = run_cli(stage, "--config", str(cfgfile))
         assert (proc.returncode, proc.stderr) == (3, f"data error: {path}{message}\n")
 
-    def test_preset_summary_is_the_session_of_its_files(self, tmp_path):
-        """A preset day's summary counts only what happens before the session
-        closes, as the same day written by simulate and read back does."""
-        window = "days = 2\nseed = 5\nsession_open = 36000\nsession_close = 36100\n"
-        (tmp_path / "preset.cfg").write_text(window)
+    # (horizon, session_close inside the flow) of each preset's short days
+    TWO_SOURCE_DAYS = {"large-tick": (120.0, 36080), "small-tick": (240.0, 36160)}
+    # the keys of a day's sampling flags that only one source has
+    PRESET_KEYS, FILE_KEYS = {"side_depleted"}, {"messages", "hidden_volume", "ignored_messages"}
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("closes_in_flow", [False, True],
+                             ids=["default-window", "close-in-flow"])
+    @pytest.mark.parametrize("mode", ["uniform", "event"])
+    @pytest.mark.parametrize("preset", ["large-tick", "small-tick"])
+    def test_preset_and_its_files_agree(self, tmp_path, preset, mode, closes_in_flow, seed):
+        """A preset run and the same days written by simulate and read back
+        with their orderbook files give the same artifacts: every day ends at
+        the earlier of its last message and the session close."""
+        horizon, close = self.TWO_SOURCE_DAYS[preset]
+        config = (f"preset = {preset}\ndays = 2\nhorizon = {horizon}\nseed = {seed}\n"
+                  f"sampling_mode = {mode}\nsubsample = 40\njobs = 1\n")
+        if closes_in_flow:
+            config += f"session_close = {close}\n"
+        local = (preset, mode, closes_in_flow, seed) == ("large-tick", "uniform", False, 5)
+        config += ("models = logistic,local,null\ngrid_points = 21\nalphas = 0.5,0.8\n" if local
+                   else "models = logistic,null\n")
+        (tmp_path / "preset.cfg").write_text(config)
         assert cli_main(["simulate", "--config", str(tmp_path / "preset.cfg"),
                          "--out", str(tmp_path / "sim")]) == 0
-        (tmp_path / "files.cfg").write_text(window + "source = lobster\n" + "".join(
+        (tmp_path / "files.cfg").write_text(config + "source = lobster\n" + "".join(
             f"{kind}_files = " + ",".join(str(tmp_path / "sim" / f"day{d:03d}_{kind}.csv")
                                           for d in range(2)) + "\n"
             for kind in ("message", "orderbook")))
         runs = {}
         for name in ("preset", "files"):
             out = tmp_path / name
-            assert cli_main(["sample", "--config", str(tmp_path / f"{name}.cfg"),
+            assert cli_main(["pipeline", "--config", str(tmp_path / f"{name}.cfg"),
                              "--out", str(out)]) == 0
-            runs[name] = {f: (out / f).read_bytes() for f in ("samples.csv", "summary.json")}
-        assert runs["preset"] == runs["files"]
-        flags = json.loads((tmp_path / "preset" / "sampling_flags.json").read_text())
-        assert all(day["dropped_after_close"] > 0 for day in flags["days"].values())
+            runs[name] = {str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}
+        preset_run, files_run = runs["preset"], runs["files"]
+        assert preset_run.keys() == files_run.keys()
+        assert ("fits/local_curve.csv" in preset_run) == local
+        for name in preset_run.keys() - {"report.json", "sampling_flags.json",
+                                         "resolved_config.txt"}:
+            assert preset_run[name] == files_run[name], name
+        reports = [json.loads(run["report.json"]) for run in (preset_run, files_run)]
+        for report in reports:
+            del report["provenance"]
+        assert reports[0] == reports[1]
+        preset_flags, file_flags = (json.loads(run["sampling_flags.json"])
+                                    for run in (preset_run, files_run))
+        assert file_flags.pop("verification_mismatches") == {"0": 0, "1": 0}
+        for flags, keys in ((preset_flags, self.PRESET_KEYS), (file_flags, self.FILE_KEYS)):
+            for day in flags["days"].values():
+                assert keys <= day.keys()
+                for key in keys:
+                    del day[key]
+        assert preset_flags == file_flags
+        dropped = [day["dropped_after_close"] for day in preset_flags["days"].values()]
+        assert all(dropped) if closes_in_flow else not any(dropped)
 
     def test_simulate_then_sample_from_files(self, tmp_path):
         simdir = tmp_path / "simdata"
