@@ -215,12 +215,8 @@ def _parse_lines(
         if len(parts) != 6:
             raise DataError(f"expected 6 fields, got {len(parts)}", line_no)
         stamp, code, order_id, size, price, direction = parts
-        whole, dot, frac = stamp.partition(".")
         try:
-            if whole.isdecimal() and (not dot or frac.isdecimal() and len(frac) <= 9):
-                t_ns = int(whole + frac.ljust(9, "0"))
-            else:  # spaces around the stamp, or a bad stamp
-                t_ns = parse_time_ns(stamp)
+            t_ns = parse_time_ns(stamp)
             code = int(code)
             order_id = int(order_id)
             size = int(size)

@@ -31,7 +31,6 @@ from . import reports as rp
 from .errors import ConfigError, DataError, NumericalError
 
 if TYPE_CHECKING:
-    from . import book as bk
     from . import lobster as lb
     from . import sampling as sp
     from . import simulate as sim
@@ -80,6 +79,7 @@ def _at_least(low: int):
 
 _finite_positive = _parser(float, "expected a finite positive number",
                            lambda v: math.isfinite(v) and v > 0)
+_horizon = _parser(float, "expected seconds in (0, 86400]", lambda v: 0 < v <= 86400)
 
 
 @dataclass
@@ -96,12 +96,12 @@ class RunConfig:
     preset: str = _key("large-tick", str)  # checked in preset mode only
     days: int = _key("252", _at_least(1))
     # optional seconds override for preset days
-    horizon: Optional[float] = _key("", lambda t: _finite_positive(t) if t else None)
+    horizon: Optional[float] = _key("", lambda t: _horizon(t) if t else None)
     message_files: list[str] = _key("", _names)
     orderbook_files: list[str] = _key("", _names)  # optional level-1 references
     tick_size: float = _key("0.01", _parser(
-        _finite_positive, "expected a finite number of at least one price unit (0.0001)",
-        lambda v: round(v * 10000) >= 1,
+        _finite_positive, "expected a whole number of price units (0.0001), at least one",
+        lambda v: round(v * 10000) >= 1 and math.isclose(v * 10000, round(v * 10000)),
     ))
     instrument: str = _key("SIM", str)
     session_open: int = _key("36000", _at_least(0))  # seconds after midnight
@@ -266,9 +266,8 @@ def _simulated_day(cfg: RunConfig, day: int) -> DayOutcome:
     from . import simulate as sim
 
     # no messages, no level-1 rows
-    res = sim._session(preset_day_config(cfg, day), window=cfg.window)
-    flags = {"side_depleted": res.side_depleted}
-    return _sampled_day(cfg, day, res.timeline, res.first_event_ns, res.stats, flags)
+    res = sim.simulate(preset_day_config(cfg, day), False, False, window=cfg.window)
+    return _sampled_day(cfg, day, res, {"side_depleted": res.side_depleted})
 
 
 def read_lobster_day(
@@ -311,30 +310,23 @@ def _lobster_day(cfg: RunConfig, day: int) -> DayOutcome:
     flags = {"messages": counters.messages, "hidden_volume": counters.hidden_volume,
              "ignored_messages": counters.ignored_messages}
     mismatches = None if verification is None else len(verification.mismatches)
-    return _sampled_day(cfg, day, res.timeline, res.first_session_event_ns, res.stats, flags,
-                        mismatches)
+    return _sampled_day(cfg, day, res, flags, mismatches)
 
 
 def _sampled_day(
-    cfg: RunConfig,
-    day: int,
-    timeline: list[bk.BestQuoteState],
-    first_ns: Optional[int],
-    stats: lb.DayStats,
-    flags: dict,
-    mismatches: Optional[int] = None,
+    cfg: RunConfig, day: int, res: lb.ReplayResult, flags: dict, mismatches: Optional[int] = None
 ) -> DayOutcome:
-    """Sample and subsample a day's timeline from its first in-session event
-    ``first_ns`` (None: the day has none, so it has no points) up to the
+    """Sample and subsample the timeline of replay's result ``res`` from the
+    day's first in-session event (none: the day has no points) up to the
     session close, adding the sampling counts to the day's ``flags``."""
     from . import sampling as sp
     from . import seeds
 
-    if first_ns is None:
+    if res.first_session_event_ns is None:
         day_samples = sp.DaySampleResult()
     else:
         day_samples = sp.build_day_samples(
-            timeline, first_ns, cfg.window.close_ns, cfg.sampling_mode,
+            res.timeline, res.first_session_event_ns, cfg.window.close_ns, cfg.sampling_mode,
             seeds.rng_for(cfg.seed, seeds.SAMPLING, day),
         )
     sub, short = sp.subsample_day(
@@ -348,7 +340,7 @@ def _sampled_day(
         fallback_points=day_samples.fallback_points,
         short_day=short,
     )
-    return DayOutcome(day, sub, stats, flags, mismatches)
+    return DayOutcome(day, sub, res.stats, flags, mismatches)
 
 
 def _day_worker(args) -> DayOutcome:

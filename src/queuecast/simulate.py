@@ -57,8 +57,8 @@ class ZiConfig:
             raise ConfigError("levels must be >= 1")
         if min(self.limit_rate, self.market_rate, self.cancel_rate) < 0:
             raise ConfigError("rates must be nonnegative")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon <= 86400:
+            raise ConfigError("horizon must be positive and at most 86400 s")
         if self.order_size < 1:
             raise ConfigError("order_size must be >= 1")
         if self.initial_levels < 1 or self.initial_depth < 1:
@@ -70,16 +70,11 @@ class ZiConfig:
 
 
 @dataclass
-class SimResult:
-    config: ZiConfig
+class SimResult(lb.ReplayResult):
+    """``lobster.replay``'s result for the session, with its kept messages."""
+
     messages: list[tuple] = field(default_factory=list)  # in LobsterMessage field order
-    l1_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
-    timeline: list[bk.BestQuoteState] = field(default_factory=list)
-    stats: lb.DayStats = field(default_factory=lb.DayStats)
-    counters: lb.ReplayCounters = field(default_factory=lb.ReplayCounters)
     side_depleted: bool = False
-    first_event_ns: int = 0
-    end_ns: int = 0  # the flow's horizon, not the day's end (see lobster.replay)
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -89,49 +84,35 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
 
 def simulate(
     cfg: ZiConfig,
-    messages: Optional[Callable[[tuple], None]] = None,
-    l1_rows: Optional[Callable[[tuple[int, Optional[tuple]]], None]] = None,
+    messages: bool | Optional[Callable[[tuple], None]] = True,
+    l1_rows: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = True,
+    window: Optional[lb.SessionWindow] = None,
 ) -> SimResult:
     """Run the zero-intelligence flow for one simulated session.
 
-    Each message and each level-1 row goes to its append target as it is
-    generated (``lobster.message_writer`` and ``l1_writer`` write them to
-    files; the level-1 target gets ``lobster.replay``'s records, one per
-    change of the row); without a target they are kept in ``messages`` and
-    ``l1_rows`` of the result, one row per message."""
-    kept_messages = []
-    res = _session(cfg, messages or kept_messages.append, l1_rows or True)
-    res.messages = kept_messages
-    return res
-
-
-def _session(
-    cfg: ZiConfig,
-    messages: Optional[Callable[[tuple], None]] = None,
-    l1_rows: bool | Optional[Callable[[tuple[int, Optional[tuple]]], None]] = None,
-    window: Optional[lb.SessionWindow] = None,
-) -> SimResult:
-    """One simulated session, its messages and level-1 rows sent where
-    given (``l1_rows`` as ``lobster.replay``'s ``record_l1``). A pipeline day
-    reads neither, so it runs without them and gets the same timeline,
-    stats and counts.
+    ``messages`` and ``l1_rows`` say where the messages and the level-1 rows
+    go, as ``lobster.replay``'s ``record_l1`` does: into the result's lists
+    of those names, one level-1 row per message (True), nowhere (False or
+    None), or to an append target that gets each as it is generated
+    (``lobster.message_writer`` and ``l1_writer`` write them to files; the
+    level-1 target gets replay's records, one per change of the row). A
+    pipeline day reads neither, and gets the same timeline, stats and counts.
 
     The stats are replay's: the trades and the quote time of the flow up to
     its last message, or only those before the close of ``window``, a
-    session that opens as the flow starts."""
+    session that opens as the flow starts. ``side_depleted`` says that a
+    side of the book ran out, which stops the flow; it ends one-sided in no
+    other way."""
     cfg.validate()
     ob = bk.OrderBook(tick_size=cfg.tick_size)
-    start_ns = cfg.start_time_s * NS
-    res = SimResult(config=cfg, first_event_ns=start_ns, end_ns=start_ns + round(cfg.horizon * NS))
-    flow = _order_flow(cfg, ob, res)
-    if messages is not None:
-        flow = _kept(flow, messages)
-    if window is not None and res.end_ns <= window.close_ns:
+    kept: list[tuple] = []
+    append = kept.append if messages is True else messages or None
+    flow = _order_flow(cfg, ob) if append is None else _kept(_order_flow(cfg, ob), append)
+    if window is not None and cfg.start_time_s * NS + round(cfg.horizon * NS) <= window.close_ns:
         window = None  # the flow ends by the close: nothing to leave out
     rep = lb.replay(flow, tick_size=cfg.tick_size, window=window, record_l1=l1_rows, ob=ob)
-    res.timeline, res.stats, res.counters = rep.timeline, rep.stats, rep.counters
-    res.l1_rows = rep.l1_rows
-    return res
+    depleted = ob.best(bk.BUY) is None or ob.best(bk.SELL) is None
+    return SimResult(**vars(rep), messages=kept, side_depleted=depleted)
 
 
 def _kept(flow: Iterator[tuple], append: Callable[[tuple], None]) -> Iterator[tuple]:
@@ -141,10 +122,10 @@ def _kept(flow: Iterator[tuple], append: Callable[[tuple], None]) -> Iterator[tu
         yield msg
 
 
-def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tuple]:
+def _order_flow(cfg: ZiConfig, ob: bk.OrderBook) -> Iterator[tuple]:
     """Yield the session's messages, plain tuples in ``LobsterMessage`` field
-    order, recording a side depletion in ``res``; ``ob`` is the book replay
-    applies each message to."""
+    order, up to the horizon or until a side of the book runs out; ``ob`` is
+    the book replay applies each message to."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     draw = _uniforms(rng).__next__
     tick_i4 = round(cfg.tick_size * 10000)
@@ -156,7 +137,8 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
     registry: list[int] = []  # resting order ids, swap-removed on exit
     pos: dict[int, int] = {}
     next_id = 1
-    start_ns, end_ns = res.first_event_ns, res.end_ns
+    start_ns = cfg.start_time_s * NS
+    end_ns = start_ns + round(cfg.horizon * NS)
 
     # initial book preamble: plain submissions at the start timestamp
     for lvl in range(cfg.initial_levels):
@@ -188,8 +170,7 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
             side = BUY if v < rate_limit_side else SELL
             anchor = best[-side]
             if anchor is None:
-                res.side_depleted = True
-                break
+                return
             offset = int(draw() * levels)
             price = anchor - 1 - offset if side == BUY else anchor + 1 + offset
             if price < 1:
@@ -216,8 +197,7 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
                         registry[i], pos[last] = last, i
                 remaining -= fill
             if best[-side] is None:  # it took the last order on that side
-                res.side_depleted = True
-                break
+                return
         else:
             i = int(draw() * n_resting)
             oid = registry[i]
@@ -228,8 +208,7 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook, res: SimResult) -> Iterator[tup
             if last != oid:
                 registry[i], pos[last] = last, i
             if best[order.side] is None:  # it was the last order on its side
-                res.side_depleted = True
-                break
+                return
 
 
 # --- regime presets -------------------------------------------------------------

@@ -305,14 +305,14 @@ class TestDayLoop:
     def test_unrecorded_day_matches_recorded_simulation(self, tmp_path, monkeypatch, preset):
         cfg = pl.load_config(None, fast_overrides(tmp_path, preset=preset, days=2, horizon=120.0))
         lean = [pl._simulated_day(cfg, day) for day in range(2)]
-        session, recorded = sim._session, []
+        session, recorded = sim.simulate, []
 
-        def recorded_session(zi, window=None):  # the session sim.simulate runs, its lists kept
+        def recorded_session(zi, _messages, _l1_rows, window=None):  # the same day, lists kept
             messages, l1_rows = [], []
             recorded.append((messages, l1_rows))
             return session(zi, messages.append, l1_rows.append, window)
 
-        monkeypatch.setattr(sim, "_session", recorded_session)
+        monkeypatch.setattr(sim, "simulate", recorded_session)
         full = [pl._simulated_day(cfg, day) for day in range(2)]
         assert all(messages and l1_rows for messages, l1_rows in recorded)
         assert lean == full
@@ -426,10 +426,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "line",
-        [b"horizon = nan", b"horizon = inf", b"tick_size = inf", b"tick_size = 1e-9",
+        [b"horizon = nan", b"horizon = inf", b"horizon = 1e300", b"horizon = 86401",
+         b"tick_size = inf", b"tick_size = 1e-9", b"tick_size = 0.00015",
          b"instrument = caf\xe9", b"session_open = -100"],
-        ids=["horizon-nan", "horizon-inf", "tick-inf", "tick-below-price-unit", "non-ascii",
-             "open-before-midnight"],
+        ids=["horizon-nan", "horizon-inf", "horizon-1e300", "horizon-over-a-day", "tick-inf",
+             "tick-below-price-unit", "tick-not-whole-units", "non-ascii", "open-before-midnight"],
     )
     def test_config_value_exit_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"

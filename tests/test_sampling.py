@@ -272,18 +272,22 @@ class TestSplit:
             split_indices(4, 0.8)
 
 
+SIM_DAY = regime_preset("large-tick", seed=77, horizon=60.0)
+SIM_END_NS = (SIM_DAY.start_time_s + 60) * 10**9  # the flow's horizon
+
+
 @pytest.fixture(scope="module")
 def sim_day():
-    return simulate(regime_preset("large-tick", seed=77, horizon=60.0))
+    return simulate(SIM_DAY)
 
 
 class TestDayPipeline:
     def test_labels_match_recomputed_mid_changes(self, sim_day):
         rng = np.random.default_rng(1)
         ds = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, UNIFORM, rng
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, UNIFORM, rng
         )
-        changes = dict(mid_changes(sim_day.timeline, sim_day.first_event_ns))
+        changes = dict(mid_changes(sim_day.timeline, sim_day.first_session_event_ns))
         assert len(ds.points) > 50
         for t_sample, t_change, imbalance, y, _, _ in ds.points:
             assert y == changes[t_change]
@@ -292,22 +296,22 @@ class TestDayPipeline:
 
     def test_uniform_and_event_modes_share_labels(self, sim_day):
         u = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, UNIFORM,
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, UNIFORM,
             np.random.default_rng(1),
         )
         e = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, EVENT,
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, EVENT,
             np.random.default_rng(2),
         )
         assert [(p[1], p[3]) for p in u.points] == [(p[1], p[3]) for p in e.points]
 
     def test_full_day_determinism(self, sim_day):
         a = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, UNIFORM,
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, UNIFORM,
             np.random.default_rng(42),
         )
         b = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, UNIFORM,
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, UNIFORM,
             np.random.default_rng(42),
         )
         assert a.points == b.points
@@ -315,11 +319,11 @@ class TestDayPipeline:
     @pytest.mark.parametrize("mode", [UNIFORM, EVENT])
     def test_matches_naive_sampler(self, sim_day, mode):
         res = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, mode,
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, mode,
             np.random.default_rng(5),
         )
         points, counts = reference_day_sample(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, mode,
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, mode,
             np.random.default_rng(5),
         )
         assert res.points == [p[:6] for p in points]  # the oracle's per-point fallback dropped
@@ -327,11 +331,11 @@ class TestDayPipeline:
 
     def test_strict_interior_for_non_fallback(self, sim_day):
         ds = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, sim_day.end_ns, EVENT,
+            sim_day.timeline, sim_day.first_session_event_ns, SIM_END_NS, EVENT,
             np.random.default_rng(9),
         )
-        changes = [t for t, _ in mid_changes(sim_day.timeline, sim_day.first_event_ns)]
-        prev = {t: p for t, p in zip(changes, [sim_day.first_event_ns] + changes[:-1])}
+        changes = [t for t, _ in mid_changes(sim_day.timeline, sim_day.first_session_event_ns)]
+        prev = {t: p for t, p in zip(changes, [sim_day.first_session_event_ns] + changes[:-1])}
         # a fallback point is stamped at its interval's start; any other lies inside
         fallbacks = 0
         for t_sample, t_change, *_ in ds.points:
@@ -340,9 +344,9 @@ class TestDayPipeline:
         assert fallbacks == ds.fallback_points
 
     def test_changes_after_close_dropped(self, sim_day):
-        close = sim_day.first_event_ns + 30 * 10**9
+        close = sim_day.first_session_event_ns + 30 * 10**9
         ds = build_day_samples(
-            sim_day.timeline, sim_day.first_event_ns, close, UNIFORM,
+            sim_day.timeline, sim_day.first_session_event_ns, close, UNIFORM,
             np.random.default_rng(1),
         )
         assert ds.dropped_after_close > 0

@@ -38,13 +38,14 @@ class TestConfig:
         res = simulate(small_cfg(limit_rate=0.0, market_rate=0.0, cancel_rate=0.0))
         # the initial-book preamble is the only content
         assert all(code == lb.SUBMISSION for _, code, *_ in res.messages)
-        assert all(t_ns == res.first_event_ns for t_ns, *_ in res.messages)
+        assert all(t_ns == res.first_session_event_ns for t_ns, *_ in res.messages)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError, match="^levels must be >= 1$"):
             simulate(small_cfg(levels=0))
-        with pytest.raises(ConfigError, match="^horizon must be positive$"):
-            simulate(small_cfg(horizon=0.0))
+        for horizon in (0.0, 86401.0, math.nan):
+            with pytest.raises(ConfigError, match="^horizon must be positive and at most 86400 s$"):
+                simulate(small_cfg(horizon=horizon))
         with pytest.raises(ConfigError, match="^rates must be nonnegative$"):
             simulate(small_cfg(market_rate=-1.0))
         with pytest.raises(ConfigError, match="^initial book must occupy both sides$"):
@@ -112,7 +113,8 @@ class TestFlowProperties:
         res = simulate(cfg)
         assert not res.side_depleted
         preamble = 2 * cfg.initial_levels * cfg.initial_depth
-        counts, order_ns = process_counts(res.messages, preamble, res.first_event_ns, res.end_ns)
+        end_ns = cfg.start_time_s * lb.NS + round(cfg.horizon * lb.NS)
+        counts, order_ns = process_counts(res.messages, preamble, res.first_session_event_ns, end_ns)
         horizon = cfg.horizon
         expect_limit = cfg.limit_rate * cfg.levels * horizon
         expect_market = cfg.market_rate * horizon
@@ -147,7 +149,8 @@ class TestFlowProperties:
         assert code == lb.EXECUTION
 
     def test_round_trip_reproduces_ground_truth(self):
-        res = simulate(small_cfg(horizon=120.0, seed=5))
+        cfg = small_cfg(horizon=120.0, seed=5)
+        res = simulate(cfg)
         text = "".join(lb.format_message(m) + "\n" for m in res.messages)
         msgs = list(lb.parse_messages(io.StringIO(text)))
         rep = lb.replay(msgs, record_l1=True)
@@ -155,7 +158,7 @@ class TestFlowProperties:
         assert rep.timeline == res.timeline
         # with the horizon as the session window, replay's statistics are
         # the simulator's own
-        window = lb.SessionWindow(res.config.start_time_s, res.config.start_time_s + 120)
+        window = lb.SessionWindow(cfg.start_time_s, cfg.start_time_s + 120)
         assert lb.replay(msgs, window=window).stats == res.stats
 
 
@@ -177,16 +180,16 @@ class TestUnrecordedSession:
     @sessions
     def test_matches_recorded_session(self, cfg):
         full = simulate(cfg)
-        lean = sim._session(cfg)
+        lean = sim.simulate(cfg, False, False)
         assert full.messages and full.l1_rows
         assert lean.messages == [] and lean.l1_rows == []
-        for name in ("timeline", "stats", "side_depleted", "first_event_ns", "end_ns"):
+        for name in ("timeline", "stats", "counters", "side_depleted", "first_session_event_ns"):
             assert getattr(lean, name) == getattr(full, name), name
 
     @sessions
     def test_records_are_best_quote_states(self, cfg):
         window = lb.SessionWindow(cfg.start_time_s, cfg.start_time_s + 30)
-        res = sim._session(cfg, window=window)
+        res = sim.simulate(cfg, False, False, window=window)
         assert res.timeline and all(type(st_) is BestQuoteState for st_ in res.timeline)
 
 
