@@ -12,7 +12,6 @@ simulator) into explicit executions plus a residual submission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import DataError
@@ -26,9 +25,9 @@ DELETE = "delete"
 EXECUTE = "execute"
 
 
-@dataclass(slots=True)
-class Order:
-    """A resting limit order; ``size`` is the current remaining quantity."""
+class Order(NamedTuple):
+    """A snapshot of a resting limit order; ``size`` is its remaining
+    quantity when the snapshot was taken."""
 
     id: int
     side: int  # BUY or SELL
@@ -82,16 +81,22 @@ class OrderBook:
     Single-writer per instrument-day; ``state()`` hands out immutable
     values. ``tick_size`` (currency per tick) is metadata; the matching
     logic works in ticks and does not read it.
+
+    The book holds plain sizes, not order objects: a price level is a dict
+    ``{order_id: size}`` in arrival order, and ``_orders`` maps each live id
+    to ``(side, price, level)``, ``level`` being that live dict. The
+    mutators below keep these tables, the per-level totals and the bests
+    consistent; ``lobster.replay`` makes the same changes in its own loop.
     """
 
     def __init__(self, tick_size: float = 0.01):
         self.tick_size = tick_size
-        # side -> {price: {order_id: Order}}; dict preserves FIFO insertion
+        # side -> {price: {order_id: size}}; dict preserves FIFO insertion
         # order within a level, which is exactly price-time priority after
         # seq-ordered submission.
-        self._levels: dict[int, dict[int, dict[int, Order]]] = {BUY: {}, SELL: {}}
+        self._levels: dict[int, dict[int, dict[int, int]]] = {BUY: {}, SELL: {}}
         self._totals: dict[int, dict[int, int]] = {BUY: {}, SELL: {}}
-        self._orders: dict[int, Order] = {}
+        self._orders: dict[int, tuple[int, int, dict[int, int]]] = {}
         self._best: dict[int, Optional[int]] = {BUY: None, SELL: None}
         self.last_t_ns = 0
 
@@ -102,9 +107,10 @@ class OrderBook:
 
     def get_order(self, order_id: int) -> Order:
         try:
-            return self._orders[order_id]
+            side, price, level = self._orders[order_id]
         except KeyError:
             raise DataError(f"unknown order id {order_id}") from None
+        return Order(order_id, side, price, level[order_id])
 
     def has_order(self, order_id: int) -> bool:
         return order_id in self._orders
@@ -114,7 +120,8 @@ class OrderBook:
         best = self._best[side]
         if best is None:
             raise DataError(f"no resting orders on side {side}")
-        return next(iter(self._levels[side][best].values()))
+        order_id, size = next(iter(self._levels[side][best].items()))
+        return Order(order_id, side, best, size)
 
     def state(self, t_ns: Optional[int] = None) -> BestQuoteState:
         bb, ba = self._best[BUY], self._best[SELL]
@@ -132,8 +139,7 @@ class OrderBook:
         into or out of a one-sided state. The quote is not read: the mutator
         decides from the touched side alone, since an event moves the quote
         iff it touches that side's best level. A submission is checked
-        (size and price >= 1, side, live id, no crossing) before it rests;
-        the book keeps the order it rests and later shrinks it in place.
+        (size and price >= 1, side, live id, no crossing) before it rests.
         """
         _, t_ns, kind, order_id, price, size, side = ev
         if kind == SUBMIT:
@@ -146,7 +152,7 @@ class OrderBook:
             opp = self._best[-side]
             if opp is not None and (price >= opp if side == BUY else price <= opp):
                 raise DataError(f"submit {order_id} at price {price} crosses opposite best {opp}")
-            changed = self._rest(Order(order_id, side, price, size))
+            changed = self._rest(order_id, side, price, size)
         elif kind == REDUCE or kind == EXECUTE:
             # the same book mutation; trade vs cancel matters only to callers
             changed = self.reduce(order_id, size)
@@ -157,20 +163,19 @@ class OrderBook:
         self.last_t_ns = t_ns
         return changed
 
-    def _rest(self, order: Order) -> bool:
-        """Rest ``order`` without ``apply``'s checks, for callers that made
-        them: the order is valid, its id is not live and it does not cross.
+    def _rest(self, order_id: int, side: int, price: int, size: int) -> bool:
+        """Rest an order without ``apply``'s checks, for callers that made
+        them: it is valid, its id is not live and it does not cross.
         Returns whether the quote changed: iff the price is the side's best
         after the insert (a new best, or it joined the best level)."""
-        side, price, order_id = order.side, order.price, order.id
-        lvl = self._levels[side].get(price)
-        if lvl is None:
-            self._levels[side][price] = {order_id: order}
-            self._totals[side][price] = order.size
+        level = self._levels[side].get(price)
+        if level is None:
+            level = self._levels[side][price] = {order_id: size}
+            self._totals[side][price] = size
         else:
-            lvl[order_id] = order
-            self._totals[side][price] += order.size
-        self._orders[order_id] = order
+            level[order_id] = size
+            self._totals[side][price] += size
+        self._orders[order_id] = (side, price, level)
         best = self._best
         own = best[side]
         if own is None or (price > own if side == BUY else price < own):
@@ -185,32 +190,31 @@ class OrderBook:
         """
         if delta < 1:
             raise ValueError("reduce delta must be >= 1")
-        order = self._orders.get(order_id)
-        if order is None:
+        entry = self._orders.get(order_id)
+        if entry is None:
             raise DataError(f"unknown order id {order_id}")
-        if delta > order.size:
-            raise DataError(
-                f"reduce of {delta} exceeds resting size {order.size} for order {order_id}"
-            )
-        if delta == order.size:
+        side, price, level = entry
+        size = level[order_id]
+        if delta > size:
+            raise DataError(f"reduce of {delta} exceeds resting size {size} for order {order_id}")
+        if delta == size:
             return self.delete(order_id)
-        order.size -= delta
-        self._totals[order.side][order.price] -= delta
-        return order.price == self._best[order.side]
+        level[order_id] = size - delta
+        self._totals[side][price] -= delta
+        return price == self._best[side]
 
     def delete(self, order_id: int) -> bool:
         """Remove an order; returns whether the quote changed: iff it rested at the best."""
-        order = self._orders.pop(order_id, None)
-        if order is None:
+        entry = self._orders.pop(order_id, None)
+        if entry is None:
             raise DataError(f"unknown order id {order_id}")
-        side, price = order.side, order.price
-        levels = self._levels[side]
-        lvl = levels[price]
-        del lvl[order_id]
+        side, price, level = entry
+        size = level.pop(order_id)
         at_best = price == self._best[side]
-        if lvl:
-            self._totals[side][price] -= order.size
+        if level:
+            self._totals[side][price] -= size
         else:
+            levels = self._levels[side]
             del levels[price]
             del self._totals[side][price]
             if at_best and levels:

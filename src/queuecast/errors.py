@@ -6,7 +6,12 @@
 callers catch a family; its message names the fault. An error is rebuilt
 from its message and attributes alone, so default exception pickling carries
 one back from a pool worker.
+
+``whole_price_units`` is the one rule for a tick size, here so that the
+config parser checks it without loading the modules that price a book.
 """
+
+import math
 
 
 class QueuecastError(Exception):
@@ -46,3 +51,13 @@ class DataError(QueuecastError):
 
 class NumericalError(QueuecastError):
     """Estimation or evaluation failure."""
+
+
+TICK_SIZE_RULE = "a whole number of price units (0.0001), at least one"
+
+
+def whole_price_units(tick_size: float) -> bool:
+    """Whether ``tick_size`` is ``TICK_SIZE_RULE``, allowing float rounding;
+    LOBSTER prices are integers in those units."""
+    units = tick_size * 10000
+    return math.isfinite(units) and round(units) >= 1 and math.isclose(units, round(units))

@@ -18,7 +18,6 @@ and ``days`` both exceed 1.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import shutil
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from . import __version__
 from . import reports as rp
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, TICK_SIZE_RULE, whole_price_units
 
 if TYPE_CHECKING:
     from . import lobster as lb
@@ -77,8 +76,6 @@ def _at_least(low: int):
     return _parser(int, f"expected an integer >= {low}", lambda v: v >= low)
 
 
-_finite_positive = _parser(float, "expected a finite positive number",
-                           lambda v: math.isfinite(v) and v > 0)
 _horizon = _parser(float, "expected seconds in (0, 86400]", lambda v: 0 < v <= 86400)
 
 
@@ -99,10 +96,7 @@ class RunConfig:
     horizon: Optional[float] = _key("", lambda t: _horizon(t) if t else None)
     message_files: list[str] = _key("", _names)
     orderbook_files: list[str] = _key("", _names)  # optional level-1 references
-    tick_size: float = _key("0.01", _parser(
-        _finite_positive, "expected a whole number of price units (0.0001), at least one",
-        lambda v: round(v * 10000) >= 1 and math.isclose(v * 10000, round(v * 10000)),
-    ))
+    tick_size: float = _key("0.01", _parser(float, "expected " + TICK_SIZE_RULE, whole_price_units))
     instrument: str = _key("SIM", str)
     session_open: int = _key("36000", _at_least(0))  # seconds after midnight
     session_close: int = _key("55800", _parser(int, "expected integer seconds"))
@@ -355,13 +349,20 @@ def run_days(cfg: RunConfig) -> list[DayOutcome]:
     tasks = [(cfg, day) for day in range(cfg.days)]
     workers = min(cfg.jobs, cfg.days)
     if workers > 1:
+        import gc
         from concurrent.futures import ProcessPoolExecutor
 
-        # package modules that forked workers inherit (numpy loads numpy.random lazily)
+        # package modules that forked workers inherit, numpy.random among them
         from . import lobster, sampling, seeds, simulate  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_day_worker, tasks))
+        # the collector of a worker then never traverses, and so never copies,
+        # the objects it inherits
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                return list(ex.map(_day_worker, tasks))
+        finally:
+            gc.unfreeze()
     return [_day_worker(t) for t in tasks]
 
 

@@ -27,11 +27,11 @@ from math import log
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
-import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from . import book as bk
 from . import lobster as lb
-from .errors import ConfigError
+from .errors import ConfigError, TICK_SIZE_RULE, whole_price_units
 
 NS = lb.NS
 
@@ -61,6 +61,8 @@ class ZiConfig:
             raise ConfigError("horizon must be positive and at most 86400 s")
         if self.order_size < 1:
             raise ConfigError("order_size must be >= 1")
+        if not whole_price_units(self.tick_size):
+            raise ConfigError(f"tick_size must be {TICK_SIZE_RULE}")
         if self.initial_levels < 1 or self.initial_depth < 1:
             raise ConfigError("initial book must occupy both sides")
         if self.initial_price <= self.initial_levels:
@@ -77,7 +79,7 @@ class SimResult(lb.ReplayResult):
     side_depleted: bool = False
 
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+def _uniforms(rng: Generator) -> Iterator[float]:
     """Sequential uniform [0,1) draws, drawn 8192 at a time for speed."""
     return itertools.chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None))
 
@@ -126,7 +128,7 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook) -> Iterator[tuple]:
     """Yield the session's messages, plain tuples in ``LobsterMessage`` field
     order, up to the horizon or until a side of the book runs out; ``ob`` is
     the book replay applies each message to."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = Generator(PCG64(SeedSequence(cfg.seed)))
     draw = _uniforms(rng).__next__
     tick_i4 = round(cfg.tick_size * 10000)
     SUBMISSION, EXECUTION, FULL_DELETE = lb.SUBMISSION, lb.EXECUTION, lb.FULL_DELETE
@@ -186,10 +188,9 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook) -> Iterator[tuple]:
                 top = best[-side]
                 if top is None:
                     break
-                for head in book_levels[-side][top].values():  # the FIFO head at the best
+                for oid, head_size in book_levels[-side][top].items():  # the FIFO head
                     break
-                oid = head.id
-                fill = head.size if head.size < remaining else remaining
+                fill = head_size if head_size < remaining else remaining
                 yield (t_ns, EXECUTION, oid, fill, top * tick_i4, -side)
                 if oid not in orders:  # filled: swap-remove it from the registry
                     i, last = pos.pop(oid), registry.pop()
@@ -201,13 +202,13 @@ def _order_flow(cfg: ZiConfig, ob: bk.OrderBook) -> Iterator[tuple]:
         else:
             i = int(draw() * n_resting)
             oid = registry[i]
-            order = orders[oid]
-            yield (t_ns, FULL_DELETE, oid, order.size, order.price * tick_i4, order.side)
+            side, price, level = orders[oid]
+            yield (t_ns, FULL_DELETE, oid, level[oid], price * tick_i4, side)
             del pos[oid]
             last = registry.pop()
             if last != oid:
                 registry[i], pos[last] = last, i
-            if best[order.side] is None:  # it was the last order on its side
+            if best[side] is None:  # it was the last order on its side
                 return
 
 

@@ -13,6 +13,7 @@ from queuecast.book import (
     BookEvent,
     OrderBook,
 )
+from queuecast import lobster as lb
 from queuecast.errors import DataError, NumericalError
 from queuecast.sampling import queue_imbalance
 
@@ -250,6 +251,27 @@ class TestAgainstNaiveRebuild:
 
         assert run(3) == run(3)
         assert run(3) != run(4)
+
+
+class TestReplayAgainstNaiveRebuild:
+    """replay rests, removes and fills orders in its own loop, not through
+    OrderBook.apply: its level-1 rows are held to the same oracle."""
+
+    CODES = {SUBMIT: lb.SUBMISSION, REDUCE: lb.PARTIAL_CANCEL, DELETE: lb.FULL_DELETE,
+             EXECUTE: lb.EXECUTION}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_level_1_rows_match_full_rescan(self, seed):
+        msgs, expected, resting = [], [], {}
+        for _ob, naive, (_seq, t, kind, oid, price, size, side) in random_event_stream(seed):
+            if kind == SUBMIT:
+                resting[oid] = (side, price)
+            side, price = resting[oid]
+            msgs.append((t, self.CODES[kind], oid, size, price * 100, side))
+            bid, ask, nb, na = naive.best_quotes()
+            expected.append((lb.EMPTY_ASK_PRICE if ask is None else ask * 100, na,
+                             lb.EMPTY_BID_PRICE if bid is None else bid * 100, nb))
+        assert lb.replay(msgs, tick_size=0.01, record_l1=True).l1_rows == expected
 
 
 class TestChangeFlag:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from queuecast import book as bk
 from queuecast import lobster as lb
-from queuecast.errors import DataError
+from queuecast.errors import ConfigError, DataError
 from queuecast.sampling import EVENT, build_day_samples
 
 from oracles import coalesced_timeline, verify_row_by_row
@@ -196,14 +196,21 @@ class TestMessageTranslation:
             lb.replay(msgs)
         assert ei.value.line_no == 3
 
+    @pytest.mark.parametrize("tick_size", [0.0, 0.00004, 0.00015, -0.01, float("nan")])
+    def test_tick_off_the_price_units_rejected(self, tick_size):
+        with pytest.raises(ConfigError, match=r"^tick_size must be a whole number of price "
+                                              r"units \(0\.0001\), at least one$"):
+            lb.replay(msg_rows(["100.0,1,1,25,10000,1"]), tick_size=tick_size)
+
     @pytest.mark.parametrize(
         "row, text",
         [
             ("100.5,4,99,5,10000,1", "unknown order id 99"),
             ("100.5,3,99,5,10000,1", "unknown order id 99"),
             ("100.5,2,1,50,10000,1", "reduce of 50 exceeds resting size 25 for order 1"),
+            ("100.5,4,1,50,10000,1", "reduce of 50 exceeds resting size 25 for order 1"),
         ],
-        ids=["execution", "delete", "over-reduce"],
+        ids=["execution", "delete", "over-reduce", "over-execution"],
     )
     def test_book_fault_is_positioned(self, row, text):
         msgs = msg_rows(["100.0,1,1,25,10000,1", "100.0,1,2,25,10100,-1", row])

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -266,6 +267,10 @@ class TestPipelineRun:
         assert out.exists() and not any(out.iterdir())
 
 
+def _freeze_count(task) -> int:
+    return gc.get_freeze_count()
+
+
 class TestDayLoop:
     def test_jobs_keep_outcomes_in_day_order(self, tmp_path):
         # five days over two workers, one day per task: both workers run days
@@ -273,6 +278,15 @@ class TestDayLoop:
         serial = pl.run_days(cfg)
         assert [oc.day for oc in serial] == list(range(5))
         assert pl.run_days(replace(cfg, jobs=2)) == serial
+
+    def test_workers_fork_frozen_and_the_freeze_is_undone(self, tmp_path, monkeypatch):
+        # each worker reports the freeze count it forked with
+        monkeypatch.setattr(pl, "_day_worker", _freeze_count)
+        cfg = pl.load_config(None, fast_overrides(tmp_path, days=2, jobs=2))
+        before = gc.get_freeze_count()
+        counts = pl.run_days(cfg)
+        assert gc.get_freeze_count() == before
+        assert len(counts) == 2 and min(counts) > before
 
     @pytest.mark.parametrize("days, jobs, workers", [(1, 4, None), (3, 4, 3), (5, 2, 2), (2, 1, None)])
     def test_pool_has_no_more_workers_than_days(self, tmp_path, monkeypatch, days, jobs, workers):
@@ -427,10 +441,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "line",
         [b"horizon = nan", b"horizon = inf", b"horizon = 1e300", b"horizon = 86401",
-         b"tick_size = inf", b"tick_size = 1e-9", b"tick_size = 0.00015",
-         b"instrument = caf\xe9", b"session_open = -100"],
+         b"tick_size = inf", b"tick_size = 1e-9", b"tick_size = 0.00015", b"tick_size = 0",
+         b"tick_size = nan", b"instrument = caf\xe9", b"session_open = -100"],
         ids=["horizon-nan", "horizon-inf", "horizon-1e300", "horizon-over-a-day", "tick-inf",
-             "tick-below-price-unit", "tick-not-whole-units", "non-ascii", "open-before-midnight"],
+             "tick-below-price-unit", "tick-not-whole-units", "tick-zero", "tick-nan", "non-ascii",
+             "open-before-midnight"],
     )
     def test_config_value_exit_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
