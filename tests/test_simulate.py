@@ -50,7 +50,7 @@ class TestConfig:
             simulate(small_cfg(market_rate=-1.0))
         with pytest.raises(ConfigError, match="^initial book must occupy both sides$"):
             simulate(small_cfg(initial_depth=0))
-        # 0.00015 priced the book on one price unit; 0 divided by zero
+        # not a whole number of price units, or below one
         for tick_size in (0.00015, 0.0, -0.01, math.nan):
             with pytest.raises(ConfigError, match=r"^tick_size must be a whole number of price "
                                                   r"units \(0\.0001\), at least one$"):
