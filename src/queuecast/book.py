@@ -86,7 +86,7 @@ class OrderBook:
     ``{order_id: size}`` in arrival order, and ``_orders`` maps each live id
     to ``(side, price, level)``, ``level`` being that live dict. The
     mutators below keep these tables, the per-level totals and the bests
-    consistent; ``lobster.replay`` makes the same changes in its own loop.
+    consistent.
     """
 
     def __init__(self, tick_size: float = 0.01):

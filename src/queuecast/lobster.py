@@ -384,16 +384,14 @@ def replay(
     A day ends at the earlier of its last message and the close: its quote
     time is integrated over [open, min(close, the last message's stamp)).
 
-    The loop changes the book's tables itself: it rests a submission, and
-    removes an order that a full delete or a filling execution takes, as
-    ``OrderBook._rest`` and ``delete`` do, and calls ``reduce`` for a partial
-    cancel or fill. A submission is checked here once (size, tick lattice,
-    live id, crossing) and rested unchecked; one that crosses (synthetic or
-    foreign data: LOBSTER reports executions) becomes executions against the
-    opposite queue in priority order plus a residual submission. The quote is
-    read from the book's tables only after a message that changed it, and
-    after the first message, and compared with the last record's; a
-    ``BestQuoteState`` is built only for a record that is kept.
+    The loop applies each message with the book's mutators. A submission is
+    checked here once (size, tick lattice, live id, crossing) and rested
+    unchecked; one that crosses (synthetic or foreign data: LOBSTER reports
+    executions) becomes executions against the opposite queue in priority
+    order plus a residual submission. The quote is read from the book's
+    tables only after a message that changed it, and after the first message,
+    and compared with the last record's; a ``BestQuoteState`` is built only
+    for a record that is kept.
 
     ``keep_events`` says where the book events go: nowhere (False or None),
     to the result's ``events`` list (True), or to an append target, a
@@ -427,10 +425,9 @@ def replay(
     emit = res.events.append if keep_events is True else keep_events or None
     open_ns, close_ns = (window.open_ns, window.close_ns) if window is not None else (-inf, inf)
     no_window = window is None  # every message is in session, with no float comparison
-    # the book's own tables, which this loop changes itself (see above)
-    orders, best, levels, totals, reduce = ob._orders, ob._best, ob._levels, ob._totals, ob.reduce
+    orders, best, rest, reduce, delete = ob._orders, ob._best, ob._rest, ob.reduce, ob.delete
     Quote, BUY, SELL = bk.BestQuoteState, bk.BUY, bk.SELL
-    bid_totals, ask_totals = totals[BUY], totals[SELL]
+    bid_totals, ask_totals = ob._totals[BUY], ob._totals[SELL]
     rt, rb, ra, rnb, rna = _NO_RECORD  # the last record, unpacked
     first_session_ns = pmin = pmax = None
     n = seq = silent = volume = limit_volume = hidden = ignored = crossing = 0
@@ -458,63 +455,24 @@ def replay(
                 if size:
                     if emit is not None:
                         emit((seq, t, bk.SUBMIT, order_id, price, size, side))
-                    level = levels[side].get(price)
-                    if level is None:
-                        level = levels[side][price] = {order_id: size}
-                        totals[side][price] = size
-                    else:
-                        level[order_id] = size
-                        totals[side][price] += size
-                    orders[order_id] = (side, price, level)
-                    own = best[side]
-                    if own is None or (price > own if side == BUY else price < own):
-                        best[side] = own = price
-                    if price == own:  # a new best, or it joined the best level
+                    if rest(order_id, side, price, size):
                         changed = True
                         if in_session:
                             limit_volume += size * price_i4
             elif code == FULL_DELETE:
-                entry = orders.pop(order_id, None)
-                if entry is None:
-                    raise DataError(f"unknown order id {order_id}")
-                side, price, level = entry
-                left = level.pop(order_id)
-                changed = price == best[side]
-                if level:
-                    totals[side][price] -= left
-                else:
-                    side_levels = levels[side]
-                    del side_levels[price], totals[side][price]
-                    if changed:
-                        best[side] = ((max(side_levels) if side == BUY else min(side_levels))
-                                      if side_levels else None)
+                changed = delete(order_id)
                 if emit is not None:
                     emit((seq, t, bk.DELETE, order_id, None, 0, None))
             elif code == EXECUTION:
                 if size < 1:
                     raise DataError("execution with size 0")
-                entry = orders.get(order_id)
-                if entry is None:
-                    raise DataError(f"unknown order id {order_id}")
-                side, price, level = entry
-                if size != level[order_id]:
-                    changed = reduce(order_id, size)  # a partial fill, or an over-reduce
-                else:
-                    del orders[order_id]
-                    del level[order_id]
-                    changed = price == best[side]
-                    if level:
-                        totals[side][price] -= size
-                    else:
-                        side_levels = levels[side]
-                        del side_levels[price], totals[side][price]
-                        if changed:
-                            best[side] = ((max(side_levels) if side == BUY else min(side_levels))
-                                          if side_levels else None)
+                entry = orders.get(order_id)  # None: reduce raises on an unknown id
+                filled = entry is not None and size == entry[2][order_id]
+                changed = delete(order_id) if filled else reduce(order_id, size)
                 if emit is not None:
                     emit((seq, t, bk.EXECUTE, order_id, None, size, None))
                 if in_session:
-                    p = price * tick_i4
+                    p = entry[1] * tick_i4
                     volume += size * p
                     pmin = p if pmin is None or p < pmin else pmin
                     pmax = p if pmax is None or p > pmax else pmax

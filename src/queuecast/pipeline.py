@@ -349,20 +349,13 @@ def run_days(cfg: RunConfig) -> list[DayOutcome]:
     tasks = [(cfg, day) for day in range(cfg.days)]
     workers = min(cfg.jobs, cfg.days)
     if workers > 1:
-        import gc
         from concurrent.futures import ProcessPoolExecutor
 
         # package modules that forked workers inherit, numpy.random among them
         from . import lobster, sampling, seeds, simulate  # noqa: F401
 
-        # the collector of a worker then never traverses, and so never copies,
-        # the objects it inherits
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                return list(ex.map(_day_worker, tasks))
-        finally:
-            gc.unfreeze()
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(_day_worker, tasks))
     return [_day_worker(t) for t in tasks]
 
 

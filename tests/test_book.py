@@ -254,7 +254,7 @@ class TestAgainstNaiveRebuild:
 
 
 class TestReplayAgainstNaiveRebuild:
-    """replay rests, removes and fills orders in its own loop, not through
+    """replay checks each message itself and calls the book's mutators, not
     OrderBook.apply: its level-1 rows are held to the same oracle."""
 
     CODES = {SUBMIT: lb.SUBMISSION, REDUCE: lb.PARTIAL_CANCEL, DELETE: lb.FULL_DELETE,

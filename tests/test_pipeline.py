@@ -1,5 +1,4 @@
 import contextlib
-import gc
 import hashlib
 import io
 import json
@@ -267,10 +266,6 @@ class TestPipelineRun:
         assert out.exists() and not any(out.iterdir())
 
 
-def _freeze_count(task) -> int:
-    return gc.get_freeze_count()
-
-
 class TestDayLoop:
     def test_jobs_keep_outcomes_in_day_order(self, tmp_path):
         # five days over two workers, one day per task: both workers run days
@@ -278,15 +273,6 @@ class TestDayLoop:
         serial = pl.run_days(cfg)
         assert [oc.day for oc in serial] == list(range(5))
         assert pl.run_days(replace(cfg, jobs=2)) == serial
-
-    def test_workers_fork_frozen_and_the_freeze_is_undone(self, tmp_path, monkeypatch):
-        # each worker reports the freeze count it forked with
-        monkeypatch.setattr(pl, "_day_worker", _freeze_count)
-        cfg = pl.load_config(None, fast_overrides(tmp_path, days=2, jobs=2))
-        before = gc.get_freeze_count()
-        counts = pl.run_days(cfg)
-        assert gc.get_freeze_count() == before
-        assert len(counts) == 2 and min(counts) > before
 
     @pytest.mark.parametrize("days, jobs, workers", [(1, 4, None), (3, 4, 3), (5, 2, 2), (2, 1, None)])
     def test_pool_has_no_more_workers_than_days(self, tmp_path, monkeypatch, days, jobs, workers):
