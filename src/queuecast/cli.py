@@ -10,8 +10,8 @@ Subcommands mirror the pipeline stages so each can be rerun on its own:
     queuecast report    --config run.cfg --out outdir
     queuecast pipeline  --config run.cfg --out outdir
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error.
+Exit codes: 0 success, 1 the run could not finish (a worker process was
+lost), 2 configuration error, 3 data error, 4 numerical error.
 
 A subcommand loads only the modules it runs: ``report`` loads no numpy, and
 ``fit`` and ``evaluate`` load neither the simulator nor the book and LOBSTER
@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
+from pathlib import Path
 
 from . import pipeline as pl
 from . import reports as rp
 from .errors import ConfigError, DataError, NumericalError
 
+EXIT_LOST = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -54,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--mode", help="sampling mode override: uniform or event")
         p.add_argument("--preset", help="simulator preset override: large-tick or small-tick")
-        p.add_argument("--jobs", type=int, metavar="N", help="day workers of sample and pipeline")
+        p.add_argument("--jobs", type=int, metavar="N",
+                       help="worker processes for the days of each stage and the CV's fits")
         if name == "simulate":
             p.add_argument("--days", type=int, metavar="N", help="number of days override")
     return parser
@@ -80,62 +84,88 @@ def cmd_simulate(cfg: pl.RunConfig) -> None:
 
     out = pl.fresh_out_dir(cfg)
     pl.write_resolved_config(cfg, out)
-    manifest = {"preset": cfg.preset, "seed": cfg.seed, "days": []}
-    for day in range(cfg.days):
-        msg_name = f"day{day:03d}_message.csv"
-        l1_name = f"day{day:03d}_orderbook.csv"
-        with (rp.open_out(out / msg_name, newline="\n") as msg_fh,
-              rp.open_out(out / l1_name, newline="\n") as l1_fh):
-            res = sim.simulate(
-                pl.preset_day_config(cfg, day), lb.message_writer(msg_fh), lb.l1_writer(l1_fh)
-            )
-        manifest["days"].append(
-            {
-                "day": day,
-                "message_file": msg_name,
-                "orderbook_file": l1_name,
-                "messages": res.counters.messages,
-                "side_depleted": res.side_depleted,
-            }
+
+    def names(day: int) -> tuple[str, str]:
+        return f"day{day:03d}_message.csv", f"day{day:03d}_orderbook.csv"
+
+    def simulate_day(day: int, msg_fh, l1_fh) -> dict:
+        res = sim.simulate(
+            pl.preset_day_config(cfg, day), lb.message_writer(msg_fh), lb.l1_writer(l1_fh)
         )
-    rp.write_json(out / "manifest.json", manifest)
+        msg_name, l1_name = names(day)
+        return {"day": day, "message_file": msg_name, "orderbook_file": l1_name,
+                "messages": res.counters.messages, "side_depleted": res.side_depleted}
+
+    days = _write_days(cfg, out, names, simulate_day)
+    rp.write_json(out / "manifest.json", {"preset": cfg.preset, "seed": cfg.seed, "days": days})
 
 
 def cmd_ingest(cfg: pl.RunConfig) -> None:
     """Replay message files into normalized event logs, verify against any
-    orderbook references, and write the summary-statistics record.
+    orderbook references, and write the summary-statistics record. Each
+    day's events are written as replay makes them."""
+    import numpy  # noqa: F401  parse_messages converts blocks with it: loaded once, before the fork
 
-    Each day's events are written as replay makes them, under a temporary
-    name that becomes the events file once the day has verified; a day that
-    fails leaves neither."""
     from . import lobster as lb
 
     if cfg.source != "lobster":
         raise ConfigError("ingest requires source = lobster with message_files")
     out = pl.fresh_out_dir(cfg)
     pl.write_resolved_config(cfg, out)
-    day_stats = []
-    verification = {}
-    for day in range(cfg.days):
-        events = out / f"day{day:03d}_events.csv"
-        partial = out / f"day{day:03d}_events.csv.partial"
-        try:
-            with rp.open_out(partial, newline="\n") as fh:
-                res, report = pl.read_lobster_day(cfg, day, events=lb.event_writer(fh))
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
-        partial.replace(events)
-        day_stats.append(res.stats)
-        if report is not None:
-            verification[f"day{day:03d}"] = {
-                "checked": report.checked,
-                "mismatches": [asdict(m) for m in report.mismatches[:100]],
-                "mismatch_count": len(report.mismatches),
-            }
-    pl.write_summary(out / "summary.json", day_stats, cfg.tick_size)
+
+    def ingest_day(day: int, fh):
+        res, report = pl.read_lobster_day(cfg, day, events=lb.event_writer(fh))
+        if report is None:
+            return res.stats, None
+        return res.stats, {
+            "checked": report.checked,
+            "mismatches": [asdict(m) for m in report.mismatches[:100]],
+            "mismatch_count": len(report.mismatches),
+        }
+
+    days = _write_days(cfg, out, lambda day: (f"day{day:03d}_events.csv",), ingest_day)
+    pl.write_summary(out / "summary.json", [stats for stats, _ in days], cfg.tick_size)
+    verification = {f"day{day:03d}": v for day, (_, v) in enumerate(days) if v is not None}
     if verification:
         rp.write_json(out / "verification.json", verification)
+
+
+def _write_days(cfg: pl.RunConfig, out: Path, names, write_day) -> list:
+    """``write_day(day, *files)`` of every day, in day order, each day one task
+    of ``pool_map``. ``files`` are the day's files ``names(day)`` in ``out``,
+    written under ``.partial`` names that become the names once the day is
+    done; a day that fails leaves neither. A failed run leaves the files of
+    the days before the first that failed, as it does at jobs = 1."""
+
+    def partial(path: Path) -> Path:
+        return path.with_name(path.name + ".partial")
+
+    def day_task(day: int):
+        paths = [out / name for name in names(day)]
+        try:
+            with ExitStack() as stack:
+                result = write_day(day, *(stack.enter_context(rp.open_out(partial(p), newline="\n"))
+                                          for p in paths))
+        except BaseException:
+            for path in paths:
+                partial(path).unlink(missing_ok=True)
+            raise
+        for path in paths:
+            partial(path).replace(path)
+        return result
+
+    try:
+        return pl.pool_map(day_task, range(cfg.days), cfg.jobs)
+    except BaseException:
+        complete = True  # every day so far has its files
+        for day in range(cfg.days):
+            paths = [out / name for name in names(day)]
+            for path in paths:
+                partial(path).unlink(missing_ok=True)  # a lost or killed worker's
+                if not complete:
+                    path.unlink(missing_ok=True)
+            complete = complete and all(path.exists() for path in paths)
+        raise
 
 
 def _staged(stage_fn):
@@ -172,6 +202,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LOST
     return 0
 
 

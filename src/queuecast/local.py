@@ -183,13 +183,18 @@ def cv_bandwidth(
     k: int = 5,
     rng: Optional[np.random.Generator] = None,
     grid: Optional[np.ndarray] = None,
+    jobs: int = 1,
 ) -> CvResult:
     """Pick the bandwidth fraction by k-fold cross-validated squared error.
 
     Ties break toward the larger (smoother) candidate. Returns the winner
     together with the full CV-MSR table and the fold index arrays, so the
-    accumulation can be audited independently.
+    accumulation can be audited independently. Each (alpha, fold) fit is
+    one task of ``pipeline.pool_map`` over ``jobs`` workers; an alpha's
+    squared errors are summed in fold order whatever ``jobs`` is.
     """
+    from .pipeline import pool_map
+
     if not candidates:
         raise ValueError("no bandwidth candidates supplied")
     if k < 2:
@@ -202,13 +207,19 @@ def cv_bandwidth(
     folds = np.array_split(rng.permutation(n), k)
     values, inverse = np.unique(I, return_inverse=True)  # one value axis for every fold
     tallies = [_tally(values, np.delete(inverse, fold), np.delete(y, fold)) for fold in folds]
+
+    def fold_sse(unit: tuple[float, int]) -> float:
+        alpha, f = unit
+        pred = predict_local(_fit(*tallies[f], alpha, grid=grid), I[folds[f]])
+        return float(np.sum((pred - y[folds[f]]) ** 2))
+
+    units = [(alpha, f) for alpha in candidates for f in range(k)]
+    sums = iter(pool_map(fold_sse, units, jobs))
     msr_by_alpha: dict = {}
     for alpha in candidates:
         sse = 0.0
-        for fold, tally in zip(folds, tallies):
-            fit = _fit(*tally, alpha, grid=grid)
-            pred = predict_local(fit, I[fold])
-            sse += float(np.sum((pred - y[fold]) ** 2))
+        for _ in range(k):
+            sse += next(sums)
         msr_by_alpha[float(alpha)] = sse / n
     return CvResult(select_bandwidth(msr_by_alpha), msr_by_alpha, [np.sort(f) for f in folds])
 

@@ -12,18 +12,23 @@ directories.
 Each stage imports the modules it runs when it runs, so that a process that
 runs one stage loads only those: configuration and ``stage_report`` need no
 numpy, and ``stage_fit`` and ``stage_evaluate`` need no simulator, book or
-LOBSTER reader. The day loop imports the process pool only when ``jobs``
-and ``days`` both exceed 1.
+LOBSTER reader.
+
+``pool_map`` runs a run's independent units, the days of every stage and
+the bandwidth CV's (alpha, fold) fits, on ``jobs`` workers forked from the
+calling process; it loads no process-pool module.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import re
+import selectors
 import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__
 from . import reports as rp
@@ -337,26 +342,156 @@ def _sampled_day(
     return DayOutcome(day, sub, res.stats, flags, mismatches)
 
 
-def _day_worker(args) -> DayOutcome:
-    cfg, day = args
-    return _simulated_day(cfg, day) if cfg.source == "preset" else _lobster_day(cfg, day)
-
-
 def run_days(cfg: RunConfig) -> list[DayOutcome]:
-    """Every day's outcome, in day order. With ``jobs`` > 1 each day is its
-    own task in a pool of ``min(jobs, days)`` workers, so a worker that
-    finishes early takes the next day; with one worker they run in process."""
-    tasks = [(cfg, day) for day in range(cfg.days)]
-    workers = min(cfg.jobs, cfg.days)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    """Every day's outcome, in day order, each day one task of ``pool_map``."""
+    # the modules a day runs, numpy.random among them (seeds imports it),
+    # loaded here so that forked workers inherit them
+    from . import lobster, sampling, seeds  # noqa: F401
 
-        # package modules that forked workers inherit, numpy.random among them
-        from . import lobster, sampling, seeds, simulate  # noqa: F401
+    if cfg.source == "preset":
+        from . import simulate  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_day_worker, tasks))
-    return [_day_worker(t) for t in tasks]
+        day_outcome = _simulated_day
+    else:
+        day_outcome = _lobster_day
+    return pool_map(lambda day: day_outcome(cfg, day), range(cfg.days), cfg.jobs)
+
+
+# --- the worker pool -------------------------------------------------------------
+
+_SIGKILL = 9  # POSIX; os.fork exists only there
+
+
+def pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
+    """``[fn(task) for task in tasks]``, on ``min(jobs, len(tasks))`` forked
+    workers where that is two or more, else in process.
+
+    Each worker inherits ``fn``, ``tasks`` and every loaded module from the
+    fork; the parent hands it one task index at a time, so a worker that
+    finishes early takes the next task, and only results are pickled. The
+    results come back in task order. Every task runs; then the first failure
+    in task order is raised: the task's own exception, or ChildProcessError
+    if its worker ended (killed, or by ``os._exit``) before reporting it.
+    Every worker has been reaped when this returns or raises; on an
+    interrupt, or any other error in the parent, they are killed first.
+    """
+    workers = min(jobs, len(tasks))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    outcomes: list = [None] * len(tasks)  # (True, result) or (False, exception)
+    todo = iter(range(len(tasks)))
+    pool: list[_Worker] = []
+    lost = []  # the wait status of each worker that ended with a task unreported
+    try:
+        for _ in range(workers):
+            pool.append(_Worker(fn, tasks, pool))
+        with selectors.DefaultSelector() as sel:
+            for w in pool:
+                sel.register(w.results, selectors.EVENT_READ, w)
+                w.send(next(todo, None))
+            while sel.get_map():
+                for key, _ in sel.select():
+                    w = key.data
+                    if w.receive(outcomes):
+                        w.send(next(todo, None))
+                    elif w.ended:
+                        sel.unregister(w.results)
+                        status = w.reap()
+                        if w.task is not None:
+                            lost.append(status)
+    except BaseException:
+        for w in pool:
+            if w.pid is not None:
+                os.kill(w.pid, _SIGKILL)
+        raise
+    finally:
+        for w in pool:
+            w.close()
+    for outcome in outcomes:
+        if outcome is None:  # so some worker ended with its task unreported
+            unfinished = [str(i) for i, o in enumerate(outcomes) if o is None]
+            code = os.waitstatus_to_exitcode(lost[0])
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"a worker process {how} before task"
+                                    f"{'s' * (len(unfinished) > 1)} {', '.join(unfinished)} finished")
+        if not outcome[0]:
+            raise outcome[1]
+    return [result for _, result in outcomes]
+
+
+class _Worker:
+    """A forked ``pool_map`` worker: a pipe that takes task indices to it and
+    one that brings each result back, as its length and its pickle."""
+
+    def __init__(self, fn: Callable, tasks: Sequence, siblings: list[_Worker]):
+        task_r, self.tasks = os.pipe()
+        self.results, result_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                # the siblings' pipe ends would keep their end-of-file from them
+                for fd in (self.tasks, self.results, *(f for s in siblings for f in s.fds())):
+                    os.close(fd)
+                with open(result_w, "wb") as out:
+                    while index := os.read(task_r, 8):
+                        try:
+                            result = (True, fn(tasks[int.from_bytes(index, "little")]))
+                        except BaseException as exc:
+                            result = (False, exc)
+                        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                        out.write(len(data).to_bytes(8, "little") + data)
+                        out.flush()
+                status = 0
+            finally:
+                os._exit(status)  # never return into the parent's stack
+        os.close(task_r)
+        os.close(result_w)
+        self.task = None  # the index of the task it runs
+        self.buffer = bytearray()
+        self.ended = False
+
+    def fds(self) -> tuple:
+        return tuple(fd for fd in (self.tasks, self.results) if fd is not None)
+
+    def send(self, task: Optional[int]) -> None:
+        """Hand task index ``task`` to the worker; None: there is none left,
+        and the worker exits."""
+        self.task = task
+        if task is None:
+            os.close(self.tasks)
+            self.tasks = None
+            return
+        try:
+            os.write(self.tasks, task.to_bytes(8, "little"))
+        except BrokenPipeError:  # it has ended: its end-of-file reports the task lost
+            pass
+
+    def receive(self, outcomes: list) -> bool:
+        """Read what the worker has written; whether it finished its task,
+        whose outcome goes to ``outcomes``. At end-of-file, ``ended`` is set."""
+        chunk = os.read(self.results, 1 << 16)
+        if not chunk:
+            self.ended = True
+            return False
+        self.buffer += chunk
+        if len(self.buffer) < 8 or len(self.buffer) < 8 + int.from_bytes(self.buffer[:8], "little"):
+            return False
+        outcomes[self.task] = pickle.loads(self.buffer[8:])  # its one result, whole
+        self.buffer.clear()
+        return True
+
+    def reap(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status
+
+    def close(self) -> None:
+        if self.pid is not None:
+            self.reap()
+        for fd in self.fds():
+            os.close(fd)
+        self.tasks = self.results = None
 
 
 # --- stages ----------------------------------------------------------------------
@@ -482,7 +617,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> None:
         grid = lo.default_grid(cfg.grid_points)
         cv = lo.cv_bandwidth(
             I_tr, y_tr, cfg.alphas, k=cfg.cv_folds,
-            rng=seeds.rng_for(cfg.seed, seeds.CV), grid=grid,
+            rng=seeds.rng_for(cfg.seed, seeds.CV), grid=grid, jobs=cfg.jobs,
         )
         lfit = lo.fit_local_logistic(I_tr, y_tr, cv.alpha, grid=grid)
         rp.write_csv(fits_dir / "local_curve.csv", ("grid", "fitted"), (lfit.grid, lfit.fitted))

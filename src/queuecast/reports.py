@@ -87,13 +87,33 @@ _RANGES = {**dict.fromkeys(("auc_in", "auc_out", "msr_in", "msr_out"), (0.0, 1.0
 
 
 def open_out(path, newline=None):
-    """``path`` opened to write an artifact. A path that cannot be written (a
-    directory stands there, or a file where its directory should be) is a
-    ConfigError naming it: the output location is at fault, not the data."""
+    """``path`` opened to write an artifact, as ``open(path, "w",
+    encoding="ascii", newline=newline)`` opens it. A path that cannot be
+    opened (a directory stands there, or a file where its directory should
+    be), and a write or close that fails (a full disk), are a ConfigError
+    naming it: the output location is at fault, not the data."""
     try:
-        return open(path, "w", encoding="ascii", newline=newline)
+        raw = _ArtifactFile(path, "w")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    return io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii", newline=newline)
+
+
+class _ArtifactFile(io.FileIO):
+    """The file under ``open_out``'s buffers, which writes to it a buffer at
+    a time: an OSError in a write or at close becomes the ConfigError."""
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.name}: {exc.strerror}") from None
+
+    def close(self):
+        try:
+            super().close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.name}: {exc.strerror}") from None
 
 
 def make_dir(path) -> None:

@@ -276,30 +276,19 @@ class TestDayLoop:
 
     @pytest.mark.parametrize("days, jobs, workers", [(1, 4, None), (3, 4, 3), (5, 2, 2), (2, 1, None)])
     def test_pool_has_no_more_workers_than_days(self, tmp_path, monkeypatch, days, jobs, workers):
-        # a fake pool records its size and runs the tasks in process; None:
-        # no pool was made
-        import concurrent.futures
+        # the forks are counted in the parent; None: the days ran in process
+        made, fork = [], os.fork
 
-        made = []
+        def counted_fork():
+            made.append(1)
+            return fork()
 
-        class FakePool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(pl, "_day_worker", lambda task: task[1])
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(pl, "_simulated_day", lambda cfg, day: day)
         cfg = pl.load_config(None, fast_overrides(tmp_path, days=days, jobs=jobs))
         assert pl.run_days(cfg) == list(range(days))
-        assert made == ([] if workers is None else [workers])
+        assert len(made) == (0 if workers is None else workers)
+        assert_no_child_left()
 
     @pytest.mark.parametrize("preset", ["large-tick", "small-tick"])
     def test_unrecorded_day_matches_recorded_simulation(self, tmp_path, monkeypatch, preset):
@@ -317,6 +306,69 @@ class TestDayLoop:
         assert all(messages and l1_rows for messages, l1_rows in recorded)
         assert lean == full
         assert all(oc.points for oc in lean)
+
+
+def assert_no_child_left():
+    """Every worker process was reaped: none is left running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_odd(i):
+    if i % 2:
+        raise DataError(f"task {i}", line_no=i)
+    return i
+
+
+class TestPoolMap:
+    def test_results_in_task_order_whatever_their_number_or_size(self):
+        # more indices than a pipe holds, and a result larger than one
+        assert pl.pool_map(lambda i: i * i, range(20000), 2) == [i * i for i in range(20000)]
+        big = pl.pool_map(lambda i: bytes(i << 20), range(5), 3)
+        assert [len(b) for b in big] == [i << 20 for i in range(5)]
+        assert_no_child_left()
+
+    def test_first_failure_in_task_order_after_every_task(self, tmp_path):
+        def task(i):
+            (tmp_path / str(i)).touch()  # a task that ran
+            return fail_odd(i)
+
+        with pytest.raises(DataError) as err:
+            pl.pool_map(task, range(8), 3)
+        assert (str(err.value), err.value.line_no) == ("line 1: task 1", 1)
+        assert sorted(int(p.name) for p in tmp_path.iterdir()) == list(range(8))
+        assert_no_child_left()
+        with pytest.raises(DataError, match="^line 1: task 1$"):
+            pl.pool_map(fail_odd, range(8), 1)
+
+    @pytest.mark.parametrize("how, status", [(lambda: os._exit(3), "exited with status 3"),
+                                             (lambda: os.kill(os.getpid(), 9),
+                                              "was killed by signal 9")])
+    def test_lost_worker(self, how, status):
+        def task(i):
+            if i == 2:
+                how()
+            return i
+
+        with pytest.raises(ChildProcessError) as err:
+            pl.pool_map(task, range(6), 2)
+        assert str(err.value) == f"a worker process {status} before task 2 finished"
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_every_worker(self):
+        import signal
+        import time
+
+        def task(i):
+            if i == 0:
+                os.kill(os.getppid(), signal.SIGINT)
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            pl.pool_map(task, range(4), 2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 def write_day(directory, zi) -> int:
@@ -1007,6 +1059,123 @@ SWEEP_INPUTS = [
 SWEEP_ERRORS = {2: "config error: ", 3: "data error: "}
 
 
+def digests_but_config(root: Path) -> dict:
+    """The tree's digests without resolved_config.txt, which records out_dir and jobs."""
+    digests = tree_digest(root)
+    digests.pop("resolved_config.txt", None)
+    return digests
+
+
+class TestStagesOverWorkers:
+    """simulate, ingest and fit run their days and CV fits over ``jobs``
+    workers; what they write, and what a failed run leaves, does not depend
+    on ``jobs``."""
+
+    @pytest.fixture(scope="class")
+    def simdata(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("workers")
+        (root / "sim.cfg").write_text("days = 4\nhorizon = 60\n")
+        for jobs in ("1", "2"):
+            argv = ["simulate", "--config", str(root / "sim.cfg"), "--out", str(root / f"sim{jobs}")]
+            assert cli_main([*argv, "--jobs", jobs]) == 0
+        return root
+
+    @staticmethod
+    def lobster_cfg(directory: Path, simdir: Path) -> None:
+        (directory / "run.cfg").write_text(
+            f"source = lobster\ndata_dir = {simdir}\n"
+            + "message_files = " + ",".join(f"day{d:03d}_message.csv" for d in range(4)) + "\n"
+            + "orderbook_files = " + ",".join(f"day{d:03d}_orderbook.csv" for d in range(4)) + "\n"
+        )
+
+    def test_simulate_and_ingest(self, simdata, tmp_path):
+        sim1 = digests_but_config(simdata / "sim1")
+        assert sim1 == digests_but_config(simdata / "sim2")
+        assert len(sim1) == 9  # four days' two files and manifest.json
+        self.lobster_cfg(tmp_path, simdata / "sim1")
+        for jobs in ("1", "2"):
+            argv = ["ingest", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / jobs)]
+            assert cli_main([*argv, "--jobs", jobs]) == 0
+        ingested = digests_but_config(tmp_path / "1")
+        assert ingested == digests_but_config(tmp_path / "2")
+        assert sorted(ingested) == [*(f"day{d:03d}_events.csv" for d in range(4)),
+                                    "summary.json", "verification.json"]
+
+    def test_fit_with_local(self, run_once, tmp_path):
+        for jobs in (1, 2):
+            out = tmp_path / str(jobs)
+            out.mkdir()
+            shutil.copyfile(run_once / "samples.csv", out / "samples.csv")
+            pl.stage_fit(pl.load_config(None, fast_overrides(out, jobs=jobs)), out)
+        assert digests_but_config(tmp_path / "1") == digests_but_config(tmp_path / "2")
+        assert digests_but_config(tmp_path / "1")["fits/local_meta.json"] == (
+            tree_digest(run_once)["fits/local_meta.json"])
+
+    def test_malformed_day_fails_alike(self, simdata, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(simdata / "sim1", data)
+        path = data / "day001_message.csv"
+        rows = path.read_text().splitlines(keepends=True)
+        rows[5] = rows[5].replace(",", ",x", 1)
+        path.write_text("".join(rows))
+        self.lobster_cfg(tmp_path, data)
+        runs = []
+        for jobs in ("1", "2"):
+            proc = run_cli("ingest", "--config", "run.cfg", "--out", jobs, "--jobs", jobs,
+                           cwd=tmp_path)
+            runs.append((proc.returncode, proc.stderr, digests_but_config(tmp_path / jobs)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3 and runs[0][1].startswith("data error: line 6: ")
+        assert str(path) in runs[0][1]
+        assert list(runs[0][2]) == ["day000_events.csv"]
+
+    def test_lost_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        day = pl._simulated_day
+
+        def lost_on_day_1(cfg, d):
+            if d == 1:
+                os._exit(3)
+            return day(cfg, d)
+
+        monkeypatch.setattr(pl, "_simulated_day", lost_on_day_1)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in fast_overrides(tmp_path / "out").items()))
+        assert cli_main(["sample", "--config", str(cfgfile), "--jobs", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a worker process exited with status 3 before task 1 finished\n")
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_day_write_fault_names_the_file(self, tmp_path, monkeypatch, capsys):
+        # a full disk under one day's level-1 file, at jobs 1 and 2
+        monkeypatch.setattr(pl, "fresh_out_dir", pl.make_out_dir)
+        left = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            out.mkdir()
+            (out / "day001_orderbook.csv.partial").symlink_to("/dev/full")
+            argv = ["simulate", "--days", "3", "--seed", "3", "--out", str(out), "--jobs", jobs]
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == (f"config error: cannot write {out}/"
+                                               "day001_orderbook.csv.partial: No space left on device\n")
+            left.append(sorted(p.name for p in out.iterdir()))
+        assert left[0] == left[1] == [
+            "day000_message.csv", "day000_orderbook.csv", "resolved_config.txt"]
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_write_fault_names_the_file(self, run_once, tmp_path):
+        shutil.copytree(run_once, tmp_path / "run")
+        (tmp_path / "run.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in fast_overrides("run").items()))
+        for name, command in (("report.txt", "report"), ("eval/histogram.csv", "evaluate")):
+            (tmp_path / "run" / name).unlink()
+            (tmp_path / "run" / name).symlink_to("/dev/full")
+            proc = run_cli(command, "--config", "run.cfg", cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (
+                2, f"config error: cannot write run/{name}: No space left on device\n")
+
+
 class TestCliSweep:
     """Every subcommand against each of its inputs replaced by an empty
     directory, removed, cut in the middle of a row, and with a non-ASCII byte
@@ -1281,8 +1450,8 @@ class TestStartup:
         "finally:\n"
         "    print(' '.join(sorted(sys.modules)))\n"
     )
-    HEAVY = {"queuecast.simulate", "queuecast.lobster", "queuecast.book",
-             "concurrent.futures.process"}
+    POOLS = {"concurrent.futures", "multiprocessing"}
+    HEAVY = {"queuecast.simulate", "queuecast.lobster", "queuecast.book", *POOLS}
 
     def test_staged_subcommands_load_only_what_they_run(self, run_once, tmp_path):
         out = tmp_path / "run"
@@ -1308,6 +1477,19 @@ class TestStartup:
             if rel not in ("resolved_config.txt", "sampling_flags.json", "summary.json",
                            "queue_survivor.csv"):
                 assert digests[rel] == digest, rel
+
+    def test_day_pool_loads_no_process_pool_module(self, tmp_path):
+        (tmp_path / "run.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in fast_overrides("out", days=2, horizon=30.0).items())
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.MODULES, "sample", "--config", "run.cfg", "--jobs", "2"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        loaded = set(proc.stdout.split())
+        assert "queuecast.simulate" in loaded and not self.POOLS & loaded
 
     def test_lobster_import_loads_no_numpy(self):
         """parse_messages loads numpy when it converts its first block."""
