@@ -133,23 +133,18 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
 def _write_days(cfg: pl.RunConfig, out: Path, names, write_day) -> list:
     """``write_day(day, *files)`` of every day, in day order, each day one task
     of ``pool_map``. ``files`` are the day's files ``names(day)`` in ``out``,
-    written under ``.partial`` names that become the names once the day is
-    done; a day that fails leaves neither. A failed run leaves the files of
-    the days before the first that failed, as it does at jobs = 1."""
+    written under ``.partial`` names that a finished day renames into place.
+    A failed run keeps the files of the days before the first that failed,
+    and no other day file, as it does at jobs = 1."""
 
     def partial(path: Path) -> Path:
         return path.with_name(path.name + ".partial")
 
     def day_task(day: int):
         paths = [out / name for name in names(day)]
-        try:
-            with ExitStack() as stack:
-                result = write_day(day, *(stack.enter_context(rp.open_out(partial(p), newline="\n"))
-                                          for p in paths))
-        except BaseException:
-            for path in paths:
-                partial(path).unlink(missing_ok=True)
-            raise
+        with ExitStack() as stack:
+            result = write_day(day, *(stack.enter_context(rp.open_out(partial(p), newline="\n"))
+                                      for p in paths))
         for path in paths:
             partial(path).replace(path)
         return result
@@ -160,11 +155,11 @@ def _write_days(cfg: pl.RunConfig, out: Path, names, write_day) -> list:
         complete = True  # every day so far has its files
         for day in range(cfg.days):
             paths = [out / name for name in names(day)]
-            for path in paths:
-                partial(path).unlink(missing_ok=True)  # a lost or killed worker's
-                if not complete:
-                    path.unlink(missing_ok=True)
             complete = complete and all(path.exists() for path in paths)
+            if not complete:
+                for path in paths:
+                    path.unlink(missing_ok=True)
+                    partial(path).unlink(missing_ok=True)
         raise
 
 

@@ -350,10 +350,7 @@ def run_days(cfg: RunConfig) -> list[DayOutcome]:
 
     if cfg.source == "preset":
         from . import simulate  # noqa: F401
-
-        day_outcome = _simulated_day
-    else:
-        day_outcome = _lobster_day
+    day_outcome = _simulated_day if cfg.source == "preset" else _lobster_day
     return pool_map(lambda day: day_outcome(cfg, day), range(cfg.days), cfg.jobs)
 
 
@@ -367,50 +364,58 @@ def pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
     workers where that is two or more, else in process.
 
     Each worker inherits ``fn``, ``tasks`` and every loaded module from the
-    fork; the parent hands it one task index at a time, so a worker that
-    finishes early takes the next task, and only results are pickled. The
-    results come back in task order. Every task runs; then the first failure
-    in task order is raised: the task's own exception, or ChildProcessError
-    if its worker ended (killed, or by ``os._exit``) before reporting it.
-    Every worker has been reaped when this returns or raises; on an
-    interrupt, or any other error in the parent, they are killed first.
+    fork, and only outcomes are pickled. A worker is handed its next task
+    index once the parent has read its last outcome, so a worker that
+    finishes early takes the next task, and one outcome at a time is in
+    each worker's pipe. The results come back in task order. A failing task
+    does not stop the others; once they are done, the first failure in task
+    order is raised: the task's own exception, or ChildProcessError if its
+    worker ended (killed, or by ``os._exit``) before reporting it. Every
+    worker has been reaped when this returns or raises; on an interrupt, or
+    any other error in the parent, they are killed first.
     """
     workers = min(jobs, len(tasks))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
     outcomes: list = [None] * len(tasks)  # (True, result) or (False, exception)
     todo = iter(range(len(tasks)))
-    pool: list[_Worker] = []
-    lost = []  # the wait status of each worker that ended with a task unreported
+    pool: dict[object, _Worker] = {}  # each live worker, by the file its outcomes come from
+    statuses = []  # the wait status of each worker that has ended
     try:
         for _ in range(workers):
-            pool.append(_Worker(fn, tasks, pool))
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(fn, tasks, task_r, result_w, [task_w, result_r])
+            os.close(task_r)
+            os.close(result_w)
+            pool[open(result_r, "rb")] = _Worker(pid, task_w)
         with selectors.DefaultSelector() as sel:
-            for w in pool:
-                sel.register(w.results, selectors.EVENT_READ, w)
+            for results, w in pool.items():
+                sel.register(results, selectors.EVENT_READ)
                 w.send(next(todo, None))
             while sel.get_map():
                 for key, _ in sel.select():
-                    w = key.data
-                    if w.receive(outcomes):
+                    w = pool[key.fileobj]
+                    try:
+                        outcomes[w.task] = pickle.load(key.fileobj)
                         w.send(next(todo, None))
-                    elif w.ended:
-                        sel.unregister(w.results)
-                        status = w.reap()
-                        if w.task is not None:
-                            lost.append(status)
+                    except (EOFError, pickle.UnpicklingError):  # the worker has ended
+                        sel.unregister(key.fileobj)
+                        del pool[key.fileobj]
+                        key.fileobj.close()
+                        statuses.append(w.end())
     except BaseException:
-        for w in pool:
-            if w.pid is not None:
-                os.kill(w.pid, _SIGKILL)
+        for w in pool.values():
+            os.kill(w.pid, _SIGKILL)
         raise
     finally:
-        for w in pool:
-            w.close()
+        for results, w in pool.items():
+            results.close()
+            w.end()
     for outcome in outcomes:
-        if outcome is None:  # so some worker ended with its task unreported
+        if outcome is None:  # its worker ended first
             unfinished = [str(i) for i, o in enumerate(outcomes) if o is None]
-            code = os.waitstatus_to_exitcode(lost[0])
+            code = next((c for c in map(os.waitstatus_to_exitcode, statuses) if c), 0)
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             raise ChildProcessError(f"a worker process {how} before task"
                                     f"{'s' * (len(unfinished) > 1)} {', '.join(unfinished)} finished")
@@ -420,78 +425,53 @@ def pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
 
 class _Worker:
-    """A forked ``pool_map`` worker: a pipe that takes task indices to it and
-    one that brings each result back, as its length and its pickle."""
+    """A forked ``pool_map`` worker: its pid, the pipe that takes it task
+    indices, and the index of the task it runs."""
 
-    def __init__(self, fn: Callable, tasks: Sequence, siblings: list[_Worker]):
-        task_r, self.tasks = os.pipe()
-        self.results, result_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                # the siblings' pipe ends would keep their end-of-file from them
-                for fd in (self.tasks, self.results, *(f for s in siblings for f in s.fds())):
-                    os.close(fd)
-                with open(result_w, "wb") as out:
-                    while index := os.read(task_r, 8):
-                        try:
-                            result = (True, fn(tasks[int.from_bytes(index, "little")]))
-                        except BaseException as exc:
-                            result = (False, exc)
-                        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-                        out.write(len(data).to_bytes(8, "little") + data)
-                        out.flush()
-                status = 0
-            finally:
-                os._exit(status)  # never return into the parent's stack
-        os.close(task_r)
-        os.close(result_w)
-        self.task = None  # the index of the task it runs
-        self.buffer = bytearray()
-        self.ended = False
-
-    def fds(self) -> tuple:
-        return tuple(fd for fd in (self.tasks, self.results) if fd is not None)
+    def __init__(self, pid: int, tasks: int):
+        self.pid, self.tasks, self.task = pid, tasks, None
 
     def send(self, task: Optional[int]) -> None:
-        """Hand task index ``task`` to the worker; None: there is none left,
-        and the worker exits."""
+        """Hand it task index ``task``; None: there is none left, and it ends."""
         self.task = task
         if task is None:
             os.close(self.tasks)
             self.tasks = None
-            return
-        try:
-            os.write(self.tasks, task.to_bytes(8, "little"))
-        except BrokenPipeError:  # it has ended: its end-of-file reports the task lost
-            pass
+        else:
+            try:
+                os.write(self.tasks, task.to_bytes(8, "little"))
+            except BrokenPipeError:  # it has ended: its end-of-file reports the task lost
+                pass
 
-    def receive(self, outcomes: list) -> bool:
-        """Read what the worker has written; whether it finished its task,
-        whose outcome goes to ``outcomes``. At end-of-file, ``ended`` is set."""
-        chunk = os.read(self.results, 1 << 16)
-        if not chunk:
-            self.ended = True
-            return False
-        self.buffer += chunk
-        if len(self.buffer) < 8 or len(self.buffer) < 8 + int.from_bytes(self.buffer[:8], "little"):
-            return False
-        outcomes[self.task] = pickle.loads(self.buffer[8:])  # its one result, whole
-        self.buffer.clear()
-        return True
+    def end(self) -> int:
+        """Close its pipe, reap it, and return its wait status."""
+        if self.tasks is not None:
+            os.close(self.tasks)
+            self.tasks = None
+        return os.waitpid(self.pid, 0)[1]
 
-    def reap(self) -> int:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return status
 
-    def close(self) -> None:
-        if self.pid is not None:
-            self.reap()
-        for fd in self.fds():
+def _serve(fn: Callable, tasks: Sequence, task_r: int, result_w: int, inherited: list[int]):
+    """A forked worker's life: close the parent's ends of its pipes,
+    ``inherited``, run each task whose index comes in on ``task_r``, write
+    its outcome to ``result_w``, and exit at the end of the indices, never
+    returning into the parent's stack. (An earlier sibling's task pipe,
+    held here too, ends when this worker does.)"""
+    status = 1
+    try:
+        for fd in inherited:
             os.close(fd)
-        self.tasks = self.results = None
+        with open(result_w, "wb") as out:
+            while index := os.read(task_r, 8):  # written 8 bytes at a time
+                try:
+                    outcome = (True, fn(tasks[int.from_bytes(index, "little")]))
+                except BaseException as exc:
+                    outcome = (False, exc)
+                pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # --- stages ----------------------------------------------------------------------

@@ -40,8 +40,9 @@ PIPELINE_DIGESTS = {
     "report.json": "72738279083bf094cbc1b396842c11c21abb6ff2cacf0371b56d6cf1edd35e4a",
 }
 
-# the local-logistic curve and its ROC, on a coarse grid
+# the local-logistic curve, its CV's MSR per bandwidth, and its ROC, on a coarse grid
 LOCAL_PIPELINE_DIGESTS = {
+    "fits/local_meta.json": "629f2b273fd121122607061aeabe8895b9f102e158e5ebb0f10e9768962d3dad",
     "fits/local_curve.csv": "39088ae70420b53bbfd5ea2f0274e8b9a47af04729a67473374a021ba363ae78",
     "eval/roc_local_out.csv": "9b9ed4681c279e41afd58f535278352c5ed668a493a14b5da12e4d88bb14a146",
 }
@@ -88,8 +89,11 @@ def test_pipeline_output_pinned(tmp_path):
 
 
 def test_local_pipeline_output_pinned(tmp_path):
-    out = run_pipeline(tmp_path, "days = 3\nmodels = logistic,local,null\ngrid_points = 41\n")
-    assert digests(out, LOCAL_PIPELINE_DIGESTS) == LOCAL_PIPELINE_DIGESTS
+    for jobs in (1, 2):  # the CV's fits in process, and on two workers
+        (tmp_path / str(jobs)).mkdir()
+        out = run_pipeline(tmp_path / str(jobs),
+                           f"days = 3\nmodels = logistic,local,null\ngrid_points = 41\njobs = {jobs}\n")
+        assert digests(out, LOCAL_PIPELINE_DIGESTS) == LOCAL_PIPELINE_DIGESTS
 
 
 def test_windowed_sample_output_pinned(tmp_path):

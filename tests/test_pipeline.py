@@ -321,9 +321,24 @@ def fail_odd(i):
 
 
 class TestPoolMap:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A pool that hangs fails the test: the alarm interrupts its parent."""
+        import signal
+
+        def expire(signum, frame):
+            raise TimeoutError("pool_map still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     def test_results_in_task_order_whatever_their_number_or_size(self):
-        # more indices than a pipe holds, and a result larger than one
-        assert pl.pool_map(lambda i: i * i, range(20000), 2) == [i * i for i in range(20000)]
+        # more indices than a pipe holds, on more workers than CPUs, and a
+        # result larger than a pipe holds
+        assert pl.pool_map(lambda i: i * i, range(20000), 4) == [i * i for i in range(20000)]
         big = pl.pool_map(lambda i: bytes(i << 20), range(5), 3)
         assert [len(b) for b in big] == [i << 20 for i in range(5)]
         assert_no_child_left()
@@ -350,8 +365,8 @@ class TestPoolMap:
                 how()
             return i
 
-        with pytest.raises(ChildProcessError) as err:
-            pl.pool_map(task, range(6), 2)
+        with pytest.raises(ChildProcessError) as err:  # the other two share the rest
+            pl.pool_map(task, range(2000), 3)
         assert str(err.value) == f"a worker process {status} before task 2 finished"
         assert_no_child_left()
 
