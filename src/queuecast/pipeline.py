@@ -22,9 +22,7 @@ calling process; it loads no process-pool module.
 from __future__ import annotations
 
 import os
-import pickle
 import re
-import selectors
 import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -377,6 +375,9 @@ def pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
     workers = min(jobs, len(tasks))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
+    import pickle
+    import selectors
+
     outcomes: list = [None] * len(tasks)  # (True, result) or (False, exception)
     todo = iter(range(len(tasks)))
     pool: dict[object, _Worker] = {}  # each live worker, by the file its outcomes come from
@@ -459,6 +460,8 @@ def _serve(fn: Callable, tasks: Sequence, task_r: int, result_w: int, inherited:
     held here too, ends when this worker does.)"""
     status = 1
     try:
+        import pickle  # loaded by pool_map before the fork
+
         for fd in inherited:
             os.close(fd)
         with open(result_w, "wb") as out:
