@@ -82,9 +82,6 @@ def cmd_simulate(cfg: pl.RunConfig) -> None:
     from . import lobster as lb
     from . import simulate as sim
 
-    out = pl.fresh_out_dir(cfg)
-    pl.write_resolved_config(cfg, out)
-
     def names(day: int) -> tuple[str, str]:
         return f"day{day:03d}_message.csv", f"day{day:03d}_orderbook.csv"
 
@@ -96,8 +93,9 @@ def cmd_simulate(cfg: pl.RunConfig) -> None:
         return {"day": day, "message_file": msg_name, "orderbook_file": l1_name,
                 "messages": res.counters.messages, "side_depleted": res.side_depleted}
 
-    days = _write_days(cfg, out, names, simulate_day)
-    rp.write_json(out / "manifest.json", {"preset": cfg.preset, "seed": cfg.seed, "days": days})
+    with pl.fresh_out_dir(cfg) as out:
+        days = _write_days(cfg, out, names, simulate_day)
+        rp.write_json(out / "manifest.json", {"preset": cfg.preset, "seed": cfg.seed, "days": days})
 
 
 def cmd_ingest(cfg: pl.RunConfig) -> None:
@@ -110,8 +108,6 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
 
     if cfg.source != "lobster":
         raise ConfigError("ingest requires source = lobster with message_files")
-    out = pl.fresh_out_dir(cfg)
-    pl.write_resolved_config(cfg, out)
 
     def ingest_day(day: int, fh):
         res, report = pl.read_lobster_day(cfg, day, events=lb.event_writer(fh))
@@ -123,19 +119,20 @@ def cmd_ingest(cfg: pl.RunConfig) -> None:
             "mismatch_count": len(report.mismatches),
         }
 
-    days = _write_days(cfg, out, lambda day: (f"day{day:03d}_events.csv",), ingest_day)
-    pl.write_summary(out / "summary.json", [stats for stats, _ in days], cfg.tick_size)
-    verification = {f"day{day:03d}": v for day, (_, v) in enumerate(days) if v is not None}
-    if verification:
-        rp.write_json(out / "verification.json", verification)
+    with pl.fresh_out_dir(cfg) as out:
+        days = _write_days(cfg, out, lambda day: (f"day{day:03d}_events.csv",), ingest_day)
+        pl.write_summary(out / "summary.json", [stats for stats, _ in days], cfg.tick_size)
+        verification = {f"day{day:03d}": v for day, (_, v) in enumerate(days) if v is not None}
+        if verification:
+            rp.write_json(out / "verification.json", verification)
 
 
 def _write_days(cfg: pl.RunConfig, out: Path, names, write_day) -> list:
     """``write_day(day, *files)`` of every day, in day order, each day one task
     of ``pool_map``. ``files`` are the day's files ``names(day)`` in ``out``,
-    written under ``.partial`` names that a finished day renames into place.
-    A failed run keeps the files of the days before the first that failed,
-    and no other day file, as it does at jobs = 1."""
+    written under ``.partial`` names that a finished day renames into place,
+    so a day file under its final name is complete even after a hard kill.
+    What a failed run leaves is ``fresh_out_dir``'s to remove."""
 
     def partial(path: Path) -> Path:
         return path.with_name(path.name + ".partial")
@@ -149,23 +146,13 @@ def _write_days(cfg: pl.RunConfig, out: Path, names, write_day) -> list:
             partial(path).replace(path)
         return result
 
-    try:
-        return pl.pool_map(day_task, range(cfg.days), cfg.jobs)
-    except BaseException:
-        complete = True  # every day so far has its files
-        for day in range(cfg.days):
-            paths = [out / name for name in names(day)]
-            complete = complete and all(path.exists() for path in paths)
-            if not complete:
-                for path in paths:
-                    path.unlink(missing_ok=True)
-                    partial(path).unlink(missing_ok=True)
-        raise
+    return pl.pool_map(day_task, range(cfg.days), cfg.jobs)
 
 
 def _staged(stage_fn):
     def run(cfg: pl.RunConfig) -> None:
-        out = pl.make_out_dir(cfg)
+        out = Path(cfg.out_dir)
+        rp.make_dir(out)
         pl.write_resolved_config(cfg, out)
         stage_fn(cfg, out)
 

@@ -226,12 +226,4 @@ def cv_bandwidth(
 
 def select_bandwidth(msr_by_alpha: dict) -> float:
     """Lowest CV-MSR candidate; exact ties go to the larger (smoother) alpha."""
-    best = None
-    for alpha in msr_by_alpha:
-        if (
-            best is None
-            or msr_by_alpha[alpha] < msr_by_alpha[best]
-            or (msr_by_alpha[alpha] == msr_by_alpha[best] and alpha > best)
-        ):
-            best = alpha
-    return best
+    return min(msr_by_alpha, key=lambda alpha: (msr_by_alpha[alpha], -alpha))

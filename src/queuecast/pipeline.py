@@ -24,9 +24,10 @@ from __future__ import annotations
 import os
 import re
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from . import __version__
 from . import reports as rp
@@ -738,36 +739,22 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def fresh_out_dir(cfg: RunConfig) -> Path:
-    """Create the run's output directory; one that already holds files is a ConfigError."""
+@contextmanager
+def fresh_out_dir(cfg: RunConfig) -> Iterator[Path]:
+    """The run's output directory, created with its ``resolved_config.txt``.
+
+    A directory that already holds files (or a file standing there) is a
+    ConfigError, and is left as it is. If the block raises, everything in
+    the directory is removed, so that the same command can be rerun into
+    it, and the error is raised as the block raised it.
+    """
     out = Path(cfg.out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ConfigError(f"output directory {out} is not an empty directory")
-    return make_out_dir(cfg)
-
-
-def make_out_dir(cfg: RunConfig) -> Path:
-    """Create the run's output directory, or reuse an existing one."""
-    out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-    return out
-
-
-def run_pipeline(cfg: RunConfig) -> Path:
-    """Execute sample -> fit -> evaluate -> report into a fresh directory.
-
-    The output directory must not already contain files; on failure,
-    everything written by this run is removed and the error is raised as the
-    failing stage raised it.
-    """
-    out = fresh_out_dir(cfg)
+    rp.make_dir(out)
     try:
         write_resolved_config(cfg, out)
-        for stage in (stage_sample, stage_fit, stage_evaluate, stage_report):
-            stage(cfg, out)
+        yield out
     except BaseException:
         for child in out.iterdir():
             if child.is_dir():
@@ -775,4 +762,12 @@ def run_pipeline(cfg: RunConfig) -> Path:
             else:
                 child.unlink()
         raise
+
+
+def run_pipeline(cfg: RunConfig) -> Path:
+    """Execute sample -> fit -> evaluate -> report in ``fresh_out_dir``: a
+    failed run leaves the directory empty."""
+    with fresh_out_dir(cfg) as out:
+        for stage in (stage_sample, stage_fit, stage_evaluate, stage_report):
+            stage(cfg, out)
     return out

@@ -117,10 +117,11 @@ class _ArtifactFile(io.FileIO):
 
 
 def make_dir(path) -> None:
-    """Create the artifact directory ``path``, or reuse it; a file standing
-    there is a ConfigError naming it."""
+    """Create the directory ``path`` and any missing parents, or reuse it; a
+    file standing there, or one that cannot be made, is a ConfigError
+    naming it."""
     try:
-        path.mkdir(exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from None
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from queuecast import lobster as lb
 from queuecast import pipeline as pl
+from queuecast import reports as rp
 from queuecast import sampling as sp
 from queuecast import simulate as sim
 from queuecast.cli import main as cli_main
@@ -254,7 +255,7 @@ class TestPipelineRun:
         with pytest.raises(ConfigError):
             pl.run_pipeline(cfg)
 
-    def test_failure_removes_partial_artifacts(self, tmp_path):
+    def test_failure_removes_partial_artifacts(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "failing"
         # days with almost no activity: sampling succeeds but the fit stage
         # cannot split a handful of points
@@ -264,6 +265,42 @@ class TestPipelineRun:
         with pytest.raises(Exception):
             pl.run_pipeline(cfg)
         assert out.exists() and not any(out.iterdir())
+
+        # simulate and ingest whose day 1 of 3 fails, at jobs 1 and 2
+        monkeypatch.chdir(tmp_path)
+        Path("sim.cfg").write_text("days = 3\nhorizon = 30\n")
+        day = ["36000.0,1,1,10,10000,1", "36001.0,1,2,10,10200,-1", "36002.0,4,1,4,10000,1"]
+        for name, rows in (("a.csv", day), ("b.csv", day[:2] + ["36002.0,4,9,4,10200,-1"]),
+                           ("c.csv", day)):
+            Path(name).write_text("".join(f"{r}\n" for r in rows))
+        Path("ing.cfg").write_text("source = lobster\nmessage_files = a.csv,b.csv,c.csv\n")
+        with monkeypatch.context() as m:
+            m.setattr(pl, "preset_day_config", unstable_day_1)
+            for command, cfgfile, code in (("simulate", "sim.cfg", 4), ("ingest", "ing.cfg", 3)):
+                for jobs in ("1", "2"):
+                    out = tmp_path / f"{command}{jobs}"
+                    argv = [command, "--config", cfgfile, "--out", str(out), "--jobs", jobs]
+                    assert cli_main(argv) == code
+                    assert list(out.iterdir()) == []
+                    assert_no_child_left()
+        capsys.readouterr()
+
+        # a pipeline whose day-1 worker is lost
+        simulated_day = pl._simulated_day
+
+        def lost_on_day_1(cfg, d):
+            if d == 1:
+                os._exit(3)
+            return simulated_day(cfg, d)
+
+        monkeypatch.setattr(pl, "_simulated_day", lost_on_day_1)
+        out = tmp_path / "lost"
+        Path("run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in fast_overrides(out).items()))
+        assert cli_main(["pipeline", "--config", "run.cfg", "--jobs", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a worker process exited with status 3 before task 1 finished\n")
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
 
 
 class TestDayLoop:
@@ -306,6 +343,13 @@ class TestDayLoop:
         assert all(messages and l1_rows for messages, l1_rows in recorded)
         assert lean == full
         assert all(oc.points for oc in lean)
+
+
+def unstable_day_1(cfg, day, day_config=pl.preset_day_config):
+    """``pl.preset_day_config``, but day 1 of a run is a NumericalError."""
+    if day == 1:
+        raise NumericalError("day 1 diverged")
+    return day_config(cfg, day)
 
 
 def assert_no_child_left():
@@ -695,8 +739,8 @@ class TestCli:
         proc = run_cli("ingest", "--config", "run.cfg", "--out", "out", cwd=tmp_path)
         assert proc.returncode == 3
         assert proc.stderr == f"data error: {error}\n"
-        # the day failed: neither its events file nor its partial one is left
-        assert [p.name for p in (tmp_path / "out").iterdir()] == ["resolved_config.txt"]
+        # the run failed: its directory is left empty
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_one_sided_day_summary(self, tmp_path):
         """A book that never has both sides in the session has no mean queues
@@ -756,6 +800,29 @@ class TestCli:
         ing_cfg.write_text(f"source = lobster\nmessage_files = {simdir / 'day000_message.csv'}\n")
         assert cli_main(["ingest", "--config", str(ing_cfg), "--out", str(simdir)]) == 2
         assert tree_digest(simdir) == before
+
+    def test_rerun_into_a_failed_directory_exits_0(self, tmp_path, monkeypatch, capsys):
+        # a failed simulate or ingest leaves its directory empty, so the same
+        # command, rerun into it once the fault is gone, succeeds
+        monkeypatch.chdir(tmp_path)
+        rows = ["36000.0,1,1,10,10000,1", "36001.0,1,2,10,10200,-1", "36002.0,4,9,4,10200,-1"]
+        Path("m.csv").write_text("".join(f"{r}\n" for r in rows))
+        Path("run.cfg").write_text("source = lobster\nmessage_files = m.csv\n")
+        argv = ["ingest", "--config", "run.cfg", "--out", "out"]
+        assert cli_main(argv) == 3
+        assert capsys.readouterr().err == "data error: line 3: unknown order id 9 (in m.csv)\n"
+        assert list(Path("out").iterdir()) == []
+        Path("m.csv").write_text("".join(f"{r}\n" for r in rows[:2]))
+        assert cli_main(argv) == 0
+        assert (Path("out") / "day000_events.csv").is_file()
+
+        argv = ["simulate", "--seed", "3", "--days", "2", "--out", "sim"]
+        with monkeypatch.context() as m:
+            m.setattr(pl, "preset_day_config", unstable_day_1)
+            assert cli_main(argv) == 4
+        assert list(Path("sim").iterdir()) == []
+        assert cli_main(argv) == 0
+        assert (Path("sim") / "manifest.json").is_file()
 
     def test_resolved_config_reruns_sample(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1142,7 +1209,7 @@ class TestStagesOverWorkers:
         assert runs[0] == runs[1]
         assert runs[0][0] == 3 and runs[0][1].startswith("data error: line 6: ")
         assert str(path) in runs[0][1]
-        assert list(runs[0][2]) == ["day000_events.csv"]
+        assert runs[0][2] == {}
 
     def test_lost_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         day = pl._simulated_day
@@ -1162,20 +1229,23 @@ class TestStagesOverWorkers:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_day_write_fault_names_the_file(self, tmp_path, monkeypatch, capsys):
-        # a full disk under one day's level-1 file, at jobs 1 and 2
-        monkeypatch.setattr(pl, "fresh_out_dir", pl.make_out_dir)
-        left = []
+        # a full disk under one day's level-1 file, at jobs 1 and 2; forked
+        # workers inherit the patch
+        open_out = rp.open_out
+
+        def full_disk(path, newline=None):
+            if path.name == "day001_orderbook.csv.partial":
+                path.symlink_to("/dev/full")
+            return open_out(path, newline)
+
+        monkeypatch.setattr(rp, "open_out", full_disk)
         for jobs in ("1", "2"):
             out = tmp_path / jobs
-            out.mkdir()
-            (out / "day001_orderbook.csv.partial").symlink_to("/dev/full")
             argv = ["simulate", "--days", "3", "--seed", "3", "--out", str(out), "--jobs", jobs]
             assert cli_main(argv) == 2
             assert capsys.readouterr().err == (f"config error: cannot write {out}/"
                                                "day001_orderbook.csv.partial: No space left on device\n")
-            left.append(sorted(p.name for p in out.iterdir()))
-        assert left[0] == left[1] == [
-            "day000_message.csv", "day000_orderbook.csv", "resolved_config.txt"]
+            assert list(out.iterdir()) == []
         assert_no_child_left()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
